@@ -5,13 +5,13 @@ The package is organised bottom-up:
 * `compositions`, `permutations` -- the indexing combinatorics;
 * `linalg` -- exact rational vectors, matrices, and elimination;
 * `tableaux` -- the tableau objects, enumeration, and shape predicates;
-* `hecke` -- the algebra in the pi-basis, its regular representation, and
-  the projective indecomposables;
+* `hecke` -- the algebra in the pi-basis, its regular representation, the
+  projective indecomposables, and the exact projectivity test;
 * `modules` -- concrete modules with one exact matrix per generator plus
   the verification toolbox (relations, hom spaces, radicals, factors);
 * `maps` -- the structural bijections and homomorphisms between them;
 * `qsym` -- degree-graded quasisymmetric functions and characteristics;
-* `verify` / `cli` -- the claim registry and the command line front end.
+* `verify` / `cli` -- the claim table and the command line front end.
 """
 
 __version__ = "0.1.0"

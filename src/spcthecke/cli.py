@@ -1,8 +1,8 @@
 """Command line front end: enumeration, characteristics, graphs, verification.
 
 Exit codes: 0 on success, 1 when a verified property fails (the report
-with its witness is printed as JSON), 2 for usage errors and exceeded
-size bounds.
+with its witness is printed as JSON), 2 for usage errors (including a
+`verify --max-n` below 1) and exceeded size bounds.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.list:
-        for claim, (desc, _) in CLAIMS.items():
+        for claim, (desc, *_) in CLAIMS.items():
             print(f"{claim:22s} {desc}")
         return 0
     if args.claim is None:
@@ -79,7 +79,7 @@ def _cmd_verify(args) -> int:
     if args.claim not in CLAIMS:
         print(f"error: unknown claim id {args.claim!r}; try --list", file=sys.stderr)
         return USAGE_ERROR
-    report = run_claim(args.claim, max_n=args.max_n, jobs=args.jobs, seed=args.seed)
+    report = run_claim(args.claim, max_n=args.max_n, jobs=args.jobs)
     text = json.dumps(report, default=str, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -128,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--list", action="store_true", help="list claim ids")
     p_verify.add_argument("--max-n", type=int, default=None)
     p_verify.add_argument("--jobs", type=int, default=1)
-    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", help="also write the JSON report to this path")
     p_verify.set_defaults(fn=_cmd_verify)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Composition = tuple[int, ...]
 
@@ -43,11 +43,6 @@ class Cell:
             raise ValueError(f"unknown diagram kind {self.kind!r}")
         if self.row < 1 or self.col < 1:
             raise ValueError(f"cell indices are 1-based, got {(self.row, self.col)}")
-
-    def same_kind(self, other: "Cell") -> None:
-        if self.kind != other.kind:
-            raise ValueError(f"mixing diagram kinds {self.kind!r} and {other.kind!r}")
-
 
 def check_composition(alpha: Sequence[int]) -> Composition:
     """Validate and normalise a composition to a tuple.
@@ -155,18 +150,6 @@ def is_partition(alpha: Sequence[int]) -> bool:
 # diagram geometry
 
 
-def cd_cells(alpha: Sequence[int]) -> list[Cell]:
-    """All cells of the composition diagram, column-major (col, then row)."""
-    alpha = check_composition(alpha)
-    width = max(alpha, default=0)
-    return [
-        Cell(r + 1, c, "cd")
-        for c in range(1, width + 1)
-        for r, part in enumerate(alpha)
-        if part >= c
-    ]
-
-
 def rd_row_spans(alpha: Sequence[int]) -> list[tuple[int, int]]:
     """Column span (start, end) of each ribbon row, rows listed bottom-up.
 
@@ -180,22 +163,6 @@ def rd_row_spans(alpha: Sequence[int]) -> list[tuple[int, int]]:
         spans.append((start, start + part - 1))
         start += part - 1
     return spans
-
-
-def rd_cells(alpha: Sequence[int]) -> list[Cell]:
-    """Cells of the ribbon diagram, column-major, top-to-bottom in a column.
-
-    Rows are indexed from the bottom, so "top" within a column means the
-    larger row index.
-    """
-    spans = rd_row_spans(alpha)
-    width = spans[-1][1] if spans else 0
-    cells = []
-    for c in range(1, width + 1):
-        rows = [r + 1 for r, (lo, hi) in enumerate(spans) if lo <= c <= hi]
-        for r in sorted(rows, reverse=True):
-            cells.append(Cell(r, c, "rd"))
-    return cells
 
 
 def rd_column_heights(alpha: Sequence[int]) -> list[int]:
@@ -360,12 +327,6 @@ def enumerate_shapes(n: int, kind: str, bound: int = DEFAULT_ENUM_BOUND):
     if kind not in table:
         raise ValueError(f"unknown enumeration kind {kind!r}")
     return table[kind](n)
-
-
-def compositions_upto(n: int) -> Iterator[Composition]:
-    """Compositions of every size from 1 through n, smaller sizes first."""
-    for m in range(1, n + 1):
-        yield from compositions(m)
 
 
 def to_json(alpha: Sequence[int]) -> list[int]:

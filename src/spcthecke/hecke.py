@@ -14,18 +14,21 @@ automorphism (gen_i -> 1 - gen_i) are expanded.
 The regular representation and its cyclic left ideals generated by
 (barred longest element of a parabolic) * (plain longest element of the
 complementary parabolic) -- the projective indecomposables -- are built
-here as `HModule` values with exact matrices.
+here as `HModule` values with exact matrices.  A module is projective
+exactly when it has the dimension of the projective cover of its top
+(`is_projective`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .compositions import BoundExceeded
+from .compositions import BoundExceeded, set_of
 from .linalg import EchelonSpace, RatMat, Scalar, Vec
-from .modules import DEFAULT_ALGEBRA_BOUND, HModule
+from .modules import DEFAULT_ALGEBRA_BOUND, HModule, top_factors
 from . import permutations
 from .permutations import Permutation
 
@@ -273,6 +276,34 @@ def pim_modules(n: int, bound: int = DEFAULT_ALGEBRA_BOUND) -> dict[frozenset[in
         for sub in combinations(universe, r):
             out[frozenset(sub)] = pim_module(n, frozenset(sub), bound)
     return out
+
+
+@dataclass
+class ProjectivityCertificate:
+    top: dict
+    cover_dim: int  # dim P(top M)
+    dim: int
+
+    @property
+    def projective(self) -> bool:
+        return self.cover_dim == self.dim
+
+
+def is_projective(
+    m: HModule, bound: int = DEFAULT_ALGEBRA_BOUND
+) -> tuple[bool, ProjectivityCertificate]:
+    """Compare dim M with the dimension of the projective cover of its top.
+
+    The cover P(top M) always maps onto M, so M is projective exactly when
+    the two dimensions agree; the verdict is exact both ways.  The cover
+    dimension is the sum of the ideal dimensions over the top's simple
+    multiplicities.
+    """
+    _check_algebra_bound(m.n, bound)
+    top = top_factors(m)
+    cover_dim = sum(mult * pim_module(m.n, set_of(beta), bound).dim for beta, mult in top.items())
+    cert = ProjectivityCertificate(dict(top), cover_dim, m.dim)
+    return cert.projective, cert
 
 
 def descent_class_size(n: int, subset: Iterable[int]) -> int:

@@ -18,23 +18,6 @@ Scalar = int | Fraction
 Vec = dict[int, Scalar]
 
 
-def vec_add(u: Mapping[int, Scalar], v: Mapping[int, Scalar]) -> Vec:
-    out = dict(u)
-    for k, x in v.items():
-        s = out.get(k, 0) + x
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def vec_scale(c: Scalar, v: Mapping[int, Scalar]) -> Vec:
-    if not c:
-        return {}
-    return {k: c * x for k, x in v.items()}
-
-
 def vec_axpy(out: Vec, c: Scalar, v: Mapping[int, Scalar]) -> None:
     """In-place ``out += c * v`` (the one sanctioned mutation helper)."""
     if not c:
@@ -70,11 +53,6 @@ class RatMat:
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "RatMat":
         return cls(nrows, ncols)
-
-    @classmethod
-    def from_cols(cls, cols: Sequence[Mapping[int, Scalar]], nrows: int) -> "RatMat":
-        data = {(r, j): x for j, col in enumerate(cols) for r, x in col.items()}
-        return cls(nrows, len(cols), data)
 
     @classmethod
     def from_dense(cls, rows: Sequence[Sequence[Scalar]]) -> "RatMat":

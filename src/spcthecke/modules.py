@@ -3,8 +3,9 @@
 An `HModule` packages a labeled basis with one exact rational matrix per
 generator.  Everything downstream is linear algebra over Q: the relation
 checker, intertwiner (hom) spaces, endomorphism rings with the trace-form
-radical, radical filtrations with their semisimple-layer eigensplit, and
-the projectivity certificate.
+radical, and radical filtrations with their semisimple-layer eigensplit.
+The projectivity test lives in `hecke`, beside the projective
+indecomposables it compares against.
 
 Matrix convention: generator matrices act on column coordinate vectors, so
 column j of ``gens[i-1]`` is the image of the j-th basis element under the
@@ -15,12 +16,11 @@ i-th generator, and a map f with matrix F intertwines when
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .compositions import BoundExceeded, Composition, check_composition, comp_of, set_of
+from .compositions import Composition, check_composition, comp_of, set_of
 from .linalg import EchelonSpace, RatMat, Vec, nullspace, rank_of, vec_axpy
 from . import permutations
 from .permutations import Permutation
@@ -224,13 +224,6 @@ def submodule_on_labels(m: HModule, labels: Sequence, name: str = "") -> HModule
     return HModule(m.n, [m.basis[j] for j in idx], gens, name=name or f"{m.name}|sub")
 
 
-def class_submodule(
-    alpha: Sequence[int], sigma: Sequence[int], cls: SpctClass, bound: int = tableaux.DEFAULT_TABLEAU_BOUND
-) -> HModule:
-    m = spct_module(alpha, sigma, bound)
-    return class_submodule_of(m, cls)
-
-
 def class_submodule_of(m: HModule, cls: SpctClass) -> HModule:
     return submodule_on_labels(m, cls.members, name=f"{m.name}|{cls.label}")
 
@@ -422,15 +415,15 @@ class Layer:
     gens: list[RatMat]  # induced generator action on layer coordinates
 
 
-def radical_filtration(m: HModule) -> list[Layer]:
-    """Layers of M > rad M > rad^2 M > ... with their induced actions.
+def radical_filtration(m: HModule) -> Iterator[Layer]:
+    """Layers of M > rad M > rad^2 M > ..., top first, with their induced actions.
 
+    Layers are yielded lazily, so taking only the top computes one radical.
     Each layer's generator matrices are expressed on residues of spanning
     vectors modulo the next filtration step; the generators preserve each
     step, so reducing an image modulo the step and solving against the
     residue basis is exact.
     """
-    layers: list[Layer] = []
     current: list[Vec] = [{j: 1} for j in range(m.dim)]
     current_dim = m.dim
     while current_dim > 0:
@@ -459,10 +452,9 @@ def radical_filtration(m: HModule) -> list[Layer]:
                 for row, x in coords.items():
                     data[row, col] = x
             gens.append(RatMat(d, d, data))
-        layers.append(Layer(d, gens))
+        yield Layer(d, gens)
         current = nxt
         current_dim = len(nxt)
-    return layers
 
 
 def _eigensplit(layer: Layer, n: int) -> Counter[tuple[int, ...]]:
@@ -497,117 +489,31 @@ def _eigensplit(layer: Layer, n: int) -> Counter[tuple[int, ...]]:
     return Counter({pat: len(vecs) for pat, vecs in blocks})
 
 
-def composition_factors(m: HModule) -> Counter[Composition]:
-    """Multiset of simple factors via the radical filtration.
+def _layer_factors(layer: Layer, n: int) -> Counter[Composition]:
+    """Simple multiplicities of one semisimple layer.
 
-    On each layer the generators commute and are idempotent; a joint
-    eigenpattern with zeros exactly on a subset I contributes the simple
-    indexed by the composition with partial sums I.
+    A joint eigenpattern with zeros exactly on a subset I contributes the
+    simple indexed by the composition with partial sums I.
     """
     out: Counter[Composition] = Counter()
+    for pattern, mult in _eigensplit(layer, n).items():
+        subset = {i + 1 for i, e in enumerate(pattern) if e == 0}
+        out[comp_of(subset, n)] += mult
+    return out
+
+
+def composition_factors(m: HModule) -> Counter[Composition]:
+    """Multiset of simple factors via the radical filtration."""
+    out: Counter[Composition] = Counter()
     for layer in radical_filtration(m):
-        for pattern, mult in _eigensplit(layer, m.n).items():
-            subset = {i + 1 for i, e in enumerate(pattern) if e == 0}
-            out[comp_of(subset, m.n)] += mult
+        out += _layer_factors(layer, m.n)
     return out
 
 
 def top_factors(m: HModule) -> Counter[Composition]:
-    """Simple multiplicities of M / rad M."""
-    layers = radical_filtration(m)
-    if not layers:
-        return Counter()
-    out: Counter[Composition] = Counter()
-    for pattern, mult in _eigensplit(layers[0], m.n).items():
-        subset = {i + 1 for i, e in enumerate(pattern) if e == 0}
-        out[comp_of(subset, m.n)] += mult
-    return out
-
-
-# ---------------------------------------------------------------------------
-# projectivity
-
-
-@dataclass
-class ProjectivityCertificate:
-    projective: bool
-    status: str  # "certified-isomorphism" | "dim-mismatch" | "probabilistic-negative"
-    top: dict
-    cover_dim: int
-    dim: int
-    witness: RatMat | None = None
-    samples_used: int = 0
-
-    def to_json(self):
-        return {
-            "projective": self.projective,
-            "status": self.status,
-            "top": {str(k): v for k, v in self.top.items()},
-            "cover_dim": self.cover_dim,
-            "dim": self.dim,
-            "samples_used": self.samples_used,
-        }
-
-
-def is_projective(
-    m: HModule,
-    bound: int = DEFAULT_ALGEBRA_BOUND,
-    samples: int = 32,
-    seed: int = 0,
-) -> tuple[bool, ProjectivityCertificate]:
-    """Compare M against the projective cover of its top.
-
-    Builds the direct sum of projective indecomposables matching the top's
-    simple multiplicities.  A dimension mismatch is an exact negative; when
-    dimensions agree, random small-integer combinations of a hom-space
-    basis are tested for invertibility, and a hit is an exact positive
-    certificate.  Failure to find one after the configured number of
-    samples is reported as a probabilistic negative.
-    """
-    from . import hecke
-
-    if m.n > bound:
-        raise BoundExceeded(f"n = {m.n} exceeds algebra bound {bound}")
-    top = top_factors(m)
-    pims = []
-    for beta in sorted(top):
-        for _ in range(top[beta]):
-            pims.append(hecke.pim_module(m.n, set_of(beta), bound))
-    cover = direct_sum(pims) if pims else None
-    cover_dim = cover.dim if cover else 0
-    if cover_dim != m.dim:
-        cert = ProjectivityCertificate(False, "dim-mismatch", dict(top), cover_dim, m.dim)
-        return False, cert
-    homs = hom_space(cover, m)
-    rng = random.Random(seed)
-    tried = 0
-    for f in homs:
-        tried += 1
-        if _is_invertible(f):
-            cert = ProjectivityCertificate(
-                True, "certified-isomorphism", dict(top), cover_dim, m.dim, f, tried
-            )
-            return True, cert
-    for _ in range(samples):
-        tried += 1
-        f = RatMat.zero(m.dim, m.dim)
-        for h in homs:
-            f = f + rng.randint(-9, 9) * h
-        if _is_invertible(f):
-            cert = ProjectivityCertificate(
-                True, "certified-isomorphism", dict(top), cover_dim, m.dim, f, tried
-            )
-            return True, cert
-    cert = ProjectivityCertificate(
-        False, "probabilistic-negative", dict(top), cover_dim, m.dim, None, tried
-    )
-    return False, cert
-
-
-def _is_invertible(f: RatMat) -> bool:
-    if f.nrows != f.ncols:
-        return False
-    return rank_of(f.rows(), f.ncols) == f.nrows
+    """Simple multiplicities of M / rad M; only the top layer is computed."""
+    top = next(radical_filtration(m), None)
+    return Counter() if top is None else _layer_factors(top, m.n)
 
 
 # ---------------------------------------------------------------------------

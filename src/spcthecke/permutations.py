@@ -120,16 +120,6 @@ def reduced_word(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(suffix))
 
 
-def reduced_word_and_length(p: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """The deterministic reduced word together with the length.
-
-    >>> reduced_word_and_length((2, 1, 3, 4))
-    ((1,), 1)
-    """
-    word = reduced_word(p)
-    return word, len(word)
-
-
 def perm_from_word(word: Sequence[int], m: int) -> Permutation:
     """The product s_{i_1} ... s_{i_p} in S_m."""
     p = identity(m)
@@ -147,19 +137,6 @@ def all_reduced_words(p: Sequence[int]) -> Iterator[tuple[int, ...]]:
     for i in sorted(descent_set(p)):
         for word in all_reduced_words(times_s(p, i)):
             yield word + (i,)
-
-
-def count_reduced_words(p: Sequence[int]) -> int:
-    p = check_perm(p)
-
-    @lru_cache(maxsize=None)
-    def count(q: Permutation) -> int:
-        des = descent_set(q)
-        if not des:
-            return 1
-        return sum(count(times_s(q, i)) for i in des)
-
-    return count(p)
 
 
 def standardize(word: Sequence[int]) -> Permutation:

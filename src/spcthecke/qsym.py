@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .compositions import (
     BoundExceeded,
@@ -106,14 +106,6 @@ class QSymElt:
         sym = "F" if self.basis == "F" else "S"
         bits = [f"{'' if c == 1 else c}{sym}{list(a)}" for a, c in sorted(self.terms.items())]
         return " + ".join(bits)
-
-
-def f_elt(degree: int, terms: Mapping[Composition, int]) -> QSymElt:
-    return QSymElt(degree, "F", dict(terms))
-
-
-def qs_elt(degree: int, terms: Mapping[Composition, int]) -> QSymElt:
-    return QSymElt(degree, "QS", dict(terms))
 
 
 # ---------------------------------------------------------------------------

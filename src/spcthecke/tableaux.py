@@ -673,15 +673,6 @@ def decrement_part(
     return parts, permutations.sigma_down(sigma)
 
 
-def bold_sigma(alpha: Sequence[int], sigma: Sequence[int], m: int) -> Permutation:
-    """The type attached to shrinking part m: unchanged, or 1 removed."""
-    alpha = check_composition(alpha)
-    sigma = permutations.check_perm(sigma)
-    if alpha[m - 1] > 1:
-        return sigma
-    return permutations.sigma_down(sigma)
-
-
 def _canonical_rows(alpha: Composition, sigma: Permutation) -> tuple[tuple[int, ...], ...]:
     inv = permutations.inverse(sigma)
     rows: list[tuple[int, ...]] = [()] * len(alpha)

@@ -1,21 +1,26 @@
-"""The claim registry: one runnable, exhaustive property suite per claim id.
+"""The claim table: one exhaustive property suite per claim id.
 
-Every acceptance-level statement the package asserts about itself lives
-here, keyed by a stable claim id.  A runner takes a size cap and a worker
-count and returns a JSON-friendly report::
+Every acceptance-level statement the package asserts about itself is a row
+of `CLAIMS`, keyed by a stable claim id::
+
+    claim id -> (description, default max_n, cases(max_n), check(case))
+
+`cases` lists every case up to the size cap and `check` returns the
+failures of one case.  Checks that run once per degree or once per claim
+are tagged cases like the rest.  `run_claim` maps the checker over the
+cases, in a process pool when asked, and returns a JSON-friendly report::
 
     {"claim": ..., "parameters": {...}, "status": "pass"|"fail",
      "cases": <int>, "witness": <first failures, if any>}
 
-Runners fan independent cases out to a process pool when asked; case
-functions are module-level and take picklable arguments, and reports are
-aggregated deterministically (failures sorted by case key), so the output
-is identical for any worker count.
+Checkers are module-level and take picklable arguments, and failures are
+sorted by case key, so the report is identical for any worker count.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from typing import Callable, Sequence
 
@@ -26,15 +31,23 @@ from .compositions import (
     is_partition,
     partitions,
     reverse_of,
-    set_of,
     sorted_parts,
 )
+from .linalg import rank_of
 from . import hecke
 from . import maps
 from . import modules
 from . import permutations as perms
 from . import qsym
 from . import tableaux
+
+#: largest n for the module-level checks of thm-3.15 and cor-3.18
+_MODULE_MAX_N = 6
+
+
+def _upto(max_n: int, per_degree: Callable[[int], Sequence]) -> list:
+    """The cases of every degree from 1 through max_n, smaller first."""
+    return [case for n in range(1, max_n + 1) for case in per_degree(n)]
 
 
 def _all_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -48,6 +61,21 @@ def _all_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 def _compatible_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [(a, s) for a, s in _all_pairs(n) if tableaux.is_compatible(a, s)]
+
+
+def _subsets(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(n, subset) for every subset of [1, n-1], smaller subsets first."""
+    return [(n, sub) for r in range(n) for sub in itertools.combinations(range(1, n), r)]
+
+
+def _descent_triples(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """(shape, type, i) for every descent i of the type, over all pairs."""
+    return [
+        (alpha, sigma, i)
+        for alpha, sigma in _all_pairs(n)
+        for i in range(1, len(alpha))
+        if sigma[i - 1] > sigma[i]
+    ]
 
 
 def _run_cases(cases: Sequence, fn: Callable, jobs: int) -> list:
@@ -75,45 +103,25 @@ def _report(claim: str, params: dict, failures: list, cases: int) -> dict:
 # criterion 1: generator relations on every module
 
 
+def _relation_modules(n: int) -> list:
+    cases = [("spct", p) for p in _compatible_pairs(n)]
+    cases += [("ribbon", (a, v)) for a in compositions(n) for v in modules.RIBBON_VARIANTS]
+    cases.append(("regular", n))
+    return cases + [("pim", p) for p in _subsets(n)]
+
+
 def _case_relations(case) -> list:
     kind, payload = case
-    bad = []
     if kind == "spct":
-        alpha, sigma = payload
-        mod = modules.spct_module(alpha, sigma)
-        if not modules.check_relations(mod).ok:
-            bad.append({"module": mod.name})
+        mod = modules.spct_module(*payload)
     elif kind == "ribbon":
-        alpha, variant = payload
-        mod = modules.ribbon_module(alpha, variant)
-        if not modules.check_relations(mod).ok:
-            bad.append({"module": mod.name})
+        mod = modules.ribbon_module(*payload)
     elif kind == "regular":
         mod = hecke.regular_module(payload)
-        if not modules.check_relations(mod).ok:
-            bad.append({"module": mod.name})
-    elif kind == "pim":
+    else:
         n, subset = payload
         mod = hecke.pim_module(n, frozenset(subset))
-        if not modules.check_relations(mod).ok:
-            bad.append({"module": mod.name})
-    return bad
-
-
-def run_relations(max_n: int = 6, jobs: int = 1, seed: int = 0) -> dict:
-    cases = []
-    for n in range(1, max_n + 1):
-        for alpha, sigma in _compatible_pairs(n):
-            cases.append(("spct", (alpha, sigma)))
-        for alpha in compositions(n):
-            for variant in modules.RIBBON_VARIANTS:
-                cases.append(("ribbon", (alpha, variant)))
-        cases.append(("regular", n))
-        for r in range(n):
-            for sub in itertools.combinations(range(1, n), r):
-                cases.append(("pim", (n, sub)))
-    failures = [f for fs in _run_cases(cases, _case_relations, jobs) for f in fs]
-    return _report("rel-2.1", {"max_n": max_n}, failures, len(cases))
+    return [] if modules.check_relations(mod).ok else [{"module": mod.name}]
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +134,6 @@ def _case_compat(case) -> list:
     if nonempty != tableaux.is_compatible(alpha, sigma):
         return [{"alpha": alpha, "sigma": sigma, "nonempty": nonempty}]
     return []
-
-
-def run_compatibility(max_n: int = 7, jobs: int = 1, seed: int = 0) -> dict:
-    cases = [p for n in range(1, max_n + 1) for p in _all_pairs(n)]
-    failures = [f for fs in _run_cases(cases, _case_compat, jobs) for f in fs]
-    return _report("prop-3.4", {"max_n": max_n}, failures, len(cases))
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +154,29 @@ def _case_classes(case) -> list:
     return bad
 
 
-def run_classes(max_n: int = 7, jobs: int = 1, seed: int = 0) -> dict:
-    cases = [p for n in range(1, max_n + 1) for p in _compatible_pairs(n)]
-    failures = [f for fs in _run_cases(cases, _case_classes, jobs) for f in fs]
-    return _report("lem-2.7", {"max_n": max_n}, failures, len(cases))
-
-
 # ---------------------------------------------------------------------------
 # criterion 4: unique source / cyclicity / longest-element special case
 
 
+def _simplicity_cases(max_n: int) -> list:
+    pairs = [
+        ("pair", (a, s, n <= _MODULE_MAX_N)) for n in range(1, max_n + 1) for a, s in _compatible_pairs(n)
+    ]
+    return pairs + [("w0", alpha) for alpha in _upto(max_n, compositions)]
+
+
 def _case_simplicity(case) -> list:
-    alpha, sigma, module_level = case
+    kind, payload = case
     bad = []
+    if kind == "w0":
+        alpha = payload
+        w0 = perms.longest_element(len(alpha))
+        if (len(tableaux.enumerate_spct(alpha, w0)) > 0) != is_partition(alpha):
+            bad.append({"alpha": alpha, "error": "w0 nonempty != partition"})
+        if is_partition(alpha) and not tableaux.is_sigma_simple(alpha, w0):
+            bad.append({"alpha": alpha, "error": "partition not w0-simple"})
+        return bad
+    alpha, sigma, module_level = payload
     ts = tableaux.enumerate_spct(alpha, sigma)
     sources = [t for t in ts if tableaux.classify(t) in ("source", "both")]
     simple = tableaux.is_sigma_simple(alpha, sigma)
@@ -181,45 +193,17 @@ def _case_simplicity(case) -> list:
     return bad
 
 
-def run_simplicity(max_n: int = 7, jobs: int = 1, seed: int = 0, module_max_n: int = 6) -> dict:
-    cases = [
-        (a, s, n <= module_max_n)
-        for n in range(1, max_n + 1)
-        for a, s in _compatible_pairs(n)
-    ]
-    failures = [f for fs in _run_cases(cases, _case_simplicity, jobs) for f in fs]
-    # longest-element specialisation
-    w0_cases = 0
-    for n in range(1, max_n + 1):
-        for alpha in compositions(n):
-            w0 = perms.longest_element(len(alpha))
-            nonempty = len(tableaux.enumerate_spct(alpha, w0)) > 0
-            w0_cases += 1
-            if nonempty != is_partition(alpha):
-                failures.append({"alpha": alpha, "error": "w0 nonempty != partition"})
-            if is_partition(alpha):
-                if not tableaux.is_sigma_simple(alpha, w0):
-                    failures.append({"alpha": alpha, "error": "partition not w0-simple"})
-    return _report(
-        "thm-3.15", {"max_n": max_n, "module_max_n": module_max_n}, failures, len(cases) + w0_cases
-    )
-
-
-def run_w0_classification(max_n: int = 7, jobs: int = 1, seed: int = 0) -> dict:
-    failures = []
-    cases = 0
-    for n in range(1, max_n + 1):
-        for alpha in compositions(n):
-            w0 = perms.longest_element(len(alpha))
-            cases += 1
-            nonempty = len(tableaux.enumerate_spct(alpha, w0)) > 0
-            if nonempty != is_partition(alpha):
-                failures.append({"alpha": alpha, "nonempty": nonempty})
-            if n <= min(max_n, 6):
-                cyclic = modules.is_spct_cyclic(alpha, w0)
-                if cyclic != is_partition(alpha):
-                    failures.append({"alpha": alpha, "cyclic": cyclic})
-    return _report("cor-3.18", {"max_n": max_n}, failures, cases)
+def _case_w0_classification(alpha) -> list:
+    bad = []
+    w0 = perms.longest_element(len(alpha))
+    nonempty = len(tableaux.enumerate_spct(alpha, w0)) > 0
+    if nonempty != is_partition(alpha):
+        bad.append({"alpha": alpha, "nonempty": nonempty})
+    if sum(alpha) <= _MODULE_MAX_N:
+        cyclic = modules.is_spct_cyclic(alpha, w0)
+        if cyclic != is_partition(alpha):
+            bad.append({"alpha": alpha, "cyclic": cyclic})
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +230,12 @@ def _case_indecomposable(case) -> list:
     return bad
 
 
-def run_indecomposability(max_n: int = 6, jobs: int = 1, seed: int = 0) -> dict:
-    cases = [p for n in range(1, max_n + 1) for p in _compatible_pairs(n)]
-    failures = [f for fs in _run_cases(cases, _case_indecomposable, jobs) for f in fs]
-    return _report("thm-3.1", {"max_n": max_n}, failures, len(cases))
-
-
 # ---------------------------------------------------------------------------
 # criterion 6: the column-sort bijection and the type-change image law
+
+
+def _column_sort_pairs(n: int) -> list:
+    return [(lam, sigma) for lam in partitions(n) for sigma in perms.all_perms(len(lam))]
 
 
 def _case_column_sort(case) -> list:
@@ -283,17 +265,6 @@ def _case_column_sort(case) -> list:
     return bad
 
 
-def run_column_sort(max_n: int = 6, jobs: int = 1, seed: int = 0) -> dict:
-    cases = [
-        (lam, sigma)
-        for n in range(1, max_n + 1)
-        for lam in partitions(n)
-        for sigma in perms.all_perms(len(lam))
-    ]
-    failures = [f for fs in _run_cases(cases, _case_column_sort, jobs) for f in fs]
-    return _report("thm-4.2", {"max_n": max_n}, failures, len(cases))
-
-
 def _case_image_law(case) -> list:
     alpha, sigma, i = case
     bad = []
@@ -320,17 +291,6 @@ def _case_image_law(case) -> list:
     return bad
 
 
-def run_image_law(max_n: int = 6, jobs: int = 1, seed: int = 0) -> dict:
-    cases = []
-    for n in range(1, max_n + 1):
-        for alpha, sigma in _all_pairs(n):
-            for i in range(1, len(alpha)):
-                if sigma[i - 1] > sigma[i]:
-                    cases.append((alpha, sigma, i))
-    failures = [f for fs in _run_cases(cases, _case_image_law, jobs) for f in fs]
-    return _report("prop-4.6", {"max_n": max_n}, failures, len(cases))
-
-
 # ---------------------------------------------------------------------------
 # criterion 7: characteristic recursion and the Schur specialisation
 
@@ -342,52 +302,39 @@ def _case_recursion(case) -> list:
     return []
 
 
-def run_recursion(max_n: int = 6, jobs: int = 1, seed: int = 0) -> dict:
-    cases = []
-    for n in range(1, max_n + 1):
-        for alpha, sigma in _all_pairs(n):
-            for i in range(1, len(alpha)):
-                if sigma[i - 1] > sigma[i]:
-                    cases.append((alpha, sigma, i))
-    failures = [f for fs in _run_cases(cases, _case_recursion, jobs) for f in fs]
-    return _report("thm-4.8", {"max_n": max_n}, failures, len(cases))
-
-
-def run_schur(max_n: int = 7, jobs: int = 1, seed: int = 0) -> dict:
-    failures = []
-    cases = 0
-    for n in range(1, max_n + 1):
-        for lam in partitions(n):
-            cases += 1
-            w0 = perms.longest_element(len(lam))
-            lhs = qsym.ch_spct(lam, w0)
-            rhs = qsym.schur_oracle(lam)
-            if lhs != rhs:
-                failures.append({"lambda": lam, "error": "characteristic != Schur"})
-            count = len(tableaux.enumerate_spct(lam, w0))
-            syt = sum(rhs.terms.values())
-            if count != syt:
-                failures.append({"lambda": lam, "count": count, "syt": syt})
-    return _report("cor-4.9", {"max_n": max_n}, failures, cases)
+def _case_schur(lam) -> list:
+    bad = []
+    w0 = perms.longest_element(len(lam))
+    rhs = qsym.schur_oracle(lam)
+    if qsym.ch_spct(lam, w0) != rhs:
+        bad.append({"lambda": lam, "error": "characteristic != Schur"})
+    count = len(tableaux.enumerate_spct(lam, w0))
+    syt = sum(rhs.terms.values())
+    if count != syt:
+        bad.append({"lambda": lam, "count": count, "syt": syt})
+    return bad
 
 
 # ---------------------------------------------------------------------------
 # criterion 8: the lattice-basis certificate
 
 
-def run_basis(max_n: int = 6, jobs: int = 1, seed: int = 0) -> dict:
-    failures = []
-    for n in range(1, max_n + 1):
-        if not qsym.f_matrix_unimodular(n):
-            failures.append({"n": n, "error": "QS family not unimodular over F"})
-        rep = qsym.z_basis_certificate(n)
-        if not rep["ok"]:
-            failures.append(rep)
-    return _report("cor-4.11", {"max_n": max_n}, failures, max_n)
+def _case_basis(n: int) -> list:
+    bad = []
+    if not qsym.f_matrix_unimodular(n):
+        bad.append({"n": n, "error": "QS family not unimodular over F"})
+    rep = qsym.z_basis_certificate(n)
+    if not rep["ok"]:
+        bad.append(rep)
+    return bad
 
 
 # ---------------------------------------------------------------------------
 # criterion 9: sign conjugation, the projected transpose, and its kernel
+
+
+def _section5_cases(n: int) -> list:
+    return [("iota", a) for a in compositions(n)] + [("prc", p) for p in _compatible_pairs(n)]
 
 
 def _case_section5(case) -> list:
@@ -406,17 +353,6 @@ def _case_section5(case) -> list:
     return bad
 
 
-def run_section5(max_n: int = 6, jobs: int = 1, seed: int = 0) -> dict:
-    cases = []
-    for n in range(1, max_n + 1):
-        for alpha in compositions(n):
-            cases.append(("iota", alpha))
-        for beta, sigma in _compatible_pairs(n):
-            cases.append(("prc", (beta, sigma)))
-    failures = [f for fs in _run_cases(cases, _case_section5, jobs) for f in fs]
-    return _report("thm-5.5", {"max_n": max_n}, failures, len(cases))
-
-
 # ---------------------------------------------------------------------------
 # criterion 10: projectivity classification of canonical submodules
 
@@ -433,52 +369,33 @@ def _canonical_projectivity_expected(alpha, sigma) -> bool:
 
 
 def _case_projectivity(case) -> list:
-    alpha, sigma, seed = case
+    kind, payload = case
+    if kind == "counterexample":
+        counter = _noncanonical_counterexample()
+        return [counter] if counter else []
+    alpha, sigma = payload
     bad = []
     mod = modules.spct_module(alpha, sigma)
     cls = tableaux.canonical_class(alpha, sigma)
     sub = modules.class_submodule_of(mod, cls)
-    got, cert = modules.is_projective(sub, seed=seed)
+    got, cert = hecke.is_projective(sub)
     want = _canonical_projectivity_expected(alpha, sigma)
     if got != want:
         bad.append(
-            {"alpha": alpha, "sigma": sigma, "projective": got, "expected": want, "status": cert.status}
+            {
+                "alpha": alpha,
+                "sigma": sigma,
+                "projective": got,
+                "expected": want,
+                "cover_dim": cert.cover_dim,
+                "dim": cert.dim,
+            }
         )
-    if want:
-        # positive cases: isomorphic to the ideal indexed by the reversed shape
-        pim = hecke.pim_module(sum(alpha), set_of(reverse_of(alpha)))
-        if pim.dim != sub.dim or not _has_invertible_hom(pim, sub, seed):
-            bad.append({"alpha": alpha, "sigma": sigma, "error": "no certified isomorphism to the ideal"})
+    # positive cases: a projective module with this simple top is the ideal
+    # indexed by the reversed shape
+    if want and cert.top != {reverse_of(alpha): 1}:
+        bad.append({"alpha": alpha, "sigma": sigma, "error": "no certified isomorphism to the ideal"})
     return bad
-
-
-def _has_invertible_hom(a, b, seed: int, samples: int = 32) -> bool:
-    import random
-
-    from .linalg import RatMat, rank_of
-
-    homs = modules.hom_space(a, b)
-    rng = random.Random(seed)
-    for f in homs:
-        if f.nrows == f.ncols and rank_of(f.rows(), f.ncols) == f.nrows:
-            return True
-    for _ in range(samples):
-        f = RatMat.zero(b.dim, a.dim)
-        for h in homs:
-            f = f + rng.randint(-9, 9) * h
-        if f.nrows == f.ncols and rank_of(f.rows(), f.ncols) == f.nrows:
-            return True
-    return False
-
-
-def run_projectivity(max_n: int = 5, jobs: int = 1, seed: int = 0) -> dict:
-    cases = [(a, s, seed) for n in range(1, max_n + 1) for a, s in _compatible_pairs(n)]
-    failures = [f for fs in _run_cases(cases, _case_projectivity, jobs) for f in fs]
-    # the non-canonical counterexample: no homs from the twisted ideal
-    counter = _noncanonical_counterexample()
-    if counter:
-        failures.append(counter)
-    return _report("cor-5.6", {"max_n": max_n, "seed": seed}, failures, len(cases) + 1)
 
 
 def _noncanonical_counterexample() -> dict | None:
@@ -490,8 +407,6 @@ def _noncanonical_counterexample() -> dict | None:
     class dimension.  Pinned exact values: class dimension 3, hom space
     dimension 1, maximal rank 2.
     """
-    from .linalg import rank_of
-
     tau0 = tableaux.Spct([[4, 3], [5, 2], [1]])
     mod = modules.spct_module((2, 2, 1), (2, 3, 1))
     cls = next(
@@ -537,12 +452,6 @@ def _case_factors(case) -> list:
     return []
 
 
-def run_factors(max_n: int = 5, jobs: int = 1, seed: int = 0) -> dict:
-    cases = [p for n in range(1, max_n + 1) for p in _compatible_pairs(n)]
-    failures = [f for fs in _run_cases(cases, _case_factors, jobs) for f in fs]
-    return _report("factors-vs-descents", {"max_n": max_n}, failures, len(cases))
-
-
 # ---------------------------------------------------------------------------
 # criterion 12: filtration-side letter bound and nonattacking window
 
@@ -584,70 +493,115 @@ def _case_appendix(case) -> list:
     return bad
 
 
-def run_appendix(max_n: int = 6, jobs: int = 1, seed: int = 0) -> dict:
-    cases = [p for n in range(1, max_n + 1) for p in _compatible_pairs(n)]
-    failures = [f for fs in _run_cases(cases, _case_appendix, jobs) for f in fs]
-    return _report("app-A", {"max_n": max_n}, failures, len(cases))
-
-
 # ---------------------------------------------------------------------------
 # criterion 13: ideal dimension bookkeeping
 
 
-def run_pim_bookkeeping(max_n: int = 5, jobs: int = 1, seed: int = 0) -> dict:
-    import math
-
-    failures = []
-    cases = 0
-    for n in range(1, max_n + 1):
-        total = 0
-        for r in range(n):
-            for sub in itertools.combinations(range(1, n), r):
-                cases += 1
-                subset = frozenset(sub)
-                pim = hecke.pim_module(n, subset)
-                total += pim.dim
-                alpha = comp_of(subset, n)
-                srt = len(tableaux.enumerate_srt(alpha))
-                if pim.dim != srt:
-                    failures.append({"n": n, "subset": sorted(subset), "dim": pim.dim, "srt": srt})
-                top = modules.top_factors(pim)
-                if dict(top) != {alpha: 1}:
-                    failures.append({"n": n, "subset": sorted(subset), "top": {str(k): v for k, v in top.items()}})
+def _case_pim(case) -> list:
+    n, sub = case
+    bad = []
+    subset = frozenset(sub)
+    pim = hecke.pim_module(n, subset)
+    alpha = comp_of(subset, n)
+    srt = len(tableaux.enumerate_srt(alpha))
+    if pim.dim != srt:
+        bad.append({"n": n, "subset": sorted(subset), "dim": pim.dim, "srt": srt})
+    top = modules.top_factors(pim)
+    if dict(top) != {alpha: 1}:
+        bad.append({"n": n, "subset": sorted(subset), "top": {str(k): v for k, v in top.items()}})
+    if not sub:  # the degree's total, checked once
+        total = sum(hecke.pim_module(n, frozenset(s)).dim for _, s in _subsets(n))
         if total != math.factorial(n):
-            failures.append({"n": n, "total": total})
-    return _report("pim-dims", {"max_n": max_n}, failures, cases)
+            bad.append({"n": n, "total": total})
+    return bad
 
 
 # ---------------------------------------------------------------------------
-# registry
+# the claim table
 
 
-CLAIMS: dict[str, tuple[str, Callable[..., dict]]] = {
-    "rel-2.1": ("generator relations hold on every constructed module", run_relations),
-    "prop-3.4": ("tableau set nonempty exactly for compatible shape/type", run_compatibility),
-    "lem-2.7": ("each class has one source, one sink, and is a component", run_classes),
-    "thm-3.15": ("unique source and cyclicity both characterised by simplicity", run_simplicity),
-    "cor-3.18": ("longest-element modules detect partitions", run_w0_classification),
-    "thm-3.1": ("every class submodule has a local endomorphism ring", run_indecomposability),
-    "thm-4.2": ("column sort is a descent-preserving bijection with greedy inverse", run_column_sort),
-    "prop-4.6": ("type-change image is the bubble-fiber disjoint union", run_image_law),
-    "thm-4.8": ("characteristic satisfies the one-step type recursion", run_recursion),
-    "cor-4.9": ("partition shapes with reversing type give Schur functions", run_schur),
-    "cor-4.11": ("partition-shape characteristics form a lattice basis", run_basis),
-    "thm-5.5": ("sign conjugation and the projected transpose with its kernel", run_section5),
-    "cor-5.6": ("projectivity of canonical submodules classified exactly", run_projectivity),
-    "factors-vs-descents": ("radical-filtration factors equal descent compositions", run_factors),
-    "app-A": ("letter bound and nonattacking window on class quotients", run_appendix),
-    "pim-dims": ("ideal dimensions, tops, and the factorial total", run_pim_bookkeeping),
+CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] = {
+    "rel-2.1": (
+        "generator relations hold on every constructed module",
+        6, lambda m: _upto(m, _relation_modules), _case_relations,
+    ),
+    "prop-3.4": (
+        "tableau set nonempty exactly for compatible shape/type",
+        7, lambda m: _upto(m, _all_pairs), _case_compat,
+    ),
+    "lem-2.7": (
+        "each class has one source, one sink, and is a component",
+        7, lambda m: _upto(m, _compatible_pairs), _case_classes,
+    ),
+    "thm-3.15": (
+        "unique source and cyclicity both characterised by simplicity",
+        7, _simplicity_cases, _case_simplicity,
+    ),
+    "cor-3.18": (
+        "longest-element modules detect partitions",
+        7, lambda m: _upto(m, compositions), _case_w0_classification,
+    ),
+    "thm-3.1": (
+        "every class submodule has a local endomorphism ring",
+        6, lambda m: _upto(m, _compatible_pairs), _case_indecomposable,
+    ),
+    "thm-4.2": (
+        "column sort is a descent-preserving bijection with greedy inverse",
+        6, lambda m: _upto(m, _column_sort_pairs), _case_column_sort,
+    ),
+    "prop-4.6": (
+        "type-change image is the bubble-fiber disjoint union",
+        6, lambda m: _upto(m, _descent_triples), _case_image_law,
+    ),
+    "thm-4.8": (
+        "characteristic satisfies the one-step type recursion",
+        6, lambda m: _upto(m, _descent_triples), _case_recursion,
+    ),
+    "cor-4.9": (
+        "partition shapes with reversing type give Schur functions",
+        7, lambda m: _upto(m, partitions), _case_schur,
+    ),
+    "cor-4.11": (
+        "partition-shape characteristics form a lattice basis",
+        6, lambda m: list(range(1, m + 1)), _case_basis,
+    ),
+    "thm-5.5": (
+        "sign conjugation and the projected transpose with its kernel",
+        6, lambda m: _upto(m, _section5_cases), _case_section5,
+    ),
+    "cor-5.6": (
+        "projectivity of canonical submodules classified exactly",
+        5,
+        lambda m: [("pair", p) for p in _upto(m, _compatible_pairs)] + [("counterexample", None)],
+        _case_projectivity,
+    ),
+    "factors-vs-descents": (
+        "radical-filtration factors equal descent compositions",
+        5, lambda m: _upto(m, _compatible_pairs), _case_factors,
+    ),
+    "app-A": (
+        "letter bound and nonattacking window on class quotients",
+        6, lambda m: _upto(m, _compatible_pairs), _case_appendix,
+    ),
+    "pim-dims": (
+        "ideal dimensions, tops, and the factorial total",
+        5, lambda m: _upto(m, _subsets), _case_pim,
+    ),
 }
 
 
-def run_claim(claim: str, max_n: int | None = None, jobs: int = 1, seed: int = 0) -> dict:
+def run_claim(claim: str, max_n: int | None = None, jobs: int = 1) -> dict:
+    """Check one claim on every case up to max_n (the claim's default if None)."""
     if claim not in CLAIMS:
         raise KeyError(f"unknown claim id {claim!r}")
-    _, runner = CLAIMS[claim]
-    kwargs = {"jobs": jobs, "seed": seed}
-    if max_n is not None:
-        kwargs["max_n"] = max_n
-    return runner(**kwargs)
+    _, default_max_n, cases_of, check = CLAIMS[claim]
+    if max_n is None:
+        max_n = default_max_n
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    cases = cases_of(max_n)
+    failures = [f for fs in _run_cases(cases, check, jobs) for f in fs]
+    params = {"max_n": max_n}
+    if claim == "thm-3.15":
+        params["module_max_n"] = _MODULE_MAX_N
+    return _report(claim, params, failures, len(cases))

@@ -68,6 +68,12 @@ def test_unknown_claim_is_usage_error():
     assert res.returncode == 2
 
 
+def test_verify_empty_run_is_usage_error():
+    res = run_cli("verify", "thm-3.1", "--max-n", "0")
+    assert res.returncode == 2
+    assert res.stdout == "" and "max_n" in res.stderr
+
+
 def test_bound_exceeded_is_usage_error():
     res = run_cli("enumerate", "spct", "--shape", "2,2,2,2", "--sigma", "1,2,3,4", "--bound", "6")
     assert res.returncode == 2

@@ -145,7 +145,3 @@ def test_ribbon_geometry():
 def test_cell_kind_guard():
     with pytest.raises(ValueError):
         Cell(1, 1, "weird")
-    a = Cell(1, 1, "cd")
-    b = Cell(1, 1, "rd")
-    with pytest.raises(ValueError):
-        a.same_kind(b)

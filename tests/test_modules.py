@@ -3,9 +3,9 @@ from collections import Counter
 import pytest
 
 from spcthecke import permutations as P
-from spcthecke.compositions import compositions
-from spcthecke.hecke import pim_module
-from spcthecke.linalg import RatMat
+from spcthecke.compositions import compositions, set_of
+from spcthecke.hecke import is_projective, pim_module
+from spcthecke.linalg import RatMat, rank_of
 from spcthecke.modules import (
     action_components,
     appendix_invariants,
@@ -18,7 +18,6 @@ from spcthecke.modules import (
     graph_dot,
     hom_space,
     is_indecomposable,
-    is_projective,
     is_spct_cyclic,
     reachable_pairs,
     ribbon_module,
@@ -125,8 +124,6 @@ def test_is_indecomposable_controls():
 def test_hom_from_cover_contains_surjection():
     # the projected transpose certifies the canonical class is an image of
     # the matching ideal; here cross-checked directly through hom_space
-    from spcthecke.compositions import set_of
-    from spcthecke.linalg import rank_of
     from spcthecke.permutations import compose_right_action, inverse
 
     alpha, sigma = (2, 2), (2, 1)
@@ -164,7 +161,7 @@ def test_factors_match_descent_compositions_small():
 def test_is_projective_examples():
     pim = pim_module(4, frozenset({2}))
     got, cert = is_projective(pim)
-    assert got and cert.status == "certified-isomorphism"
+    assert got and cert.cover_dim == cert.dim == pim.dim
 
     one_col = spct_module((1, 1, 1), (2, 3, 1))
     got, cert = is_projective(one_col)
@@ -173,7 +170,23 @@ def test_is_projective_examples():
     m = spct_module((2, 2), (1, 2))
     sub = class_submodule_of(m, canonical_class((2, 2), (1, 2)))
     got, cert = is_projective(sub)
-    assert not got and cert.status == "dim-mismatch"
+    assert not got and cert.cover_dim > cert.dim == sub.dim
+
+
+def test_is_projective_against_invertible_homs():
+    # independent oracle for the dimension test: every projective verdict
+    # is backed by an invertible map from the cover, found among the hom
+    # space basis; every negative has a cover strictly larger than M
+    for n in range(1, 6):
+        for alpha, sigma in compatible_pairs(n):
+            sub = class_submodule_of(spct_module(alpha, sigma), canonical_class(alpha, sigma))
+            got, cert = is_projective(sub)
+            if not got:
+                assert cert.cover_dim != cert.dim, (alpha, sigma)
+                continue
+            pims = [pim_module(n, set_of(b)) for b, k in sorted(cert.top.items()) for _ in range(k)]
+            homs = hom_space(direct_sum(pims), sub)
+            assert any(rank_of(h.rows(), h.ncols) == sub.dim == h.ncols for h in homs), (alpha, sigma)
 
 
 # ---------------------------------------------------------------------------

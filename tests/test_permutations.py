@@ -15,7 +15,6 @@ from spcthecke.permutations import (
     perm_from_word,
     perms_by_length_lex,
     reduced_word,
-    reduced_word_and_length,
     s_times,
     sigma_down,
     sign,
@@ -43,10 +42,10 @@ def test_standardize_idempotent(p):
 
 
 def test_reduced_word_examples():
-    word, l = reduced_word_and_length((3, 2, 1))
-    assert l == 3 and perm_from_word(word, 3) == (3, 2, 1)
-    assert reduced_word_and_length(identity(4)) == ((), 0)
-    assert reduced_word_and_length((2, 1, 3, 4)) == ((1,), 1)
+    word = reduced_word((3, 2, 1))
+    assert len(word) == 3 and perm_from_word(word, 3) == (3, 2, 1)
+    assert reduced_word(identity(4)) == ()
+    assert reduced_word((2, 1, 3, 4)) == (1,)
 
 
 @given(perms)
