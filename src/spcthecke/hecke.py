@@ -224,16 +224,21 @@ def pim_generator(n: int, subset: Iterable[int]) -> HeckeElement:
     return e
 
 
-@lru_cache(maxsize=None)
-def pim_module(n: int, subset: frozenset[int], bound: int = DEFAULT_ALGEBRA_BOUND) -> HModule:
+def pim_module(n: int, subset: Iterable[int], bound: int = DEFAULT_ALGEBRA_BOUND) -> HModule:
     """The cyclic left ideal generated by `pim_generator`, as a module.
 
     The basis is the canonical echelon basis of the generator-closure of
     the cyclic vector inside the regular representation; labels are the
     pivot permutations (echelon pivots over the fixed basis order).
+    Results are cached on (n, frozenset(subset)); `bound` only guards the
+    size.
     """
-    subset = frozenset(subset)
     _check_algebra_bound(n, bound)
+    return _pim_module(n, frozenset(subset))
+
+
+@lru_cache(maxsize=None)
+def _pim_module(n: int, subset: frozenset[int]) -> HModule:
     order = permutations.perms_by_length_lex(n)
     seed = element_vector(pim_generator(n, subset))
     space = EchelonSpace(len(order))
@@ -259,6 +264,9 @@ def pim_module(n: int, subset: frozenset[int], bound: int = DEFAULT_ALGEBRA_BOUN
                 data[remap[row_idx], col] = x
         gens.append(RatMat(len(basis_rows), len(basis_rows), data))
     return HModule(n, labels, gens, name=f"P_{sorted(subset)}")
+
+
+pim_module.cache_info = _pim_module.cache_info
 
 
 def _pivot_positions(space: EchelonSpace) -> dict[int, int]:

@@ -172,7 +172,7 @@ def omega_set(alpha: Sequence[int], sigma: Sequence[int], bound: int = tableaux.
     """
     sigma = permutations.check_perm(sigma)
     out = []
-    for T in tableaux.enumerate_srt(check_composition(alpha), bound):
+    for T in tableaux.enumerate_srt(alpha, bound):
         if _omega_member(T, sigma):
             out.append(T)
     return out

@@ -540,7 +540,7 @@ def is_spct_cyclic(alpha: Sequence[int], sigma: Sequence[int], bound: int = tabl
 def action_edges(alpha, sigma, bound: int = tableaux.DEFAULT_TABLEAU_BOUND):
     """Directed moving edges (t, i, t') with generator i sending t to t' != t."""
     edges = []
-    for t in tableaux.enumerate_spct(check_composition(alpha), permutations.check_perm(sigma), bound):
+    for t in tableaux.enumerate_spct(alpha, sigma, bound):
         for i in sorted(tableaux.descent_set(t)):
             if not tableaux.is_attacking(t, i, i + 1):
                 edges.append((t, i, t.swap_values(i)))
@@ -549,7 +549,7 @@ def action_edges(alpha, sigma, bound: int = tableaux.DEFAULT_TABLEAU_BOUND):
 
 def action_components(alpha, sigma, bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> list[frozenset[Spct]]:
     """Connected components of the (undirected) action graph."""
-    ts = tableaux.enumerate_spct(check_composition(alpha), permutations.check_perm(sigma), bound)
+    ts = tableaux.enumerate_spct(alpha, sigma, bound)
     adj: dict[Spct, set[Spct]] = {t: set() for t in ts}
     for t, _, u in action_edges(alpha, sigma, bound):
         adj[t].add(u)
@@ -573,7 +573,7 @@ def action_components(alpha, sigma, bound: int = tableaux.DEFAULT_TABLEAU_BOUND)
 
 def graph_dot(alpha, sigma, bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> str:
     """DOT rendering of the action graph, edges labeled by the generator."""
-    ts = tableaux.enumerate_spct(check_composition(alpha), permutations.check_perm(sigma), bound)
+    ts = tableaux.enumerate_spct(alpha, sigma, bound)
     names = {t: f"t{k}" for k, t in enumerate(ts)}
     lines = ["digraph spct {"]
     for t in ts:

@@ -11,11 +11,12 @@ An `Srt` is a filling of a ribbon diagram by 1..n with rows increasing left
 to right and columns increasing top to bottom.  Ribbon rows are stored
 bottom to top, matching the row indexing of ribbon diagrams.
 
-Besides enumeration (column-major backtracking with the triple condition
-checked as each box is placed), this module hosts the structural
-predicates on shape/type pairs: compatibility, obstruction pairs with
-their witness conditions, sigma-simplicity, removable nodes, and the
-explicit canonical source tableau and its hatted variant.
+Besides enumeration (an `Spct` is built by placing the values n, n-1,
+..., 1 in turn, largest entry first, so the triple condition is one local
+test per box; an `Srt` by column-major backtracking), this module hosts
+the structural predicates on shape/type pairs: compatibility, obstruction
+pairs with their witness conditions, sigma-simplicity, removable nodes,
+and the explicit canonical source tableau and its hatted variant.
 """
 
 from __future__ import annotations
@@ -235,21 +236,25 @@ def _check_tableau_bound(n: int, bound: int) -> None:
         raise BoundExceeded(f"n = {n} exceeds tableau enumeration bound {bound}")
 
 
-@lru_cache(maxsize=200_000)
 def enumerate_spct(
-    alpha: Composition, sigma: Permutation, bound: int = DEFAULT_TABLEAU_BOUND
+    alpha: Sequence[int], sigma: Sequence[int], bound: int = DEFAULT_TABLEAU_BOUND
 ) -> tuple[Spct, ...]:
     """All fillings of shape `alpha` and type `sigma`, deterministically.
 
-    Cells are filled column by column (top to bottom within a column) with
-    ascending candidate entries; the row, type and triple conditions are
-    enforced as each box is placed, so the recursion never revisits a
-    violated prefix.  Returns () exactly when the pair is incompatible,
-    which is verified against `is_compatible` rather than assumed.
+    The values n, n-1, ..., 1 are placed in turn.  Each value either
+    extends a started row that is not yet full, which keeps rows strictly
+    decreasing, or starts the next row in decreasing-type order, which
+    fixes the type.  Every box holding a larger value is already filled,
+    so the triple condition is one local test: a value may go into column
+    k >= 1 (0-based) of row j only if no row above j has exactly k boxes.
+    The tableaux come out sorted by column reading word.  Returns ()
+    exactly when the pair is incompatible, which is verified against
+    `is_compatible` rather than assumed.  Results are cached on the
+    normalised (alpha, sigma); `bound` only guards the size.
 
     >>> [t.rows for t in enumerate_spct((2, 1), (2, 1))]
     [((3, 2), (1,)), ((3, 1), (2,))]
-    >>> enumerate_spct((1, 2), (2, 1))
+    >>> enumerate_spct([1, 2], [2, 1])
     ()
     """
     alpha = check_composition(alpha)
@@ -258,69 +263,65 @@ def enumerate_spct(
         raise ValueError(
             f"type degree {len(sigma)} != shape length {len(alpha)}"
         )
-    n = sum(alpha)
-    _check_tableau_bound(n, bound)
-    if n == 0:
-        return (Spct(()),)
+    _check_tableau_bound(sum(alpha), bound)
+    return _enumerate_spct(alpha, sigma)
 
+
+@lru_cache(maxsize=200_000)
+def _enumerate_spct(alpha: Composition, sigma: Permutation) -> tuple[Spct, ...]:
     ell = len(alpha)
-    width = max(alpha)
-    cells = [
-        (r, c)
-        for c in range(1, width + 1)
-        for r in range(1, ell + 1)
-        if alpha[r - 1] >= c
-    ]
-    grid = [[0] * alpha[r] for r in range(ell)]
-    used = [False] * (n + 1)
-    out: list[Spct] = []
+    starts = sorted(range(ell), key=lambda r: -sigma[r])
+    rows: list[list[int]] = [[] for _ in range(ell)]
+    out: list[tuple[tuple[int, ...], ...]] = []
 
-    def place_ok(r: int, c: int, v: int) -> bool:
-        if c == 1:
-            for rp in range(1, r):
-                if (v > grid[rp - 1][0]) != (sigma[r - 1] > sigma[rp - 1]):
-                    return False
-            return True
-        if grid[r - 1][c - 2] <= v:
-            return False
-        for i in range(1, r):
-            if alpha[i - 1] >= c - 1 and grid[i - 1][c - 2] > v:
-                if alpha[i - 1] < c or grid[i - 1][c - 1] <= v:
-                    return False
-        return True
-
-    def fill(k: int):
-        if k == len(cells):
-            out.append(Spct(tuple(tuple(row) for row in grid)))
+    def place(v: int, started: int) -> None:
+        if v == 0:
+            out.append(tuple(map(tuple, rows)))
             return
-        r, c = cells[k]
-        for v in range(1, n + 1):
-            if used[v] or not place_ok(r, c, v):
-                continue
-            used[v] = True
-            grid[r - 1][c - 1] = v
-            fill(k + 1)
-            used[v] = False
-        grid[r - 1][c - 1] = 0
+        if started < ell:
+            row = rows[starts[started]]
+            row.append(v)
+            place(v - 1, started + 1)
+            row.pop()
+        lengths_above = set()
+        for j, row in enumerate(rows):
+            k = len(row)
+            if 0 < k < alpha[j] and k not in lengths_above:
+                row.append(v)
+                place(v - 1, started)
+                row.pop()
+            lengths_above.add(k)
 
-    fill(0)
-    return tuple(out)
+    place(sum(alpha), 0)
+    width = max(alpha, default=0)
+    out.sort(key=lambda t: [row[c] for c in range(width) for row in t if c < len(row)])
+    return tuple(Spct(t) for t in out)
 
 
-@lru_cache(maxsize=50_000)
-def enumerate_srt(alpha: Composition, bound: int = DEFAULT_TABLEAU_BOUND) -> tuple[Srt, ...]:
+enumerate_spct.cache_info = _enumerate_spct.cache_info
+
+
+def enumerate_srt(alpha: Sequence[int], bound: int = DEFAULT_TABLEAU_BOUND) -> tuple[Srt, ...]:
     """All standard ribbon tableaux of shape `alpha`, deterministically.
+
+    Results are cached on the normalised `alpha`; `bound` only guards the
+    size.
 
     >>> len(enumerate_srt((2, 2)))
     5
-    >>> len(enumerate_srt((3,)))
+    >>> len(enumerate_srt([3]))
     1
     >>> len(enumerate_srt((1, 1, 1)))
     1
     """
     alpha = check_composition(alpha)
+    _check_tableau_bound(sum(alpha), bound)
+    return _enumerate_srt(alpha)
+
+
+@lru_cache(maxsize=50_000)
+def _enumerate_srt(alpha: Composition) -> tuple[Srt, ...]:
     n = sum(alpha)
-    _check_tableau_bound(n, bound)
     if n == 0:
         return (Srt(()),)
     spans = rd_row_spans(alpha)
@@ -362,6 +363,9 @@ def enumerate_srt(alpha: Composition, bound: int = DEFAULT_TABLEAU_BOUND) -> tup
 
     fill(0)
     return tuple(out)
+
+
+enumerate_srt.cache_info = _enumerate_srt.cache_info
 
 
 def source_ribbon_tableau(alpha: Sequence[int]) -> Srt:
@@ -507,7 +511,7 @@ def equivalence_classes(
     uniqueness is itself exercised by the verification suite).
     """
     groups: dict[ClassLabel, list[Spct]] = {}
-    for t in enumerate_spct(check_composition(alpha), permutations.check_perm(sigma), bound):
+    for t in enumerate_spct(alpha, sigma, bound):
         groups.setdefault(class_label(t), []).append(t)
     classes = []
     for label, members in groups.items():
@@ -753,7 +757,7 @@ def entry_one_cells(
 ) -> set[Cell]:
     """Cells carrying the entry 1 across all tableaux of the given pair."""
     out = set()
-    for t in enumerate_spct(check_composition(alpha), permutations.check_perm(sigma), bound):
+    for t in enumerate_spct(alpha, sigma, bound):
         r, c = t.pos(1)
         out.add(Cell(r, c, "cd"))
     return out

@@ -527,7 +527,7 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
     ),
     "prop-3.4": (
         "tableau set nonempty exactly for compatible shape/type",
-        7, lambda m: _upto(m, _all_pairs), _case_compat,
+        8, lambda m: _upto(m, _all_pairs), _case_compat,
     ),
     "lem-2.7": (
         "each class has one source, one sink, and is a component",
@@ -535,7 +535,7 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
     ),
     "thm-3.15": (
         "unique source and cyclicity both characterised by simplicity",
-        7, _simplicity_cases, _case_simplicity,
+        8, _simplicity_cases, _case_simplicity,
     ),
     "cor-3.18": (
         "longest-element modules detect partitions",

@@ -29,7 +29,7 @@ def test_criterion_01_relations_exact():
 
 
 def test_criterion_02_compatibility():
-    _check("criterion-2 nonempty iff compatible (n<=7)", [("prop-3.4", {"max_n": 7})])
+    _check("criterion-2 nonempty iff compatible (n<=8)", [("prop-3.4", {"max_n": 8})])
 
 
 def test_criterion_03_classes_sources_sinks_components():
@@ -38,8 +38,8 @@ def test_criterion_03_classes_sources_sinks_components():
 
 def test_criterion_04_simplicity_characterisations():
     _check(
-        "criterion-4 unique-source / cyclicity / reversing type (n<=7, modules n<=6)",
-        [("thm-3.15", {"max_n": 7}), ("cor-3.18", {"max_n": 7})],
+        "criterion-4 unique-source / cyclicity / reversing type (n<=8, modules n<=6; reversing type n<=7)",
+        [("thm-3.15", {"max_n": 8}), ("cor-3.18", {"max_n": 7})],
     )
 
 

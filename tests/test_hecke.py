@@ -109,6 +109,16 @@ def test_pim_generator_lives_in_its_ideal():
     assert m.dim == descent_class_size(4, {1, 3})
 
 
+def test_pim_module_caches_on_normalised_arguments():
+    m = pim_module(4, frozenset({1, 3}))
+    misses = pim_module.cache_info().misses
+    assert pim_module(4, frozenset({1, 3}), 6) is m
+    assert pim_module(4, [3, 1]) is m
+    assert pim_module.cache_info().misses == misses
+    with pytest.raises(BoundExceeded):
+        pim_module(4, {1, 3}, bound=3)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_ideal_decomposition(n):
     mods = pim_modules(n)

@@ -51,18 +51,41 @@ def test_enumerate_spct_examples():
     assert enumerate_spct((1, 2), (2, 1)) == ()
 
 
+def _row_fillings(alpha, values):
+    """Every split of `values` into ordered rows of sizes alpha, rows decreasing."""
+    if not alpha:
+        yield ()
+        return
+    for first in itertools.combinations(values, alpha[0]):
+        rest = [v for v in values if v not in first]
+        for tail in _row_fillings(alpha[1:], rest):
+            yield (tuple(sorted(first, reverse=True)),) + tail
+
+
 def test_enumerate_spct_brute_force_oracle():
-    # independent oracle: filter all placements of 1..n into the diagram
-    alpha, sigma = (2, 1), (2, 1)
-    cells = [(1, 1), (1, 2), (2, 1)]
-    found = set()
-    for perm in itertools.permutations(range(1, 4)):
-        rows = [[0, 0], [0]]
-        for (r, c), v in zip(cells, perm):
-            rows[r - 1][c - 1] = v
-        if is_valid_spct_rows(tuple(map(tuple, rows)), sigma):
-            found.add(tuple(map(tuple, rows)))
-    assert found == {t.rows for t in enumerate_spct(alpha, sigma)}
+    # independent oracle: filter every row-decreasing filling of every shape
+    # with n <= 7, bucket by type, and compare contents and order exactly
+    for n in range(1, 8):
+        for alpha in compositions(n):
+            buckets = {}
+            for rows in _row_fillings(alpha, list(range(1, n + 1))):
+                if is_valid_spct_rows(rows):
+                    sigma = P.standardize(tuple(row[0] for row in rows))
+                    buckets.setdefault(sigma, []).append(rows)
+            for sigma in P.all_perms(len(alpha)):
+                expected = sorted(buckets.get(sigma, []), key=lambda rows: col_word(Spct(rows)))
+                assert [t.rows for t in enumerate_spct(alpha, sigma)] == expected, (alpha, sigma)
+
+
+def test_enumerators_cache_on_normalised_arguments():
+    assert enumerate_spct([2, 1], [2, 1]) == enumerate_spct((2, 1), (2, 1))
+    assert enumerate_srt([2, 1]) == enumerate_srt((2, 1))
+    for enumerate_fn, args in ((enumerate_spct, ((3, 1, 2), (2, 3, 1))), (enumerate_srt, ((3, 1, 2),))):
+        result = enumerate_fn(*args)
+        misses = enumerate_fn.cache_info().misses
+        assert enumerate_fn(*args, 9) is result
+        assert enumerate_fn(*map(list, args), bound=8) is result
+        assert enumerate_fn.cache_info().misses == misses
 
 
 def test_enumerate_spct_type_is_enforced():
