@@ -1,17 +1,24 @@
 """Exact rational linear algebra on dictionary-backed sparse data.
 
-Everything in the algebra layer runs over the rationals with `Fraction`
-scalars (plain ints are accepted and mix freely); there is no floating
-point anywhere.  Matrices are immutable-by-convention dicts keyed by
-``(row, col)``; vectors are dicts keyed by coordinate index.  Sizes in this
-package stay in the hundreds, so simple Gauss-style elimination with full
-reduction is fast enough and gives canonical echelon bases, which makes
-span comparisons exact dictionary comparisons.
+Everything in the algebra layer runs over the rationals: scalars are plain
+ints where the arithmetic allows and `Fraction` otherwise, and the two mix
+freely; there is no floating point anywhere.  Matrices are
+immutable-by-convention dicts keyed by ``(row, col)``; vectors are dicts
+keyed by coordinate index.
+
+`EchelonSpace` is the one elimination kernel.  Rows are kept in echelon form
+while vectors are added, and fully reduced by one back-substitution when the
+basis is first read after an add.  The reduced echelon basis is canonical,
+which makes span comparisons exact dictionary comparisons.  Pivots are
+normalised to 1 by negating a row whose pivot entry is -1, so the 0/±1
+matrices of this package eliminate in `int` arithmetic; `Fraction` appears
+only at a pivot entry other than ±1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
 Scalar = int | Fraction
@@ -139,14 +146,12 @@ class RatMat:
         return (
             isinstance(other, RatMat)
             and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-            and {k: Fraction(x) for k, x in self.data.items()}
-            == {k: Fraction(x) for k, x in other.data.items()}
+            and self.data == other.data
         )
 
     def __hash__(self):
-        return hash(
-            (self.nrows, self.ncols, frozenset((k, Fraction(x)) for k, x in self.data.items()))
-        )
+        # exact: zeros are never stored, int == Fraction and hash(Fraction(k)) == hash(k)
+        return hash((self.nrows, self.ncols, frozenset(self.data.items())))
 
     def is_zero(self) -> bool:
         return not self.data
@@ -174,13 +179,20 @@ class RatMat:
 
 
 class EchelonSpace:
-    """An incrementally built subspace of Q^dim in fully reduced echelon form.
+    """An incrementally built subspace of Q^dim with a canonical basis.
 
-    Each stored row has a pivot coordinate with entry 1, and pivots do not
-    appear in other rows, so the basis is canonical for the subspace: two
-    spans are equal iff the stored rows are equal.  With ``track=True`` every
-    stored row also carries its expression in terms of the raw vectors fed
-    to `add`, which is what submodule generators / coordinates need.
+    `add` keeps the stored rows in echelon form: each row's pivot is its
+    smallest coordinate, holds the entry 1, and belongs to no other row.
+    The first read of `basis`, `coords`, `input_coords` or `canonical_key`
+    after an `add` runs one back-substitution that clears every pivot from
+    the other rows, so reads see the fully reduced echelon basis.  That basis
+    is canonical for the subspace: two spans are equal iff their bases are
+    equal.  `residue` and `contains` need no full reduction.  A row is
+    normalised by negating it when its pivot entry is -1, so integer input
+    with unit pivots stays `int`; `Fraction` appears only when a pivot entry
+    is neither 1 nor -1.  With ``track=True`` every stored row also carries
+    its expression in terms of the raw vectors fed to `add`, which is what
+    submodule generators / coordinates need.
     """
 
     def __init__(self, dim: int, track: bool = False):
@@ -190,72 +202,100 @@ class EchelonSpace:
         self.rows: list[Vec] = []
         self.combos: list[Vec] = []  # row index -> combination of inputs
         self.n_added = 0
+        self._reduced = True  # no row holds the pivot of another row
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def _reduce(self, v: Mapping[int, Scalar]) -> tuple[Vec, Vec]:
+        """Clear every pivot from v in increasing order, with the combination used.
+
+        A row's other coordinates lie beyond its pivot, so clearing pivot p
+        only puts entries on larger pivots; a heap of the pivots met hands
+        them out in increasing order, after every pivot that can touch them.
+        """
+        pivots, rows = self.pivots, self.rows
         w = dict(v)
         combo: Vec = {self.n_added: 1} if self.track else {}
-        for p in sorted(set(w) & set(self.pivots)):
-            c = w.get(p, 0)
-            if not c:
+        heap = [p for p in w if p in pivots]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            c = w.get(p)
+            if c is None:  # a coordinate pushed twice, already cleared
                 continue
-            idx = self.pivots[p]
-            vec_axpy(w, -c, self.rows[idx])
+            idx = pivots[p]
+            for k, x in rows[idx].items():
+                if k in w:
+                    s = w[k] - c * x
+                    if s:
+                        w[k] = s
+                    else:
+                        del w[k]
+                else:
+                    w[k] = -c * x
+                    if k in pivots:
+                        heappush(heap, k)
             if self.track:
                 vec_axpy(combo, -c, self.combos[idx])
-        # a second pass: reductions can introduce new pivot coordinates
-        while True:
-            hits = [p for p in w if p in self.pivots]
-            if not hits:
-                break
-            for p in sorted(hits):
-                c = w.get(p, 0)
-                if not c:
-                    continue
-                idx = self.pivots[p]
-                vec_axpy(w, -c, self.rows[idx])
-                if self.track:
-                    vec_axpy(combo, -c, self.combos[idx])
         return w, combo
 
+    def _full_reduce(self) -> None:
+        """Back-substitution: clear each pivot from the rows with smaller pivots."""
+        if self._reduced:
+            return
+        pivots, rows, combos = self.pivots, self.rows, self.combos
+        # rows with larger pivots are reduced first, so every row subtracted
+        # below is zero on every pivot but its own
+        for p in sorted(pivots, reverse=True):
+            idx = pivots[p]
+            row = rows[idx]
+            for q in [k for k in row if k != p and k in pivots]:
+                c = row[q]
+                vec_axpy(row, -c, rows[pivots[q]])
+                if self.track:
+                    vec_axpy(combos[idx], -c, combos[pivots[q]])
+        self._reduced = True
+
     def residue(self, v: Mapping[int, Scalar]) -> Vec:
-        """The reduction of v modulo the current span."""
+        """The reduction of v modulo the current span (zero on every pivot)."""
         w, _ = self._reduce(v)
         return w
 
     def contains(self, v: Mapping[int, Scalar]) -> bool:
         return not self.residue(v)
 
-    def coords(self, v: Mapping[int, Scalar]) -> Vec | None:
-        """Coordinates of v in the stored echelon basis, or None."""
+    def _basis_terms(self, v: Mapping[int, Scalar]) -> list[tuple[int, Scalar]] | None:
+        """(row index, coefficient) pairs giving v in the reduced basis, or None.
+
+        A reduced row is zero on every pivot but its own, so the row with
+        pivot p has coefficient v[p]; v lies in the span iff those terms sum
+        to v.  Pairs come in increasing pivot order.
+        """
+        self._full_reduce()
         w = dict(v)
-        out: Vec = {}
-        while w:
-            p = min(w)
-            if p not in self.pivots:
-                return None
+        terms = []
+        for p in sorted(k for k in v if k in self.pivots):
             idx = self.pivots[p]
-            c = w[p]
-            out[idx] = c
-            vec_axpy(w, -c, self.rows[idx])
-        return out
+            vec_axpy(w, -v[p], self.rows[idx])
+            terms.append((idx, v[p]))
+        return None if w else terms
+
+    def coords(self, v: Mapping[int, Scalar]) -> Vec | None:
+        """Coordinates of v in the stored echelon basis (keyed by row index), or None."""
+        terms = self._basis_terms(v)
+        return None if terms is None else dict(terms)
 
     def input_coords(self, v: Mapping[int, Scalar]) -> Vec | None:
         """Express v as a combination of the raw added vectors (track=True)."""
         if not self.track:
             raise ValueError("EchelonSpace built without tracking")
-        w = dict(v)
+        terms = self._basis_terms(v)
+        if terms is None:
+            return None
         out: Vec = {}
-        while w:
-            p = min(w)
-            if p not in self.pivots:
-                return None
-            idx = self.pivots[p]
-            c = w[p]
+        for idx, c in terms:
             vec_axpy(out, c, self.combos[idx])
-            vec_axpy(w, -c, self.rows[idx])
         return out
 
     def add(self, v: Mapping[int, Scalar]) -> bool:
@@ -265,33 +305,29 @@ class EchelonSpace:
         if not w:
             return False
         p = min(w)
-        inv = Fraction(1, 1) / Fraction(w[p])
-        w = {k: inv * x for k, x in w.items()}
-        if self.track:
+        a = w[p]
+        if a == -1:
+            w = {k: -x for k, x in w.items()}
+            combo = {k: -x for k, x in combo.items()}
+        elif a != 1:
+            inv = 1 / Fraction(a)
+            w = {k: inv * x for k, x in w.items()}
             combo = {k: inv * x for k, x in combo.items()}
-        # clear the new pivot from existing rows to keep full reduction
-        for idx, row in enumerate(self.rows):
-            c = row.get(p, 0)
-            if c:
-                vec_axpy(row, -c, w)
-                if self.track:
-                    vec_axpy(self.combos[idx], -c, combo)
         self.pivots[p] = len(self.rows)
         self.rows.append(w)
         if self.track:
             self.combos.append(combo)
+        self._reduced = False
         return True
 
     def basis(self) -> list[Vec]:
-        """Echelon basis rows sorted by pivot (canonical for the span)."""
+        """Reduced echelon basis rows sorted by pivot (canonical for the span)."""
+        self._full_reduce()
         return [self.rows[self.pivots[p]] for p in sorted(self.pivots)]
 
     def canonical_key(self):
         """A hashable canonical form; equal iff the spans are equal."""
-        return tuple(
-            tuple(sorted((k, Fraction(x)) for k, x in row.items()))
-            for row in self.basis()
-        )
+        return tuple(tuple(sorted(row.items())) for row in self.basis())
 
 
 def span_equal(vectors_a: Iterable[Mapping[int, Scalar]], vectors_b: Iterable[Mapping[int, Scalar]], dim: int) -> bool:
@@ -320,20 +356,15 @@ def nullspace(equations: Sequence[Mapping[int, Scalar]], nunknowns: int) -> list
     e = EchelonSpace(nunknowns)
     for eq in equations:
         e.add(eq)
-    pivot_cols = set(e.pivots)
-    rows = e.basis()
-    basis: list[Vec] = []
-    for free in range(nunknowns):
-        if free in pivot_cols:
-            continue
-        v: Vec = {free: 1}
-        for row in rows:
-            c = row.get(free, 0)
-            if c:
-                p = min(row)
-                v[p] = -c
-        basis.append(v)
-    return basis
+    free_vecs: dict[int, Vec] = {
+        free: {free: 1} for free in range(nunknowns) if free not in e.pivots
+    }
+    # a reduced row is zero on the other pivots, so its other entries are free
+    for p, row in zip(sorted(e.pivots), e.basis()):
+        for k, x in row.items():
+            if k != p:
+                free_vecs[k][p] = -x
+    return list(free_vecs.values())
 
 
 def det_dense(rows: Sequence[Sequence[Scalar]]) -> Fraction:

@@ -135,11 +135,12 @@ def spct_module(
     taus = tableaux.enumerate_spct(alpha, sigma, bound)
     n = sum(alpha)
     index = {t: j for j, t in enumerate(taus)}
+    descents = [tableaux.descent_set(t) for t in taus]
     gens = []
     for i in range(1, n):
         data = {}
-        for j, t in enumerate(taus):
-            if i not in tableaux.descent_set(t):
+        for j, (t, des) in enumerate(zip(taus, descents)):
+            if i not in des:
                 data[j, j] = 1
             elif tableaux.is_attacking(t, i, i + 1):
                 pass

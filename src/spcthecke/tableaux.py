@@ -515,8 +515,9 @@ def equivalence_classes(
         groups.setdefault(class_label(t), []).append(t)
     classes = []
     for label, members in groups.items():
-        sources = [t for t in members if classify(t) in ("source", "both")]
-        sinks = [t for t in members if classify(t) in ("sink", "both")]
+        kinds = [classify(t) for t in members]
+        sources = [t for t, k in zip(members, kinds) if k in ("source", "both")]
+        sinks = [t for t, k in zip(members, kinds) if k in ("sink", "both")]
         if len(sources) != 1 or len(sinks) != 1:
             raise RuntimeError(
                 f"class {label} of ({alpha}, {sigma}) has {len(sources)} sources "

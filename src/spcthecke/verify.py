@@ -543,7 +543,7 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
     ),
     "thm-3.1": (
         "every class submodule has a local endomorphism ring",
-        6, lambda m: _upto(m, _compatible_pairs), _case_indecomposable,
+        7, lambda m: _upto(m, _compatible_pairs), _case_indecomposable,
     ),
     "thm-4.2": (
         "column sort is a descent-preserving bijection with greedy inverse",

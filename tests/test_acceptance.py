@@ -44,7 +44,7 @@ def test_criterion_04_simplicity_characterisations():
 
 
 def test_criterion_05_local_endomorphism_rings():
-    _check("criterion-5 class submodules indecomposable (n<=6)", [("thm-3.1", {"max_n": 6})])
+    _check("criterion-5 class submodules indecomposable (n<=7)", [("thm-3.1", {"max_n": 7})])
 
 
 def test_criterion_06_column_sort_and_image_law():

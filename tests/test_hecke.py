@@ -125,6 +125,8 @@ def test_ideal_decomposition(n):
     assert sum(m.dim for m in mods.values()) == math.factorial(n)
     for subset, m in mods.items():
         assert check_relations(m).ok
+        # unit pivots throughout, so the action stays integer
+        assert all(type(x) is int for g in m.gens for x in g.data.values())
         assert m.dim == descent_class_size(n, subset)
         assert dict(top_factors(m)) == {comp_of(subset, n): 1}
         ok, cert = is_indecomposable(m)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -90,3 +91,195 @@ def test_fraction_entries_survive():
     a = RatMat.from_dense([[Fraction(1, 2), 0], [0, 1]])
     b = a * a
     assert b.to_dense()[0][0] == Fraction(1, 4)
+
+
+def test_ratmat_equality_mixes_int_and_fraction():
+    a = RatMat(2, 2, {(0, 0): 1, (1, 0): Fraction(-2)})
+    b = RatMat(2, 2, {(0, 0): Fraction(1), (1, 0): -2})
+    assert a == b and hash(a) == hash(b)
+    assert a != RatMat(2, 2, {(0, 0): 1, (1, 0): Fraction(-3, 2)})
+    assert a != RatMat(2, 3, {(0, 0): 1, (1, 0): -2})
+
+
+# ---------------------------------------------------------------------------
+# slow oracle: dense Fraction Gauss-Jordan, independent of EchelonSpace
+
+
+def _rref(rows, ncols):
+    """Nonzero rows of the reduced row echelon form, dense, over Fraction."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return a[:r]
+
+
+def _lead(row):
+    return next(k for k, x in enumerate(row) if x)
+
+
+def _sparse(row):
+    return {k: x for k, x in enumerate(row) if x}
+
+
+def _dense(v, ncols):
+    return [v.get(k, 0) for k in range(ncols)]
+
+
+class _Oracle:
+    """What a canonical echelon space over the added rows must report."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.added = []
+        self.rref = []
+        self.pivots = []
+        self.accepted = []  # add position of each enlarging add
+        self.row_of = {}  # pivot -> index of the row it was stored in
+
+    def add(self, row):
+        """Enlarges iff the RREF gains a pivot; the stored row has that pivot."""
+        self.added.append(row)
+        self.rref = _rref(self.added, self.ncols)
+        new = {_lead(r) for r in self.rref} - set(self.pivots)
+        self.pivots = [_lead(r) for r in self.rref]
+        if not new:
+            return False
+        (p,) = new
+        self.row_of[p] = len(self.accepted)
+        self.accepted.append(len(self.added) - 1)
+        return True
+
+    def basis(self):
+        return [_sparse(row) for row in self.rref]
+
+    def residue(self, v):
+        w = [Fraction(x) for x in _dense(v, self.ncols)]
+        for p, row in zip(self.pivots, self.rref):
+            c = w[p]
+            w = [x - c * y for x, y in zip(w, row)]
+        return _sparse(w)
+
+    def coords(self, v):
+        if self.residue(v):
+            return None
+        return {self.row_of[p]: v[p] for p in sorted(self.pivots) if v.get(p)}
+
+    def input_coords(self, v):
+        # solve sum_j x_j * accepted_j = v through the RREF of [A | v]
+        cols = [self.added[i] for i in self.accepted]
+        aug = [[col[k] for col in cols] + [v.get(k, 0)] for k in range(self.ncols)]
+        red = _rref(aug, len(cols) + 1)
+        if any(_lead(row) == len(cols) for row in red):
+            return None
+        return {self.accepted[_lead(row)]: row[-1] for row in red if row[-1]}
+
+    def nullspace(self):
+        out = []
+        for free in range(self.ncols):
+            if free in self.pivots:
+                continue
+            v = {free: 1}
+            for p, row in zip(self.pivots, self.rref):
+                if row[free]:
+                    v[p] = -row[free]
+            out.append(v)
+        return out
+
+
+def _random_rows(rng, nrows, ncols):
+    """Entries in -3..3 with zero rows, repeated rows and dependent rows mixed in."""
+    rows = []
+    for _ in range(nrows):
+        pick = rng.random()
+        if rows and pick < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif len(rows) >= 2 and pick < 0.3:
+            a, b = rng.sample(rows, 2)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        elif pick < 0.38:
+            rows.append([0] * ncols)
+        else:
+            density = rng.choice((0.3, 0.6, 0.9))
+            rows.append([rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(ncols)])
+    return rows
+
+
+def _probes(rng, oracle, ncols):
+    """Vectors to read back: some inside the span, some (likely) outside."""
+    out = [{}]
+    for _ in range(3):
+        inside = {}
+        for row in oracle.rref:
+            c = rng.randint(-3, 3)
+            for k, x in enumerate(row):
+                inside[k] = inside.get(k, 0) + c * x
+        out.append({k: x for k, x in inside.items() if x})
+        out.append(_sparse([rng.randint(-3, 3) for _ in range(ncols)]))
+    return out
+
+
+def _check_reads(e, oracle, rng, ncols):
+    assert e.basis() == oracle.basis()
+    assert e.canonical_key() == tuple(tuple(sorted(r.items())) for r in oracle.basis())
+    assert e.pivots == oracle.row_of
+    for v in _probes(rng, oracle, ncols):
+        assert e.residue(v) == oracle.residue(v), v
+        assert e.contains(v) == (not oracle.residue(v))
+        assert e.coords(v) == oracle.coords(v), v
+        assert e.input_coords(v) == oracle.input_coords(v), v
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_echelon_space_against_dense_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        rows = _random_rows(rng, nrows, ncols)
+        e = EchelonSpace(ncols, track=True)
+        oracle = _Oracle(ncols)
+        for i, row in enumerate(rows):
+            assert e.add(_sparse(row)) == oracle.add(row)
+            assert len(e) == len(oracle.rref)
+            # reads interleaved with adds exercise the lazily reduced state
+            if rng.random() < 0.4 or i == nrows - 1:
+                _check_reads(e, oracle, rng, ncols)
+        equations = [_sparse(row) for row in rows]
+        got = nullspace(equations, ncols)
+        assert [list(v.items()) for v in got] == [list(v.items()) for v in oracle.nullspace()]
+        assert rank_of(equations, ncols) == len(oracle.rref)
+        shuffled = rng.sample(equations, len(equations))
+        assert span_equal(shuffled, equations, ncols)
+
+
+def test_unit_pivots_stay_int():
+    rng = random.Random(2024)
+    checked = 0
+    for _ in range(300):
+        ncols = rng.randint(2, 8)
+        e = EchelonSpace(ncols, track=True)
+        unit = True
+        for _ in range(rng.randint(1, 8)):
+            v = _sparse([rng.choice((-1, 0, 0, 1)) for _ in range(ncols)])
+            r = e.residue(v)
+            if r and r[min(r)] not in (1, -1):
+                unit = False
+                break
+            e.add(v)
+        if not unit or not len(e):
+            continue
+        checked += 1
+        assert all(type(x) is int for row in e.basis() for x in row.values())
+        probe = e.basis()[-1]
+        assert all(type(x) is int for x in e.input_coords(probe).values())
+    assert checked > 100
