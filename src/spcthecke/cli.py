@@ -47,7 +47,16 @@ def _cmd_char(args) -> int:
     sigma = _parse_ints(args.sigma, "--sigma")
     elt = qsym.ch_spct(shape, sigma, args.bound)
     if args.basis == "QS":
-        elt = qsym.qschur_expansion(shape, sigma)
+        elt = qsym.f_to_qs(elt)
+        formula = qsym.qschur_expansion(shape, sigma)
+        if elt != formula:
+            report = {
+                "error": "QS expansion differs from the bubble-fiber formula",
+                "computed": elt.to_json(),
+                "bubble_fiber": formula.to_json(),
+            }
+            print(json.dumps(report, indent=2))
+            return PROPERTY_FAILURE
     payload = elt.to_json()
     if args.json:
         print(json.dumps(payload))
@@ -89,7 +98,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_basis_cert(args) -> int:
-    report = qsym.z_basis_certificate(args.n, bound=max(args.n, qsym.DEFAULT_QSYM_BOUND))
+    report = qsym.z_basis_certificate(args.n)
     print(json.dumps(report, default=str, indent=2))
     return 0 if report["ok"] else PROPERTY_FAILURE
 

@@ -209,22 +209,14 @@ def compose_right_action(alpha: Sequence[int], p: Sequence[int]) -> tuple[int, .
     return tuple(alpha[p[i] - 1] for i in range(len(p)))
 
 
-def stabilizer(alpha: Sequence[int]) -> list[Permutation]:
-    """All p of matching degree with ``alpha . p == alpha``."""
-    alpha = tuple(alpha)
-    return [
-        p
-        for p in itertools.permutations(range(1, len(alpha) + 1))
-        if compose_right_action(alpha, p) == alpha
-    ]
-
-
 def min_coset_reps(lambda_: Sequence[int]) -> list[Permutation]:
     """Minimal-length representatives of the left cosets of the stabilizer.
 
     The input must be a partition (weakly decreasing); the count is
-    m! / (product of multiplicities!).  Brute-force over S_m, which is the
-    oracle the rest of the package is checked against.
+    m! / (product of multiplicities!).  The orbit key ``lambda . p^-1`` is
+    constant on the left coset ``p Stab(lambda)`` and tells cosets apart,
+    so walking S_m in (length, lex) order and keeping the first p for each
+    key picks each coset's first element in that order.
 
     >>> min_coset_reps((2, 1))
     [(1, 2), (2, 1)]
@@ -236,14 +228,12 @@ def min_coset_reps(lambda_: Sequence[int]) -> list[Permutation]:
     lam = tuple(lambda_)
     if any(a < b for a, b in zip(lam, lam[1:])):
         raise ValueError(f"{lam} is not a partition")
-    m = len(lam)
-    stab = stabilizer(lam)
-    seen: set[frozenset[Permutation]] = set()
+    seen: set[tuple[int, ...]] = set()
     reps = []
-    for p in sorted(itertools.permutations(range(1, m + 1)), key=lambda q: (length(q), q)):
-        coset = frozenset(compose(p, h) for h in stab)
-        if coset not in seen:
-            seen.add(coset)
+    for p in perms_by_length_lex(len(lam)):
+        key = compose_right_action(lam, inverse(p))
+        if key not in seen:
+            seen.add(key)
             reps.append(p)
     return reps
 

@@ -7,18 +7,20 @@ so an element is a thin wrapper over a Counter.
 
 The QS basis is defined through tableau enumeration (each quasisymmetric
 Schur function is the descent-composition generating sum over identity
-type), and basis changes go through an exact integer transition matrix
-which is unitriangular when compositions are sorted reverse
-lexicographically by their partial-sum sets; its unimodularity is
-re-checked by the certificate machinery rather than assumed.
+type), and basis changes go through an exact integer transition matrix.
+With compositions sorted reverse lexicographically by their partial-sum
+sets that matrix is checked to be lower unitriangular, which makes it
+unimodular, and its inverse is computed by integer forward substitution.
+The lattice-basis certificate likewise checks that its matrix is
+unitriangular and reads the determinant off the diagonal.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Sequence
 
 from .compositions import (
@@ -33,7 +35,6 @@ from .compositions import (
     set_of,
     sorted_parts,
 )
-from .linalg import det_dense, invert_dense
 from . import permutations
 from .permutations import Permutation
 from . import tableaux
@@ -234,11 +235,11 @@ def composition_order(n: int) -> tuple[Composition, ...]:
 
 
 @lru_cache(maxsize=None)
-def _transitions(n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """(QS -> F matrix, its integer inverse) over `composition_order(n)`.
+def _qs_to_f_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """The QS -> F matrix over `composition_order(n)`.
 
-    Column beta of the first matrix holds the F coefficients of the
-    quasisymmetric Schur function indexed by beta.
+    Column beta holds the F coefficients of the quasisymmetric Schur
+    function indexed by beta.
     """
     order = composition_order(n)
     pos = {a: k for k, a in enumerate(order)}
@@ -247,23 +248,38 @@ def _transitions(n: int) -> tuple[list[list[int]], list[list[int]]]:
     for col, beta in enumerate(order):
         for gamma, c in qschur(beta).terms.items():
             mat[pos[gamma]][col] = c
-    for k in range(m):
-        if mat[k][k] != 1:
-            raise RuntimeError("transition matrix is not unidiagonal")
-        for r in range(k):
-            if mat[r][k]:
-                raise RuntimeError("transition matrix is not triangular")
-    inv_frac = invert_dense(mat)
-    inv = []
-    for row in inv_frac:
-        out_row = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise RuntimeError("transition inverse is not integral")
-            out_row.append(f.numerator)
-        inv.append(out_row)
-    return mat, inv
+    return tuple(map(tuple, mat))
+
+
+def f_matrix_unimodular(n: int) -> bool:
+    """Whether the QS family is a lattice basis in degree n.
+
+    Checked as: the QS -> F matrix is lower unitriangular over
+    `composition_order(n)`, so its determinant is 1.
+    """
+    mat = _qs_to_f_matrix(n)
+    return all(
+        row[k] == (1 if k == r else 0) for r, row in enumerate(mat) for k in range(r, len(row))
+    )
+
+
+@lru_cache(maxsize=None)
+def _transitions(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(QS -> F matrix, its integer inverse) over `composition_order(n)`.
+
+    A lower unitriangular integer matrix has a lower unitriangular integer
+    inverse, whose column j solves ``mat x = e_j`` by forward substitution.
+    """
+    if not f_matrix_unimodular(n):
+        raise RuntimeError(f"degree-{n} transition matrix is not lower unitriangular")
+    mat = _qs_to_f_matrix(n)
+    m = len(mat)
+    inv = [[0] * m for _ in range(m)]
+    for j in range(m):
+        inv[j][j] = 1
+        for i in range(j + 1, m):
+            inv[i][j] = -sum(mat[i][k] * inv[k][j] for k in range(j, i) if mat[i][k])
+    return mat, tuple(map(tuple, inv))
 
 
 def qs_to_f(elt: QSymElt) -> QSymElt:
@@ -331,15 +347,17 @@ def bn_basis(n: int, bound: int = DEFAULT_QSYM_BOUND) -> list[BnElement]:
 
 
 def min_rearrangement_length(lam: Composition, beta: Composition) -> int:
-    """Length of the shortest permutation carrying the partition onto beta."""
-    best = None
-    for g in permutations.all_perms(len(lam)):
-        if permutations.compose_right_action(lam, g) == beta:
-            l = permutations.length(g)
-            best = l if best is None else min(best, l)
-    if best is None:
-        raise ValueError(f"{beta} is not a rearrangement of {lam}")
-    return best
+    """Length of the shortest permutation carrying the partition onto beta.
+
+    The shortest one keeps equal parts in order, so its inversions are the
+    pairs i < j with beta_i < beta_j.
+
+    >>> min_rearrangement_length((2, 1, 1), (1, 2, 1))
+    1
+    """
+    if sorted_parts(beta) != tuple(lam):
+        raise ValueError(f"{beta} is not a rearrangement of the partition {lam}")
+    return sum(1 for i, b in enumerate(beta) for c in beta[i + 1 :] if b < c)
 
 
 def z_basis_certificate(n: int, bound: int = DEFAULT_QSYM_BOUND) -> dict:
@@ -349,7 +367,10 @@ def z_basis_certificate(n: int, bound: int = DEFAULT_QSYM_BOUND) -> dict:
     the inverse type) biject onto compositions of n with coefficient one;
     every other supported index is a rearrangement of the shape reachable
     by a strictly shorter permutation (the unitriangular structure); and
-    the full integer matrix over the QS basis has determinant +-1.
+    the full integer matrix over the QS basis, rows sorted by leading term,
+    is square and upper triangular in `composition_order(n)`, so its
+    determinant is the product of the diagonal and must be +-1.  A matrix
+    with an entry below the diagonal reports ``det`` None and fails.
     """
     elements = bn_basis(n, bound)
     order = composition_order(n)
@@ -381,14 +402,10 @@ def z_basis_certificate(n: int, bound: int = DEFAULT_QSYM_BOUND) -> dict:
         for beta, c in el.expansion.terms.items():
             row[pos[beta]] = c
         rows.append(row)
-    det = det_dense(rows) if rows else Fraction(1)
-    report["det"] = int(det)
+    upper = len(rows) == m and all(not any(row[:k]) for k, row in enumerate(rows))
+    det = prod(row[k] for k, row in enumerate(rows)) if upper else None
+    report["det"] = det
     report["unimodular"] = det in (1, -1)
     report["ok"] = ok and report["unimodular"]
     return report
 
-
-def f_matrix_unimodular(n: int) -> bool:
-    """Whether the QS family itself is a lattice basis in degree n."""
-    mat, _ = _transitions(n)
-    return det_dense(mat) in (1, -1)

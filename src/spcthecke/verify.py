@@ -322,7 +322,7 @@ def _case_schur(lam) -> list:
 def _case_basis(n: int) -> list:
     bad = []
     if not qsym.f_matrix_unimodular(n):
-        bad.append({"n": n, "error": "QS family not unimodular over F"})
+        bad.append({"n": n, "error": "QS -> F matrix not lower unitriangular"})
     rep = qsym.z_basis_certificate(n)
     if not rep["ok"]:
         bad.append(rep)
@@ -559,11 +559,11 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
     ),
     "cor-4.9": (
         "partition shapes with reversing type give Schur functions",
-        7, lambda m: _upto(m, partitions), _case_schur,
+        8, lambda m: _upto(m, partitions), _case_schur,
     ),
     "cor-4.11": (
         "partition-shape characteristics form a lattice basis",
-        6, lambda m: list(range(1, m + 1)), _case_basis,
+        8, lambda m: list(range(1, m + 1)), _case_basis,
     ),
     "thm-5.5": (
         "sign conjugation and the projected transpose with its kernel",

@@ -57,8 +57,8 @@ def test_criterion_06_column_sort_and_image_law():
 
 def test_criterion_07_recursion_and_schur():
     _check(
-        "criterion-7 characteristic recursion (n<=6) + Schur specialisation (n<=7)",
-        [("thm-4.8", {"max_n": 6}), ("cor-4.9", {"max_n": 7})],
+        "criterion-7 characteristic recursion (n<=6) + Schur specialisation (n<=8)",
+        [("thm-4.8", {"max_n": 6}), ("cor-4.9", {"max_n": 8})],
     )
     # the advertised count: two standard tableaux for the (2,1) staircase
     from spcthecke.tableaux import enumerate_spct
@@ -67,7 +67,7 @@ def test_criterion_07_recursion_and_schur():
 
 
 def test_criterion_08_lattice_basis_certificate():
-    _check("criterion-8 degree bases are unimodular (n<=6)", [("cor-4.11", {"max_n": 6})])
+    _check("criterion-8 degree bases are unimodular (n<=8)", [("cor-4.11", {"max_n": 8})])
 
 
 def test_criterion_09_sign_twist_and_projected_transpose():

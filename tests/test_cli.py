@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+from spcthecke import cli, qsym
+from spcthecke.qsym import QSymElt
+
 BASE = [sys.executable, "-m", "spcthecke.cli"]
 
 
@@ -34,6 +37,28 @@ def test_char_qs_json():
     assert payload["basis"] == "QS"
     assert sorted(tuple(t["composition"]) for t in payload["terms"]) == [(1, 2), (2, 1)]
     assert all(t["coeff"] == 1 for t in payload["terms"])
+
+
+def _terms(payload):
+    return {tuple(t["composition"]): t["coeff"] for t in payload["terms"]}
+
+
+def test_char_qs_converts_through_the_inverse():
+    # F[2,2] is absorbed by an off-diagonal entry of the transition inverse
+    args = ["char", "--shape", "3,1", "--sigma", "2,1", "--json"]
+    f = run_cli(*args)
+    qs = run_cli(*args, "--basis", "QS")
+    assert f.returncode == 0 and qs.returncode == 0
+    assert _terms(json.loads(f.stdout)) == {(1, 3): 1, (2, 2): 1, (3, 1): 1}
+    assert _terms(json.loads(qs.stdout)) == {(1, 3): 1, (3, 1): 1}
+
+
+def test_char_qs_mismatch_is_property_failure(monkeypatch, capsys):
+    monkeypatch.setattr(qsym, "qschur_expansion", lambda alpha, sigma: QSymElt(4, "QS", {(4,): 1}))
+    assert cli.main(["char", "--shape", "3,1", "--sigma", "2,1", "--basis", "QS"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert _terms(report["computed"]) == {(1, 3): 1, (3, 1): 1}
+    assert _terms(report["bubble_fiber"]) == {(4,): 1}
 
 
 def test_graph_dot():
@@ -90,6 +115,12 @@ def test_basis_cert():
     assert res.returncode == 0
     report = json.loads(res.stdout)
     assert report["ok"] and report["det"] in (1, -1)
+
+
+def test_basis_cert_enforces_the_size_bound():
+    res = subprocess.run(BASE + ["basis-cert", "--n", "10"], capture_output=True, text=True, timeout=20)
+    assert res.returncode == 2
+    assert res.stdout == "" and "exceeds" in res.stderr
 
 
 def test_determinism_across_runs():

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from dense_oracle import det, inverse, rref
 from spcthecke.linalg import (
     EchelonSpace,
     RatMat,
-    det_dense,
-    invert_dense,
     nullspace,
     rank_of,
     span_equal,
@@ -79,12 +78,14 @@ def test_rank_and_span_equal():
 
 
 def test_det_and_inverse():
-    assert det_dense([[1, 2], [3, 4]]) == -2
-    assert det_dense([[1, 1], [1, 1]]) == 0
-    inv = invert_dense([[2, 1], [1, 1]])
+    # the dense oracle the lattice layer in tests/test_qsym.py is checked against
+    assert det([[1, 2], [3, 4]]) == -2
+    assert det([[1, 1], [1, 1]]) == 0
+    assert det([[0, 1], [1, 0]]) == -1
+    inv = inverse([[2, 1], [1, 1]])
     assert inv == [[1, -1], [-1, 2]]
     with pytest.raises(ValueError):
-        invert_dense([[1, 1], [1, 1]])
+        inverse([[1, 1], [1, 1]])
 
 
 def test_fraction_entries_survive():
@@ -102,25 +103,8 @@ def test_ratmat_equality_mixes_int_and_fraction():
 
 
 # ---------------------------------------------------------------------------
-# slow oracle: dense Fraction Gauss-Jordan, independent of EchelonSpace
-
-
-def _rref(rows, ncols):
-    """Nonzero rows of the reduced row echelon form, dense, over Fraction."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][col] for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return a[:r]
+# slow oracle: dense Fraction Gauss-Jordan (tests/dense_oracle.py), independent
+# of EchelonSpace
 
 
 def _lead(row):
@@ -149,7 +133,7 @@ class _Oracle:
     def add(self, row):
         """Enlarges iff the RREF gains a pivot; the stored row has that pivot."""
         self.added.append(row)
-        self.rref = _rref(self.added, self.ncols)
+        self.rref = rref(self.added, self.ncols)
         new = {_lead(r) for r in self.rref} - set(self.pivots)
         self.pivots = [_lead(r) for r in self.rref]
         if not new:
@@ -178,7 +162,7 @@ class _Oracle:
         # solve sum_j x_j * accepted_j = v through the RREF of [A | v]
         cols = [self.added[i] for i in self.accepted]
         aug = [[col[k] for col in cols] + [v.get(k, 0)] for k in range(self.ncols)]
-        red = _rref(aug, len(cols) + 1)
+        red = rref(aug, len(cols) + 1)
         if any(_lead(row) == len(cols) for row in red):
             return None
         return {self.accepted[_lead(row)]: row[-1] for row in red if row[-1]}

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
+from spcthecke.compositions import partitions
 from spcthecke.permutations import (
     all_perms,
     all_reduced_words,
@@ -91,10 +94,39 @@ def test_min_coset_reps_examples():
         min_coset_reps((1, 2))
 
 
+def _stabilizer(alpha):
+    return [p for p in all_perms(len(alpha)) if compose_right_action(alpha, p) == alpha]
+
+
+def _min_coset_reps_by_cosets(lam):
+    """Slow oracle: compare whole left cosets p Stab(lam) over S_m in (length, lex) order."""
+    stab = _stabilizer(lam)
+    seen = set()
+    reps = []
+    for p in sorted(itertools.permutations(range(1, len(lam) + 1)), key=lambda q: (length(q), q)):
+        coset = frozenset(tuple(p[i - 1] for i in h) for h in stab)  # p h, unvalidated
+        if coset not in seen:
+            seen.add(coset)
+            reps.append(p)
+    return reps
+
+
+def test_min_coset_reps_against_whole_cosets():
+    # n = 7 is where lex order and (length, lex) order first list the reps
+    # differently, e.g. (3, 2, 1, 1).  (1,)*7 is stated directly: its one
+    # coset is all of S_7, too large to compare element by element here
+    for n in range(1, 8):
+        for lam in partitions(n):
+            if lam == (1,) * 7:
+                assert min_coset_reps(lam) == [identity(7)]
+            else:
+                assert min_coset_reps(lam) == _min_coset_reps_by_cosets(lam), lam
+
+
 @pytest.mark.parametrize("lam", [(2, 1), (2, 2, 1), (3, 1, 1), (2, 2, 1, 1), (2, 2, 1, 1, 1)])
 def test_min_coset_reps_brute_force(lam):
     m = len(lam)
-    stab = [p for p in all_perms(m) if compose_right_action(lam, p) == lam]
+    stab = _stabilizer(lam)
     reps = min_coset_reps(lam)
     import math
 

@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 
+from dense_oracle import det, inverse
 from spcthecke import permutations as P
+from spcthecke import qsym, verify
 from spcthecke.compositions import BoundExceeded, compositions, partitions
 from spcthecke.qsym import (
     QSymElt,
@@ -9,6 +13,7 @@ from spcthecke.qsym import (
     composition_order,
     f_matrix_unimodular,
     f_to_qs,
+    min_rearrangement_length,
     qs_to_f,
     qschur,
     qschur_expansion,
@@ -84,6 +89,47 @@ def test_qs_family_unimodular_degree_seven():
     assert f_matrix_unimodular(7)
 
 
+def test_transition_inverse_against_dense_oracle():
+    for n in range(1, 8):
+        mat, inv = qsym._transitions(n)
+        assert [list(row) for row in inv] == inverse(mat), n
+
+
+def test_non_triangular_transition_is_a_witness(monkeypatch):
+    # an F term above the diagonal: S[1,1,1] picks up F[3], which sorts first
+    real = qsym.qschur
+
+    def skewed(beta, bound=qsym.DEFAULT_QSYM_BOUND):
+        elt = real(beta, bound)
+        return elt + QSymElt(3, "F", {(3,): 1}) if beta == (1, 1, 1) else elt
+
+    monkeypatch.setattr(qsym, "qschur", skewed)
+    qsym._qs_to_f_matrix.cache_clear()
+    qsym._transitions.cache_clear()
+    try:
+        assert not f_matrix_unimodular(3)
+        with pytest.raises(RuntimeError):
+            f_to_qs(QSymElt(3, "F", {(3,): 1}))
+        assert verify._case_basis(3) == [{"n": 3, "error": "QS -> F matrix not lower unitriangular"}]
+    finally:
+        qsym._qs_to_f_matrix.cache_clear()
+        qsym._transitions.cache_clear()
+
+
+def _min_rearrangement_length_scan(lam, beta):
+    """Slow oracle: the shortest g in S_l with lam . g == beta, by scanning S_l."""
+    return min(P.length(g) for g in P.all_perms(len(lam)) if P.compose_right_action(lam, g) == beta)
+
+
+def test_min_rearrangement_length_against_scan():
+    for n in range(1, 8):
+        for lam in partitions(n):
+            for beta in set(itertools.permutations(lam)):
+                assert min_rearrangement_length(lam, beta) == _min_rearrangement_length_scan(lam, beta)
+    with pytest.raises(ValueError):
+        min_rearrangement_length((2, 1), (1, 1, 1))
+
+
 def test_basis_examples():
     b1 = bn_basis(1)
     assert len(b1) == 1 and b1[0].expansion.terms == {(1,): 1}
@@ -97,6 +143,38 @@ def test_certificates():
         assert rep["ok"], rep
         assert rep["det"] in (1, -1)
         assert rep["size"] == 2 ** (n - 1)
+
+
+def test_certificate_det_against_dense_oracle():
+    for n in range(1, 7):
+        order = composition_order(n)
+        pos = {a: k for k, a in enumerate(order)}
+        rows = []
+        for el in sorted(bn_basis(n), key=lambda e: pos[e.leading]):  # as the certificate orders them
+            row = [0] * len(order)
+            for beta, c in el.expansion.terms.items():
+                row[pos[beta]] = c
+            rows.append(row)
+        assert z_basis_certificate(n)["det"] == det(rows), n
+
+
+@pytest.mark.parametrize(
+    "extra, det_",
+    [
+        ({(1, 1): 1}, 2),  # diagonal entry 2: the product of the diagonal
+        ({(2,): 1}, None),  # below the diagonal: (1,1) sorts after (2,)
+    ],
+)
+def test_certificate_with_a_skewed_row(monkeypatch, extra, det_):
+    real = qsym.qschur_expansion
+
+    def skewed(alpha, sigma):
+        elt = real(alpha, sigma)
+        return elt + QSymElt(2, "QS", extra) if tuple(alpha) == (1, 1) else elt
+
+    monkeypatch.setattr(qsym, "qschur_expansion", skewed)
+    rep = z_basis_certificate(2)
+    assert rep["det"] == det_ and not rep["unimodular"] and not rep["ok"]
 
 
 def test_composition_order_deterministic():
