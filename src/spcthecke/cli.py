@@ -45,6 +45,11 @@ def _cmd_enumerate(args) -> int:
 def _cmd_char(args) -> int:
     shape = _parse_ints(args.shape, "--shape")
     sigma = _parse_ints(args.sigma, "--sigma")
+    if args.basis == "QS" and sum(shape) > qsym.DEFAULT_QSYM_BOUND:
+        # the transition matrix is built at the default bound, whatever --bound says
+        raise BoundExceeded(
+            f"n = {sum(shape)} exceeds bound {qsym.DEFAULT_QSYM_BOUND} of the QS conversion"
+        )
     elt = qsym.ch_spct(shape, sigma, args.bound)
     if args.basis == "QS":
         elt = qsym.f_to_qs(elt)

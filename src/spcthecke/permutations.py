@@ -150,6 +150,11 @@ def standardize(word: Sequence[int]) -> Permutation:
     word = tuple(word)
     if len(set(word)) != len(word):
         raise ValueError(f"word {word} has repeated entries")
+    return _standardize(word)
+
+
+def _standardize(word: tuple[int, ...]) -> Permutation:
+    """`standardize` for a word already known to be repetition-free."""
     ranks = {v: r for r, v in enumerate(sorted(word), start=1)}
     return tuple(ranks[v] for v in word)
 

@@ -11,12 +11,27 @@ An `Srt` is a filling of a ribbon diagram by 1..n with rows increasing left
 to right and columns increasing top to bottom.  Ribbon rows are stored
 bottom to top, matching the row indexing of ribbon diagrams.
 
-Besides enumeration (an `Spct` is built by placing the values n, n-1,
-..., 1 in turn, largest entry first, so the triple condition is one local
-test per box; an `Srt` by column-major backtracking), this module hosts
-the structural predicates on shape/type pairs: compatibility, obstruction
-pairs with their witness conditions, sigma-simplicity, removable nodes,
-and the explicit canonical source tableau and its hatted variant.
+Tableaux of one size are built from the tableaux one size down, by where
+the entry 1 sits.  Two facts make this exact:
+
+- removing the entry 1 from an `Spct` leaves an `Spct`: 1 is the smallest
+  entry, so it is never the right-hand box the triple condition demands;
+- appending 1 to row m breaks the triple condition exactly when some row
+  above m has alpha_m - 1 boxes.
+
+So row m can hold 1 when alpha_m >= 2 and no row above it has alpha_m - 1
+boxes (the smaller pair shrinks part m, same type), or when alpha_m = 1
+and sigma_m = 1 (the smaller pair drops row m, and the type loses the
+value 1).  The same move rule decides existence without listing
+(`spct_exists`).  An `Srt` is enumerated by column-major backtracking.
+
+This module also hosts the structural predicates on shape/type pairs:
+compatibility, obstruction pairs with their witness conditions,
+sigma-simplicity, removable nodes, and the explicit canonical source
+tableau and its hatted variant.  Arguments are validated at the public
+functions only; `enumerate_spct`, `canonical_source_tableau` and
+`Spct.swap_values` build tableaux through a trusted constructor that
+skips the checks.
 """
 
 from __future__ import annotations
@@ -35,7 +50,7 @@ from .compositions import (
     rd_row_spans,
 )
 from . import permutations
-from .permutations import Permutation, standardize
+from .permutations import Permutation, _standardize, standardize
 
 #: largest n accepted by the tableau enumerators
 DEFAULT_TABLEAU_BOUND = 9
@@ -56,12 +71,23 @@ class Spct:
         self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rows)
         self.shape: Composition = check_composition(tuple(len(r) for r in self.rows))
         self.n = sum(self.shape)
-        self._pos: dict[int, tuple[int, int]] = {}
-        for i, row in enumerate(self.rows, start=1):
-            for j, v in enumerate(row, start=1):
-                self._pos[v] = (i, j)
+        self._pos: dict[int, tuple[int, int]] = _positions(self.rows)
         if sorted(self._pos) != list(range(1, self.n + 1)):
             raise ValueError(f"entries must be exactly 1..{self.n}: {self.rows}")
+
+    @classmethod
+    def _trusted(
+        cls,
+        rows: tuple[tuple[int, ...], ...],
+        shape: Composition,
+        n: int,
+        pos: dict[int, tuple[int, int]] | None = None,
+    ) -> "Spct":
+        """A tableau from rows known to fill `shape` with 1..n; nothing is checked."""
+        t = object.__new__(cls)
+        t.rows, t.shape, t.n = rows, shape, n
+        t._pos = _positions(rows) if pos is None else pos
+        return t
 
     def entry(self, row: int, col: int) -> int | None:
         """Entry at 1-based (row, col), or None outside the diagram."""
@@ -75,7 +101,7 @@ class Spct:
     @property
     def sigma(self) -> Permutation:
         """The type: standardization of the first column read top to bottom."""
-        return standardize(tuple(row[0] for row in self.rows))
+        return _standardize(tuple(row[0] for row in self.rows))
 
     def column(self, c: int) -> list[int]:
         """Entries of column c, top to bottom."""
@@ -86,12 +112,16 @@ class Spct:
 
     def swap_values(self, i: int) -> "Spct":
         """The filling with values i and i+1 exchanged."""
-        return Spct(
-            tuple(
-                tuple(i + 1 if v == i else i if v == i + 1 else v for v in row)
-                for row in self.rows
-            )
-        )
+        if not 1 <= i < self.n:
+            raise ValueError(f"cannot swap {i} and {i + 1} in a filling of 1..{self.n}")
+        a, b = self._pos[i], self._pos[i + 1]
+        rows = list(self.rows)
+        for (r, c), v in ((a, i + 1), (b, i)):
+            row = rows[r - 1]
+            rows[r - 1] = row[: c - 1] + (v,) + row[c:]
+        pos = dict(self._pos)
+        pos[i], pos[i + 1] = b, a
+        return Spct._trusted(tuple(rows), self.shape, self.n, pos)
 
     def to_json(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
@@ -111,6 +141,11 @@ class Spct:
 
     def __repr__(self):
         return f"Spct({[list(r) for r in self.rows]})"
+
+
+def _positions(rows: tuple[tuple[int, ...], ...]) -> dict[int, tuple[int, int]]:
+    """Map each entry to its 1-based (row, column)."""
+    return {v: (i, j) for i, row in enumerate(rows, start=1) for j, v in enumerate(row, start=1)}
 
 
 class Srt:
@@ -236,66 +271,94 @@ def _check_tableau_bound(n: int, bound: int) -> None:
         raise BoundExceeded(f"n = {n} exceeds tableau enumeration bound {bound}")
 
 
+def _check_pair(alpha: Sequence[int], sigma: Sequence[int]) -> tuple[Composition, Permutation]:
+    """Validate and normalise a shape/type pair of matching length."""
+    alpha = check_composition(alpha)
+    sigma = permutations.check_perm(sigma)
+    if len(sigma) != len(alpha):
+        raise ValueError(f"type degree {len(sigma)} != shape length {len(alpha)}")
+    return alpha, sigma
+
+
+def _entry_one_moves(alpha: Composition, sigma: Permutation):
+    """(row m, smaller shape, smaller type) for each row m that can hold 1.
+
+    Row m (0-based) can hold the entry 1 when alpha_m >= 2 and no row above
+    it has alpha_m - 1 boxes, or when alpha_m = 1 and sigma_m = 1.  The
+    smaller pair is what is left once that box is removed.
+    """
+    for m, part in enumerate(alpha):
+        if part >= 2:
+            if part - 1 not in alpha[:m]:
+                yield m, alpha[:m] + (part - 1,) + alpha[m + 1 :], sigma
+        elif sigma[m] == 1:
+            yield m, alpha[:m] + alpha[m + 1 :], tuple(v - 1 for v in sigma if v != 1)
+
+
+def spct_exists(alpha: Sequence[int], sigma: Sequence[int]) -> bool:
+    """Whether some tableau has shape `alpha` and type `sigma`, listing none.
+
+    A tableau exists exactly when some row can hold the entry 1 and the
+    smaller pair left by removing it has a tableau.  Memoised on the
+    normalised (alpha, sigma).
+
+    >>> spct_exists((2, 1), (2, 1)), spct_exists([1, 2], [2, 1])
+    (True, False)
+    """
+    return _spct_exists(*_check_pair(alpha, sigma))
+
+
+@lru_cache(maxsize=200_000)
+def _spct_exists(alpha: Composition, sigma: Permutation) -> bool:
+    return not alpha or any(_spct_exists(b, s) for _, b, s in _entry_one_moves(alpha, sigma))
+
+
 def enumerate_spct(
     alpha: Sequence[int], sigma: Sequence[int], bound: int = DEFAULT_TABLEAU_BOUND
 ) -> tuple[Spct, ...]:
     """All fillings of shape `alpha` and type `sigma`, deterministically.
 
-    The values n, n-1, ..., 1 are placed in turn.  Each value either
-    extends a started row that is not yet full, which keeps rows strictly
-    decreasing, or starts the next row in decreasing-type order, which
-    fixes the type.  Every box holding a larger value is already filled,
-    so the triple condition is one local test: a value may go into column
-    k >= 1 (0-based) of row j only if no row above j has exactly k boxes.
-    The tableaux come out sorted by column reading word.  Returns ()
-    exactly when the pair is incompatible, which is verified against
-    `is_compatible` rather than assumed.  Results are cached on the
-    normalised (alpha, sigma); `bound` only guards the size.
+    Built one size down: for each row m that can hold the entry 1 (see the
+    module docstring), every tableau of the smaller pair has 1 added to
+    each entry and then 1 appended to row m, or a new row (1,) inserted at
+    m when part m has one box.  Every tableau arises once, from the row
+    holding its 1, and no built tableau is re-checked.  The tableaux come
+    out sorted by column reading word.  Returns () exactly when the pair
+    is incompatible, which is verified against `is_compatible` rather than
+    assumed.  Results are cached on the normalised (alpha, sigma), and so
+    are the smaller pairs the recursion visits; `bound` only guards the
+    size.
 
     >>> [t.rows for t in enumerate_spct((2, 1), (2, 1))]
     [((3, 2), (1,)), ((3, 1), (2,))]
     >>> enumerate_spct([1, 2], [2, 1])
     ()
     """
-    alpha = check_composition(alpha)
-    sigma = permutations.check_perm(sigma)
-    if len(sigma) != len(alpha):
-        raise ValueError(
-            f"type degree {len(sigma)} != shape length {len(alpha)}"
-        )
+    alpha, sigma = _check_pair(alpha, sigma)
     _check_tableau_bound(sum(alpha), bound)
     return _enumerate_spct(alpha, sigma)
 
 
 @lru_cache(maxsize=200_000)
 def _enumerate_spct(alpha: Composition, sigma: Permutation) -> tuple[Spct, ...]:
-    ell = len(alpha)
-    starts = sorted(range(ell), key=lambda r: -sigma[r])
-    rows: list[list[int]] = [[] for _ in range(ell)]
+    if not alpha:
+        return (Spct._trusted((), (), 0),)
     out: list[tuple[tuple[int, ...], ...]] = []
-
-    def place(v: int, started: int) -> None:
-        if v == 0:
-            out.append(tuple(map(tuple, rows)))
-            return
-        if started < ell:
-            row = rows[starts[started]]
-            row.append(v)
-            place(v - 1, started + 1)
-            row.pop()
-        lengths_above = set()
-        for j, row in enumerate(rows):
-            k = len(row)
-            if 0 < k < alpha[j] and k not in lengths_above:
-                row.append(v)
-                place(v - 1, started)
-                row.pop()
-            lengths_above.add(k)
-
-    place(sum(alpha), 0)
-    width = max(alpha, default=0)
+    for m, beta, tau in _entry_one_moves(alpha, sigma):
+        if not _spct_exists(beta, tau):  # keeps empty smaller pairs out of the cache
+            continue
+        new_row = len(beta) < len(alpha)
+        for t in _enumerate_spct(beta, tau):
+            rows = [tuple(v + 1 for v in row) for row in t.rows]
+            if new_row:
+                rows.insert(m, (1,))
+            else:
+                rows[m] += (1,)
+            out.append(tuple(rows))
+    width = max(alpha)
     out.sort(key=lambda t: [row[c] for c in range(width) for row in t if c < len(row)])
-    return tuple(Spct(t) for t in out)
+    n = sum(alpha)
+    return tuple(Spct._trusted(rows, alpha, n) for rows in out)
 
 
 enumerate_spct.cache_info = _enumerate_spct.cache_info
@@ -464,7 +527,7 @@ def class_label(t: Spct) -> ClassLabel:
     """
     return ClassLabel(
         t.shape,
-        tuple(standardize(tuple(t.column(c))) for c in range(1, t.num_columns() + 1)),
+        tuple(_standardize(tuple(t.column(c))) for c in range(1, t.num_columns() + 1)),
     )
 
 
@@ -552,10 +615,11 @@ def is_compatible(alpha: Sequence[int], sigma: Sequence[int]) -> bool:
     >>> is_compatible((1, 1, 2, 3), (2, 1, 3, 4))
     True
     """
-    alpha = check_composition(alpha)
-    sigma = permutations.check_perm(sigma)
-    if len(alpha) != len(sigma):
-        raise ValueError("shape length and type degree differ")
+    return _compatible(*_check_pair(alpha, sigma))
+
+
+def _compatible(alpha: Composition, sigma: Permutation) -> bool:
+    """`is_compatible` for a pair already validated."""
     return all(
         alpha[i] >= alpha[j]
         for i, j in itertools.combinations(range(len(alpha)), 2)
@@ -585,9 +649,8 @@ class PacdPair:
 
 def pacd_pairs(alpha: Sequence[int], sigma: Sequence[int]) -> list[PacdPair]:
     """All obstruction pairs attached to a compatible shape/type pair."""
-    alpha = check_composition(alpha)
-    sigma = permutations.check_perm(sigma)
-    if not is_compatible(alpha, sigma):
+    alpha, sigma = _check_pair(alpha, sigma)
+    if not _compatible(alpha, sigma):
         raise ValueError(f"{alpha} is not compatible with {sigma}")
     ell = len(alpha)
     pairs = []
@@ -629,9 +692,8 @@ def removable_nodes(alpha: Sequence[int], sigma: Sequence[int]) -> list[Cell]:
     >>> [(c.row, c.col) for c in removable_nodes((4, 1, 2, 2), (2, 1, 3, 4))]
     [(1, 4), (2, 1)]
     """
-    alpha = check_composition(alpha)
-    sigma = permutations.check_perm(sigma)
-    if not is_compatible(alpha, sigma):
+    alpha, sigma = _check_pair(alpha, sigma)
+    if not _compatible(alpha, sigma):
         raise ValueError(f"{alpha} is not compatible with {sigma}")
     out = []
     for j in range(1, len(alpha) + 1):
@@ -701,13 +763,10 @@ def canonical_source_tableau(alpha: Sequence[int], sigma: Sequence[int]) -> Spct
     >>> canonical_source_tableau((2, 1), (2, 1)).rows
     ((3, 2), (1,))
     """
-    alpha = check_composition(alpha)
-    sigma = permutations.check_perm(sigma)
-    if len(alpha) != len(sigma):
-        raise ValueError("shape length and type degree differ")
-    if not is_compatible(alpha, sigma):
+    alpha, sigma = _check_pair(alpha, sigma)
+    if not _compatible(alpha, sigma):
         raise ValueError(f"{alpha} is not compatible with {sigma}")
-    return Spct(_canonical_rows(alpha, sigma))
+    return Spct._trusted(_canonical_rows(alpha, sigma), alpha, sum(alpha))
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ def _all_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 
 def _compatible_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    return [(a, s) for a, s in _all_pairs(n) if tableaux.is_compatible(a, s)]
+    return [(a, s) for a, s in _all_pairs(n) if tableaux._compatible(a, s)]
 
 
 def _subsets(n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -129,9 +129,10 @@ def _case_relations(case) -> list:
 
 
 def _case_compat(case) -> list:
+    # the pair comes from `_all_pairs`, so neither side re-validates it
     alpha, sigma = case
-    nonempty = len(tableaux.enumerate_spct(alpha, sigma)) > 0
-    if nonempty != tableaux.is_compatible(alpha, sigma):
+    nonempty = tableaux._spct_exists(alpha, sigma)
+    if nonempty != tableaux._compatible(alpha, sigma):
         return [{"alpha": alpha, "sigma": sigma, "nonempty": nonempty}]
     return []
 
@@ -171,7 +172,7 @@ def _case_simplicity(case) -> list:
     if kind == "w0":
         alpha = payload
         w0 = perms.longest_element(len(alpha))
-        if (len(tableaux.enumerate_spct(alpha, w0)) > 0) != is_partition(alpha):
+        if tableaux.spct_exists(alpha, w0) != is_partition(alpha):
             bad.append({"alpha": alpha, "error": "w0 nonempty != partition"})
         if is_partition(alpha) and not tableaux.is_sigma_simple(alpha, w0):
             bad.append({"alpha": alpha, "error": "partition not w0-simple"})
@@ -196,7 +197,7 @@ def _case_simplicity(case) -> list:
 def _case_w0_classification(alpha) -> list:
     bad = []
     w0 = perms.longest_element(len(alpha))
-    nonempty = len(tableaux.enumerate_spct(alpha, w0)) > 0
+    nonempty = tableaux.spct_exists(alpha, w0)
     if nonempty != is_partition(alpha):
         bad.append({"alpha": alpha, "nonempty": nonempty})
     if sum(alpha) <= _MODULE_MAX_N:
@@ -539,7 +540,7 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
     ),
     "cor-3.18": (
         "longest-element modules detect partitions",
-        7, lambda m: _upto(m, compositions), _case_w0_classification,
+        8, lambda m: _upto(m, compositions), _case_w0_classification,
     ),
     "thm-3.1": (
         "every class submodule has a local endomorphism ring",

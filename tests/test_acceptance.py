@@ -38,8 +38,8 @@ def test_criterion_03_classes_sources_sinks_components():
 
 def test_criterion_04_simplicity_characterisations():
     _check(
-        "criterion-4 unique-source / cyclicity / reversing type (n<=8, modules n<=6; reversing type n<=7)",
-        [("thm-3.15", {"max_n": 8}), ("cor-3.18", {"max_n": 7})],
+        "criterion-4 unique-source / cyclicity / reversing type (n<=8, modules n<=6)",
+        [("thm-3.15", {"max_n": 8}), ("cor-3.18", {"max_n": 8})],
     )
 
 

@@ -61,6 +61,24 @@ def test_char_qs_mismatch_is_property_failure(monkeypatch, capsys):
     assert _terms(report["bubble_fiber"]) == {(4,): 1}
 
 
+def test_char_qs_checks_the_conversion_bound_first(monkeypatch, capsys):
+    # the QS conversion is built at the default bound, whatever --bound says
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before the bound check")
+
+    monkeypatch.setattr(qsym, "ch_spct", no_enumeration)
+    argv = ["char", "--shape", "10", "--sigma", "1", "--bound", "10", "--basis", "QS"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "QS conversion" in captured.err
+
+
+def test_char_f_honours_a_raised_bound():
+    res = run_cli("char", "--shape", "10", "--sigma", "1", "--bound", "10", "--json")
+    assert res.returncode == 0
+    assert _terms(json.loads(res.stdout)) == {(10,): 1}
+
+
 def test_graph_dot():
     res = run_cli("graph", "--shape", "2,1", "--sigma", "2,1")
     assert res.returncode == 0
@@ -108,6 +126,12 @@ def test_bound_exceeded_is_usage_error():
 def test_malformed_shape_is_usage_error():
     res = run_cli("char", "--shape", "2,x", "--sigma", "1")
     assert res.returncode == 2
+
+
+def test_enumerate_malformed_pair_is_usage_error():
+    for shape, sigma in (("2,1", "1,1"), ("2,0", "1,2"), ("2,-1", "1,2"), ("2,1", "1")):
+        res = run_cli("enumerate", "spct", "--shape", shape, "--sigma", sigma)
+        assert res.returncode == 2 and res.stdout == "", (shape, sigma)
 
 
 def test_basis_cert():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from spcthecke import modules
 from spcthecke import permutations as P
 from spcthecke.compositions import BoundExceeded, Cell, compositions
 from spcthecke.tableaux import (
@@ -25,6 +26,7 @@ from spcthecke.tableaux import (
     pacd_pairs,
     removable_nodes,
     source_ribbon_tableau,
+    spct_exists,
 )
 
 
@@ -75,6 +77,70 @@ def test_enumerate_spct_brute_force_oracle():
             for sigma in P.all_perms(len(alpha)):
                 expected = sorted(buckets.get(sigma, []), key=lambda rows: col_word(Spct(rows)))
                 assert [t.rows for t in enumerate_spct(alpha, sigma)] == expected, (alpha, sigma)
+
+
+def test_existence_matches_enumeration():
+    for n in range(1, 9):
+        for alpha, sigma in all_pairs(n):
+            assert spct_exists(alpha, sigma) == (len(enumerate_spct(alpha, sigma)) > 0), (alpha, sigma)
+    assert spct_exists((), ())
+
+
+def _assert_same_as_public(t, sigma):
+    public = Spct(t.rows)
+    assert (t.rows, t.shape, t.n) == (public.rows, public.shape, public.n)
+    assert all(t.pos(v) == public.pos(v) for v in range(1, t.n + 1))
+    assert is_valid_spct_rows(t.rows, sigma)
+
+
+def test_trusted_tableaux_match_the_public_constructor():
+    for n in range(1, 8):
+        for alpha, sigma in all_pairs(n):
+            for t in enumerate_spct(alpha, sigma):
+                _assert_same_as_public(t, sigma)
+    for n in range(1, 7):
+        for alpha, sigma in all_pairs(n):
+            for _, _, u in modules.action_edges(alpha, sigma):
+                _assert_same_as_public(u, sigma)
+
+
+def test_swap_values_range():
+    t = Spct([[3, 1], [2]])
+    assert t.swap_values(2).rows == ((2, 1), (3,))
+    for i in (0, 3):
+        with pytest.raises(ValueError):
+            t.swap_values(i)
+
+
+# every public entry point whose internals trust their arguments still
+# rejects a non-permutation type, a zero or negative part, and a length
+# mismatch
+MALFORMED_PAIRS = [
+    ((2, 1), (1, 1)),
+    ((2, 1), (2, 3)),
+    ((2, 0), (1, 2)),
+    ((2, -1), (1, 2)),
+    ((2, 1), (1,)),
+    ((2,), (1, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [enumerate_spct, spct_exists, is_compatible, pacd_pairs, canonical_source_tableau, removable_nodes],
+)
+@pytest.mark.parametrize("alpha, sigma", MALFORMED_PAIRS)
+def test_malformed_pairs_are_rejected(fn, alpha, sigma):
+    with pytest.raises(ValueError):
+        fn(alpha, sigma)
+
+
+def test_malformed_fillings_and_words_are_rejected():
+    for rows in ([[2, 2]], [[3, 1]], [[2, 1], []], [[1, 0]]):
+        with pytest.raises(ValueError):
+            Spct(rows)
+    with pytest.raises(ValueError):
+        P.standardize((4, 2, 4))
 
 
 def test_enumerators_cache_on_normalised_arguments():
