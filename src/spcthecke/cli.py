@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 when a verified property fails (the report
 with its witness is printed as JSON), 2 for usage errors (including a
-`verify --max-n` below 1) and exceeded size bounds.
+`verify --max-n` or `--jobs` below 1) and exceeded size bounds.
 """
 
 from __future__ import annotations

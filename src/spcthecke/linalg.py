@@ -183,11 +183,11 @@ class EchelonSpace:
 
     `add` keeps the stored rows in echelon form: each row's pivot is its
     smallest coordinate, holds the entry 1, and belongs to no other row.
-    The first read of `basis`, `coords`, `input_coords` or `canonical_key`
-    after an `add` runs one back-substitution that clears every pivot from
-    the other rows, so reads see the fully reduced echelon basis.  That basis
-    is canonical for the subspace: two spans are equal iff their bases are
-    equal.  `residue` and `contains` need no full reduction.  A row is
+    The first read of `basis`, `coords` or `canonical_key` after an `add`
+    runs one back-substitution that clears every pivot from the other rows,
+    so reads see the fully reduced echelon basis.  That basis is canonical
+    for the subspace: two spans are equal iff their bases are equal.
+    `residue`, `contains` and `input_coords` need no full reduction.  A row is
     normalised by negating it when its pivot entry is -1, so integer input
     with unit pivots stays `int`; `Fraction` appears only when a pivot entry
     is neither 1 nor -1.  With ``track=True`` every stored row also carries
@@ -265,38 +265,36 @@ class EchelonSpace:
     def contains(self, v: Mapping[int, Scalar]) -> bool:
         return not self.residue(v)
 
-    def _basis_terms(self, v: Mapping[int, Scalar]) -> list[tuple[int, Scalar]] | None:
-        """(row index, coefficient) pairs giving v in the reduced basis, or None.
+    def coords(self, v: Mapping[int, Scalar]) -> Vec | None:
+        """Coordinates of v in the stored echelon basis (keyed by row index), or None.
 
         A reduced row is zero on every pivot but its own, so the row with
         pivot p has coefficient v[p]; v lies in the span iff those terms sum
-        to v.  Pairs come in increasing pivot order.
+        to v.
         """
         self._full_reduce()
         w = dict(v)
-        terms = []
+        out: Vec = {}
         for p in sorted(k for k in v if k in self.pivots):
             idx = self.pivots[p]
             vec_axpy(w, -v[p], self.rows[idx])
-            terms.append((idx, v[p]))
-        return None if w else terms
-
-    def coords(self, v: Mapping[int, Scalar]) -> Vec | None:
-        """Coordinates of v in the stored echelon basis (keyed by row index), or None."""
-        terms = self._basis_terms(v)
-        return None if terms is None else dict(terms)
+            out[idx] = v[p]
+        return None if w else out
 
     def input_coords(self, v: Mapping[int, Scalar]) -> Vec | None:
-        """Express v as a combination of the raw added vectors (track=True)."""
+        """Express v as a combination of the raw added vectors (track=True).
+
+        Reduction tracks the rows' combinations, so a v that reduces to zero
+        equals minus the combination built for it; no full reduction runs,
+        which keeps reads cheap between adds.
+        """
         if not self.track:
             raise ValueError("EchelonSpace built without tracking")
-        terms = self._basis_terms(v)
-        if terms is None:
+        w, combo = self._reduce(v)
+        if w:
             return None
-        out: Vec = {}
-        for idx, c in terms:
-            vec_axpy(out, c, self.combos[idx])
-        return out
+        del combo[self.n_added]
+        return {k: -x for k, x in combo.items()}
 
     def add(self, v: Mapping[int, Scalar]) -> bool:
         """Add a vector to the span; True iff it enlarged the space."""

@@ -4,8 +4,12 @@ An `HModule` packages a labeled basis with one exact rational matrix per
 generator.  Everything downstream is linear algebra over Q: the relation
 checker, intertwiner (hom) spaces, endomorphism rings with the trace-form
 radical, and radical filtrations with their semisimple-layer eigensplit.
-The projectivity test lives in `hecke`, beside the projective
-indecomposables it compares against.
+Hom spaces are solved from a presentation of the source module by
+generators and relations, so a map is fixed by its values on the
+generators; a class submodule is cyclic, generated by its source, so its
+endomorphisms cost dim M unknowns, not (dim M)^2.  The projectivity test
+lives in `hecke`, beside the projective indecomposables it compares
+against.
 
 Matrix convention: generator matrices act on column coordinate vectors, so
 column j of ``gens[i-1]`` is the image of the j-th basis element under the
@@ -284,46 +288,122 @@ def check_relations(m: HModule) -> RelationReport:
 
 
 def hom_space(m: HModule, n_: HModule) -> list[RatMat]:
-    """Basis of the space of intertwiners m -> n_, solved exactly.
+    """Basis of the space of intertwiners m -> n_, solved from a presentation of m.
 
-    Unknowns are the entries of the map's matrix F; the equations are
-    ``F @ A_i - B_i @ F = 0`` entry by entry, assembled sparsely.
+    Generators are the unit vectors of m in basis order, skipping each one
+    that already lies in the submodule generated so far.  A breadth-first
+    search applies every generator matrix to every vector it has accepted;
+    a tracked `EchelonSpace` accepts the images that enlarge the span, so
+    the accepted vectors form a basis of m.  Every other image is a
+    relation ``pi_i v = sum_l c_l v_l`` among accepted vectors, with an
+    empty sum when ``pi_i v = 0``.
+
+    The presentation is exact.  In the free module on the generators
+    modulo these relations, the accepted words span a subspace that holds
+    the generators and, by the relations, is closed under every pi_i, so
+    it is the whole quotient.  The quotient maps onto m, whose dimension
+    is the number of accepted words, so it is m.  A map m -> n_ is thus a
+    choice of one image in n_ per generator that satisfies every relation.
+
+    The candidate maps start as the k * dim n_ unit choices of generator
+    images, k being the number of generators, and each relation shrinks
+    them by one nullspace over the current candidates.  A candidate keeps
+    its images of the accepted vectors, from which its matrix is read off
+    at the end.  The basis comes out in a deterministic order.
     """
     if m.n != n_.n:
         raise ValueError("degree mismatch")
     dm, dn = m.dim, n_.dim
     if dm == 0 or dn == 0:
         return []
-    # unknown F[a, b] lives at index a*dm + b (a in target, b in source)
-    equations: list[Vec] = []
-    for i in range(1, m.n):
-        acols = m.gen(i).cols()
-        brows = n_.gen(i).rows()
-        for a in range(dn):
-            brow = brows[a]
-            for b in range(dm):
-                eq: Vec = {}
-                for c, x in acols[b].items():
-                    k = a * dm + c
-                    s = eq.get(k, 0) + x
-                    if s:
-                        eq[k] = s
-                    else:
-                        del eq[k]
-                for c, x in brow.items():
-                    k = c * dm + b
-                    s = eq.get(k, 0) - x
-                    if s:
-                        eq[k] = s
-                    else:
-                        eq.pop(k, None)
-                if eq:
-                    equations.append(eq)
-    basis = nullspace(equations, dn * dm)
+    src_cols = [g.cols() for g in m.gens]
+    tgt_cols = src_cols if n_ is m else [g.cols() for g in n_.gens]
+    span = EchelonSpace(dm, track=True)
+    accepted: list[Vec] = []  # raw input k of `span` is accepted[k]
+    position: dict[frozenset, int] = {}  # accepted vector -> k
+
+    def express(w: Vec) -> Vec | None:
+        # an image equal to an accepted vector needs no elimination
+        k = position.get(frozenset(w.items()))
+        return {k: 1} if k is not None else span.input_coords(w)
+
+    def accept(w: Vec) -> None:
+        span.add(w)
+        position[frozenset(w.items())] = len(accepted)
+        accepted.append(w)
+
+    cands: list[list[Vec]] = []  # per candidate map, its image of each accepted vector
+    for b in range(dm):
+        seed = {b: 1}
+        if express(seed) is not None:
+            continue
+        # earlier candidates send the new generator to 0
+        for images in cands:
+            images.append({})
+        cands += [[{} for _ in accepted] + [{a: 1}] for a in range(dn)]
+        accept(seed)
+        queue = [len(accepted) - 1]
+        for j in queue:  # grows while it is walked: breadth first
+            for i in range(1, m.n):
+                w = _apply_cols(src_cols[i - 1], accepted[j])
+                rel = express(w) if w else {}
+                if rel is None:
+                    accept(w)
+                    queue.append(len(accepted) - 1)
+                    for images in cands:
+                        images.append(_apply_cols(tgt_cols[i - 1], images[j]))
+                    continue
+                cands = _impose_relation(cands, tgt_cols[i - 1], j, rel)
+    unit_coords = [express({b: 1}) for b in range(dm)]
     mats = []
-    for v in basis:
-        mats.append(RatMat(dn, dm, {(k // dm, k % dm): x for k, x in v.items()}))
+    for images in cands:
+        data = {}
+        for b, coords in enumerate(unit_coords):
+            col: Vec = {}
+            for k, x in coords.items():
+                vec_axpy(col, x, images[k])
+            for a, x in col.items():
+                data[a, b] = x
+        mats.append(RatMat(dn, dm, data))
     return mats
+
+
+def _apply_cols(cols: Sequence[Vec], v: Vec) -> Vec:
+    """Matrix times v, for a matrix given by its columns."""
+    out: Vec = {}
+    for c, x in v.items():
+        vec_axpy(out, x, cols[c])
+    return out
+
+
+def _impose_relation(
+    cands: list[list[Vec]], tgt_cols: Sequence[Vec], j: int, rel: Vec
+) -> list[list[Vec]]:
+    """The combinations of candidates that respect ``pi_i v_j = sum_l rel[l] v_l``.
+
+    Each candidate f leaves a defect ``B_i f(v_j) - sum_l rel[l] f(v_l)`` in
+    the target; the combinations whose defects cancel span the new
+    candidates.
+    """
+    rows: dict[int, Vec] = {}  # target coordinate -> defect entries by candidate
+    for r, images in enumerate(cands):
+        defect = _apply_cols(tgt_cols, images[j])
+        for k, x in rel.items():
+            vec_axpy(defect, -x, images[k])
+        for a, x in defect.items():
+            rows.setdefault(a, {})[r] = x
+    if not rows:
+        return cands
+    out = []
+    for y in nullspace(list(rows.values()), len(cands)):
+        combined = []
+        for k in range(len(cands[0])):
+            img: Vec = {}
+            for r, x in y.items():
+                vec_axpy(img, x, cands[r][k])
+            combined.append(img)
+        out.append(combined)
+    return out
 
 
 def end_ring(m: HModule) -> list[RatMat]:
@@ -348,16 +428,24 @@ def is_indecomposable(m: HModule) -> tuple[bool, IndecomposabilityCertificate]:
 
     In characteristic zero the radical of End(M) is the radical of the
     bilinear form (x, y) -> trace(xy on M), so M is indecomposable exactly
-    when that form has rank one.
+    when that form has rank one.  The endomorphisms come from `hom_space`,
+    so a cyclic M costs dim M unknowns.  Each Gram entry
+    tr(f_a f_b) = sum over (r, c) of f_a[r, c] * f_b[c, r] is read off the
+    two matrices without forming their product, and the form is symmetric,
+    so only the entries with a <= b are computed.
     """
     if m.dim == 0:
         raise ValueError("the zero module has no endomorphism ring")
     ends = end_ring(m)
     k = len(ends)
-    gram = [
-        {b: (ends[a] * ends[b]).trace() for b in range(k)} for a in range(k)
-    ]
-    rows: list[Vec] = [{b: x for b, x in row.items() if x} for row in gram]
+    rows: list[Vec] = [{} for _ in range(k)]
+    for a in range(k):
+        fa = ends[a].data
+        for b in range(a, k):
+            fb = ends[b].data
+            x = sum(y * fb.get((c, r), 0) for (r, c), y in fa.items())
+            if x:
+                rows[a][b] = rows[b][a] = x
     rank = rank_of(rows, k)
     cert = IndecomposabilityCertificate(k, rank)
     return cert.indecomposable, cert

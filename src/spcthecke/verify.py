@@ -50,6 +50,13 @@ def _upto(max_n: int, per_degree: Callable[[int], Sequence]) -> list:
     return [case for n in range(1, max_n + 1) for case in per_degree(n)]
 
 
+def _upto_algebra(max_n: int, per_degree: Callable[[int], Sequence]) -> list:
+    """`_upto` for claims that build algebra modules, refusing a max_n
+    above the algebra bound before any case is listed or run."""
+    hecke._check_algebra_bound(max_n, modules.DEFAULT_ALGEBRA_BOUND)
+    return _upto(max_n, per_degree)
+
+
 def _all_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every (shape, type) pair in one degree."""
     out = []
@@ -79,12 +86,20 @@ def _descent_triples(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int
 
 
 def _run_cases(cases: Sequence, fn: Callable, jobs: int) -> list:
-    """Map fn over cases, optionally in a process pool; order preserved."""
+    """Map fn over cases, in a pool of `jobs` processes when jobs > 1.
+
+    Case lists come smaller degree first, and a case costs more the larger
+    its degree, so the pool walks them backwards: a free worker takes the
+    next chunk of about len(cases) / (16 * jobs) cases, largest degree
+    first, and the small chunks at the end even out the finish.  Results
+    come back in case order.
+    """
     if jobs > 1 and len(cases) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            return pool.map(fn, cases, chunksize=max(1, len(cases) // (4 * jobs)))
+            out = pool.map(fn, cases[::-1], chunksize=max(1, len(cases) // (16 * jobs)))
+        return out[::-1]
     return [fn(c) for c in cases]
 
 
@@ -524,7 +539,7 @@ def _case_pim(case) -> list:
 CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] = {
     "rel-2.1": (
         "generator relations hold on every constructed module",
-        6, lambda m: _upto(m, _relation_modules), _case_relations,
+        6, lambda m: _upto_algebra(m, _relation_modules), _case_relations,
     ),
     "prop-3.4": (
         "tableau set nonempty exactly for compatible shape/type",
@@ -573,7 +588,7 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
     "cor-5.6": (
         "projectivity of canonical submodules classified exactly",
         5,
-        lambda m: [("pair", p) for p in _upto(m, _compatible_pairs)] + [("counterexample", None)],
+        lambda m: [("pair", p) for p in _upto_algebra(m, _compatible_pairs)] + [("counterexample", None)],
         _case_projectivity,
     ),
     "factors-vs-descents": (
@@ -586,7 +601,7 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
     ),
     "pim-dims": (
         "ideal dimensions, tops, and the factorial total",
-        5, lambda m: _upto(m, _subsets), _case_pim,
+        5, lambda m: _upto_algebra(m, _subsets), _case_pim,
     ),
 }
 
@@ -600,6 +615,8 @@ def run_claim(claim: str, max_n: int | None = None, jobs: int = 1) -> dict:
         max_n = default_max_n
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cases = cases_of(max_n)
     failures = [f for fs in _run_cases(cases, check, jobs) for f in fs]
     params = {"max_n": max_n}

@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from spcthecke import cli, qsym
+import pytest
+
+from spcthecke import cli, qsym, verify
 from spcthecke.qsym import QSymElt
 
 BASE = [sys.executable, "-m", "spcthecke.cli"]
@@ -100,6 +102,25 @@ def test_verify_with_jobs():
     assert json.loads(res.stdout)["status"] == "pass"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_nonpositive_jobs_is_usage_error(jobs):
+    res = run_cli("verify", "lem-2.7", "--max-n", "3", "--jobs", jobs)
+    assert res.returncode == 2
+    assert res.stdout == "" and "jobs" in res.stderr
+
+
+@pytest.mark.parametrize("claim", ["rel-2.1", "cor-5.6", "pim-dims"])
+def test_algebra_bound_is_checked_before_any_case(claim, monkeypatch, capsys):
+    def no_case(case):
+        raise AssertionError("a case ran before the bound check")
+
+    desc, default, cases_of, _ = verify.CLAIMS[claim]
+    monkeypatch.setitem(verify.CLAIMS, claim, (desc, default, cases_of, no_case))
+    assert cli.main(["verify", claim, "--max-n", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "n = 7 exceeds algebra bound 6" in captured.err
+
+
 def test_verify_list():
     res = run_cli("verify", "--list")
     assert res.returncode == 0
@@ -148,6 +169,8 @@ def test_basis_cert_enforces_the_size_bound():
 
 
 def test_determinism_across_runs():
-    a = run_cli("verify", "thm-4.8", "--max-n", "4")
-    b = run_cli("verify", "thm-4.8", "--max-n", "4", "--jobs", "2")
-    assert a.stdout == b.stdout
+    for claim, max_n in (("thm-4.8", "4"), ("thm-3.1", "5")):
+        a = run_cli("verify", claim, "--max-n", max_n)
+        b = run_cli("verify", claim, "--max-n", max_n, "--jobs", "2")
+        assert a.returncode == b.returncode == 0, claim
+        assert a.stdout == b.stdout, claim

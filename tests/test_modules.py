@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+import hom_oracle
 from spcthecke import permutations as P
 from spcthecke.compositions import compositions, set_of
 from spcthecke.hecke import is_projective, pim_module
@@ -26,6 +27,7 @@ from spcthecke.modules import (
     submodule_on_labels,
     word_transport_holds,
     HModule,
+    LinearMap,
 )
 from spcthecke.tableaux import (
     Spct,
@@ -111,6 +113,41 @@ def test_hom_space_simple_modules():
     g = simple_module((1, 2))
     assert len(hom_space(f, f)) == 1
     assert hom_space(f, g) == []
+    # g has no map to f, yet the sum's second generator still maps onto f
+    assert len(_hom_against_oracle(direct_sum([g, f]), f)) == 1
+
+
+def _hom_against_oracle(m, n_):
+    """The maps intertwine, are independent, and are as many as the oracle's."""
+    maps = hom_space(m, n_)
+    assert len(maps) == len(hom_oracle.hom_space(m, n_)), (m, n_)
+    assert all(LinearMap(m, n_, f).check_intertwiner() for f in maps), (m, n_)
+    flat = [{r * m.dim + c: x for (r, c), x in f.data.items()} for f in maps]
+    assert rank_of(flat, n_.dim * m.dim) == len(maps), (m, n_)
+    return maps
+
+
+def test_end_rings_of_class_submodules_against_oracle():
+    for n in range(1, 7):
+        for alpha, sigma in compatible_pairs(n):
+            m = spct_module(alpha, sigma)
+            for cl in equivalence_classes(alpha, sigma):
+                sub = class_submodule_of(m, cl)
+                _hom_against_oracle(sub, sub)
+                _, cert = is_indecomposable(sub)
+                assert (cert.end_dim, cert.semisimple_rank) == hom_oracle.end_invariants(sub), (alpha, sigma)
+
+
+def test_homs_between_small_modules_against_oracle():
+    # whole tableau modules of non-simple pairs need more than one generator
+    for n in range(1, 5):
+        ribbons = [ribbon_module(a, v) for a in compositions(n) for v in ("opi", "theta", "star")]
+        pims = [pim_module(n, set_of(a)) for a in compositions(n)]
+        spcts = [spct_module(a, s) for a, s in compatible_pairs(n)]
+        for group in (ribbons, pims, spcts):
+            for m in group:
+                for n_ in group:
+                    _hom_against_oracle(m, n_)
 
 
 def test_is_indecomposable_controls():
@@ -131,7 +168,7 @@ def test_hom_from_cover_contains_surjection():
     cls = canonical_class(alpha, sigma)
     sub = class_submodule_of(m, cls)
     ideal = pim_module(sum(alpha), set_of(compose_right_action(alpha, inverse(sigma))))
-    homs = hom_space(ideal, sub)
+    homs = _hom_against_oracle(ideal, sub)
     assert homs
     assert any(rank_of(h.rows(), h.ncols) == sub.dim for h in homs)
 
@@ -185,7 +222,7 @@ def test_is_projective_against_invertible_homs():
                 assert cert.cover_dim != cert.dim, (alpha, sigma)
                 continue
             pims = [pim_module(n, set_of(b)) for b, k in sorted(cert.top.items()) for _ in range(k)]
-            homs = hom_space(direct_sum(pims), sub)
+            homs = _hom_against_oracle(direct_sum(pims), sub)
             assert any(rank_of(h.rows(), h.ncols) == sub.dim == h.ncols for h in homs), (alpha, sigma)
 
 
