@@ -2,7 +2,10 @@
 
 Exit codes: 0 on success, 1 when a verified property fails (the report
 with its witness is printed as JSON), 2 for usage errors (including a
-`verify --max-n` or `--jobs` below 1) and exceeded size bounds.
+`verify --max-n` or `--jobs` below 1) and exceeded size bounds, and 3 for
+an internal error: a `RuntimeError` raised when a computation finds its
+own invariant broken (say, a radical layer that is not semisimple) is
+printed as one ``error: internal: ...`` line, with no traceback.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .verify import CLAIMS, run_claim
 
 USAGE_ERROR = 2
 PROPERTY_FAILURE = 1
+INTERNAL_ERROR = 3
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -167,6 +171,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

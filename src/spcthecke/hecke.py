@@ -14,9 +14,11 @@ automorphism (gen_i -> 1 - gen_i) are expanded.
 The regular representation and its cyclic left ideals generated by
 (barred longest element of a parabolic) * (plain longest element of the
 complementary parabolic) -- the projective indecomposables -- are built
-here as `HModule` values with exact matrices.  A module is projective
-exactly when it has the dimension of the projective cover of its top
-(`is_projective`).
+here as `HModule` values with exact matrices.  An ideal is built on
+vectors: its generator's coordinates come from left-applying the barred
+factors to a basis vector, with no product of algebra elements.  A module
+is projective exactly when it has the dimension of the projective cover
+of its top (`is_projective`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .compositions import BoundExceeded, set_of
-from .linalg import EchelonSpace, RatMat, Scalar, Vec
+from .linalg import EchelonSpace, RatMat, Scalar, Vec, vec_axpy
 from .modules import DEFAULT_ALGEBRA_BOUND, HModule, top_factors
 from . import permutations
 from .permutations import Permutation
@@ -167,9 +169,15 @@ def _check_algebra_bound(n: int, bound: int) -> None:
 
 
 @lru_cache(maxsize=None)
+def _basis_order(n: int) -> tuple[Permutation, ...]:
+    """The regular module's basis order: by length, then one-line word."""
+    return permutations.perms_by_length_lex(n)
+
+
+@lru_cache(maxsize=None)
 def _left_mult_images(n: int, i: int) -> tuple[int, ...]:
     """index -> index map of left multiplication by gen_i on the basis."""
-    order = permutations.perms_by_length_lex(n)
+    order = _basis_order(n)
     index = {p: k for k, p in enumerate(order)}
     images = []
     for p in order:
@@ -184,7 +192,7 @@ def regular_module(n: int, bound: int = DEFAULT_ALGEBRA_BOUND) -> HModule:
     Basis order is (length, one-line word), fixed for reproducibility.
     """
     _check_algebra_bound(n, bound)
-    order = permutations.perms_by_length_lex(n)
+    order = _basis_order(n)
     gens = []
     for i in range(1, n):
         images = _left_mult_images(n, i)
@@ -194,7 +202,7 @@ def regular_module(n: int, bound: int = DEFAULT_ALGEBRA_BOUND) -> HModule:
 
 def element_vector(h: HeckeElement) -> Vec:
     """Coordinates of an element in the fixed regular-module basis order."""
-    order = permutations.perms_by_length_lex(h.n)
+    order = _basis_order(h.n)
     index = {p: k for k, p in enumerate(order)}
     return {index[p]: c for p, c in h.terms.items()}
 
@@ -212,11 +220,15 @@ def _apply_left_gen(n: int, i: int, v: Vec) -> Vec:
     return out
 
 
+def _check_subset(n: int, subset: frozenset[int]) -> None:
+    if any(i < 1 or i > n - 1 for i in subset):
+        raise ValueError(f"{sorted(subset)} is not a subset of [1, {n - 1}]")
+
+
 def pim_generator(n: int, subset: Iterable[int]) -> HeckeElement:
     """(barred longest of the parabolic) * (longest of the complement)."""
     subset = frozenset(subset)
-    if any(i < 1 or i > n - 1 for i in subset):
-        raise ValueError(f"{sorted(subset)} is not a subset of [1, {n - 1}]")
+    _check_subset(n, subset)
     comp = frozenset(range(1, n)) - subset
     e = opi_element(permutations.longest_element(n, subset))
     for i in permutations.reduced_word(permutations.longest_element(n, comp)):
@@ -237,10 +249,28 @@ def pim_module(n: int, subset: Iterable[int], bound: int = DEFAULT_ALGEBRA_BOUND
     return _pim_module(n, frozenset(subset))
 
 
+def _pim_seed(n: int, subset: frozenset[int]) -> Vec:
+    """The coordinates of `pim_generator`, built on vectors.
+
+    The generator is (pi_{i_1} - 1) ... (pi_{i_k} - 1) pi_w, for a reduced
+    word i_1 ... i_k of the parabolic's longest element and w the
+    complement's longest element, so the barred factors are left-applied
+    to the unit vector of w, the last factor first.
+    """
+    _check_subset(n, subset)
+    w = permutations.longest_element(n, frozenset(range(1, n)) - subset)
+    v: Vec = {_basis_order(n).index(w): 1}
+    for i in reversed(permutations.reduced_word(permutations.longest_element(n, subset))):
+        u = _apply_left_gen(n, i, v)
+        vec_axpy(u, -1, v)
+        v = u
+    return v
+
+
 @lru_cache(maxsize=None)
 def _pim_module(n: int, subset: frozenset[int]) -> HModule:
-    order = permutations.perms_by_length_lex(n)
-    seed = element_vector(pim_generator(n, subset))
+    order = _basis_order(n)
+    seed = _pim_seed(n, subset)
     space = EchelonSpace(len(order))
     space.add(seed)
     frontier = [seed]

@@ -94,16 +94,6 @@ class RatMat:
     def transpose(self) -> "RatMat":
         return RatMat(self.ncols, self.nrows, {(c, r): x for (r, c), x in self.data.items()})
 
-    def apply(self, v: Mapping[int, Scalar]) -> Vec:
-        """Matrix times column vector."""
-        out: Vec = {}
-        cols = None
-        for c, x in v.items():
-            if cols is None:
-                cols = self.cols()
-            vec_axpy(out, x, cols[c])
-        return out
-
     def __mul__(self, other):
         if isinstance(other, RatMat):
             if self.ncols != other.nrows:

@@ -11,10 +11,14 @@ endomorphisms cost dim M unknowns, not (dim M)^2.  The projectivity test
 lives in `hecke`, beside the projective indecomposables it compares
 against.
 
-Matrix convention: generator matrices act on column coordinate vectors, so
-column j of ``gens[i-1]`` is the image of the j-th basis element under the
-i-th generator, and a map f with matrix F intertwines when
-``F @ gens_src == gens_tgt @ F``.
+Column action: a generator acts on coordinate vectors through its columns,
+column j of generator i being the image of the j-th basis vector.  An
+`HModule` builds these columns from its matrices on first use, once, and
+`HModule.act` applies them; every algorithm here works on vectors that
+way and forms no matrix product.  A relation between two words in the
+generators holds when both words send every basis vector to the same
+image, and a map f with matrix F intertwines when
+``F (pi_i e_b) == pi_i (F e_b)`` for every generator i and basis vector b.
 """
 
 from __future__ import annotations
@@ -32,13 +36,18 @@ from . import tableaux
 from .tableaux import SpctClass, Spct, Srt
 
 #: largest n for regular-representation-derived objects (dense exact ceiling)
-DEFAULT_ALGEBRA_BOUND = 6
+DEFAULT_ALGEBRA_BOUND = 7
 
 
 class HModule:
-    """A module given by a labeled basis and exact generator matrices."""
+    """A module given by a labeled basis and exact generator matrices.
 
-    __slots__ = ("n", "basis", "gens", "name", "_index")
+    The generators act on vectors through their columns, which are built
+    on the first call that needs them: many modules are only restricted,
+    measured or serialised, and never acted on.
+    """
+
+    __slots__ = ("n", "basis", "gens", "name", "_index", "_cols")
 
     def __init__(self, n: int, basis: Sequence, gens: Sequence[RatMat], name: str = ""):
         if len(gens) != max(n - 1, 0):
@@ -52,6 +61,7 @@ class HModule:
         self.gens = tuple(gens)
         self.name = name
         self._index = {b: i for i, b in enumerate(self.basis)}
+        self._cols: list[list[Vec]] | None = None
 
     @property
     def dim(self) -> int:
@@ -69,8 +79,21 @@ class HModule:
             raise ValueError(f"generator index {i} out of range")
         return self.gens[i - 1]
 
+    def _columns(self) -> list[list[Vec]]:
+        """Per generator, the images of the basis vectors; built once.
+
+        The algorithms of this module read them and never mutate them;
+        callers outside it get fresh vectors from `act`.
+        """
+        if self._cols is None:
+            self._cols = [g.cols() for g in self.gens]
+        return self._cols
+
     def act(self, i: int, v: Vec) -> Vec:
-        return self.gen(i).apply(v)
+        """The i-th generator (1-based) applied to v, as a new vector."""
+        if not 1 <= i <= self.n - 1:
+            raise ValueError(f"generator index {i} out of range")
+        return _apply_cols(self._columns()[i - 1], v)
 
     def to_json(self) -> dict:
         return {
@@ -104,9 +127,12 @@ class LinearMap:
     intertwines: bool | None = None
 
     def check_intertwiner(self) -> bool:
+        """Whether ``F (pi_i e_b) == pi_i (F e_b)`` for every i and b."""
+        f = self.matrix.cols()
         ok = all(
-            self.matrix * self.source.gen(i) == self.target.gen(i) * self.matrix
-            for i in range(1, self.source.n)
+            _apply_cols(f, src[b]) == _apply_cols(tgt, f[b])
+            for src, tgt in zip(self.source._columns(), self.target._columns())
+            for b in range(self.source.dim)
         )
         self.intertwines = ok
         return ok
@@ -268,17 +294,26 @@ class RelationReport:
 
 
 def check_relations(m: HModule) -> RelationReport:
-    """Exact idempotency, braid, and far-commutation checks on the matrices."""
+    """Exact idempotency, braid, and far-commutation checks, column by column."""
     violations = []
-    g = m.gens
+    cols = m._columns()
+
+    def word(*letters: int) -> list[Vec]:
+        # images of the basis vectors under pi_{letters[0]} ... pi_{letters[-1]}
+        *rest, last = letters
+        out = cols[last - 1]
+        for i in reversed(rest):
+            out = [_apply_cols(cols[i - 1], v) for v in out]
+        return out
+
     for i in range(1, m.n):
-        if g[i - 1] * g[i - 1] != g[i - 1]:
+        if word(i, i) != cols[i - 1]:
             violations.append({"relation": "idempotent", "i": i})
     for i in range(1, m.n - 1):
-        if g[i - 1] * g[i] * g[i - 1] != g[i] * g[i - 1] * g[i]:
+        if word(i, i + 1, i) != word(i + 1, i, i + 1):
             violations.append({"relation": "braid", "i": i})
     for i, j in itertools.combinations(range(1, m.n), 2):
-        if j - i >= 2 and g[i - 1] * g[j - 1] != g[j - 1] * g[i - 1]:
+        if j - i >= 2 and word(i, j) != word(j, i):
             violations.append({"relation": "commute", "i": i, "j": j})
     return RelationReport(not violations, violations)
 
@@ -316,8 +351,7 @@ def hom_space(m: HModule, n_: HModule) -> list[RatMat]:
     dm, dn = m.dim, n_.dim
     if dm == 0 or dn == 0:
         return []
-    src_cols = [g.cols() for g in m.gens]
-    tgt_cols = src_cols if n_ is m else [g.cols() for g in n_.gens]
+    src_cols, tgt_cols = m._columns(), n_._columns()
     span = EchelonSpace(dm, track=True)
     accepted: list[Vec] = []  # raw input k of `span` is accepted[k]
     position: dict[frozenset, int] = {}  # accepted vector -> k
@@ -455,20 +489,23 @@ def is_indecomposable(m: HModule) -> tuple[bool, IndecomposabilityCertificate]:
 # radical filtration and composition factors
 
 
-def _commutator_images(m: HModule, space_vectors: Sequence[Vec]) -> list[Vec]:
+def _commutator_columns(m: HModule) -> list[list[Vec]]:
+    """Columns of every nonzero commutator pi_i pi_j - pi_j pi_i."""
+    cols = m._columns()
     out = []
-    for i, j in itertools.combinations(range(1, m.n), 2):
-        comm = m.gen(i) * m.gen(j) - m.gen(j) * m.gen(i)
-        if comm.is_zero():
-            continue
-        for v in space_vectors:
-            w = comm.apply(v)
-            if w:
-                out.append(w)
+    for a, b in itertools.combinations(cols, 2):
+        comm = []
+        for c in range(m.dim):
+            w = _apply_cols(a, b[c])
+            vec_axpy(w, -1, _apply_cols(b, a[c]))
+            comm.append(w)
+        if any(comm):
+            out.append(comm)
     return out
 
 
 def _generator_closure(m: HModule, seeds: Iterable[Vec]) -> EchelonSpace:
+    cols = m._columns()
     space = EchelonSpace(m.dim)
     frontier = []
     for v in seeds:
@@ -476,24 +513,11 @@ def _generator_closure(m: HModule, seeds: Iterable[Vec]) -> EchelonSpace:
             frontier.append(dict(v))
     while frontier:
         v = frontier.pop()
-        for i in range(1, m.n):
-            w = m.gen(i).apply(v)
+        for g in cols:
+            w = _apply_cols(g, v)
             if w and space.add(w):
                 frontier.append(w)
     return space
-
-
-def radical_vectors(m: HModule, space_vectors: Sequence[Vec] | None = None) -> EchelonSpace:
-    """Echelon basis of rad . W for a generator-stable subspace W.
-
-    The radical of the algebra is its commutator ideal (the quotient is
-    commutative and generated by idempotents, hence semisimple, and the
-    ground field has characteristic zero), so rad . W is the generator
-    closure of the commutator images of W.
-    """
-    if space_vectors is None:
-        space_vectors = [{j: 1} for j in range(m.dim)]
-    return _generator_closure(m, _commutator_images(m, space_vectors))
 
 
 @dataclass
@@ -501,81 +525,102 @@ class Layer:
     """One semisimple layer of the radical filtration."""
 
     dim: int
-    gens: list[RatMat]  # induced generator action on layer coordinates
+    cols: list[list[Vec]]  # per generator, its action on layer coordinates by columns
 
 
 def radical_filtration(m: HModule) -> Iterator[Layer]:
     """Layers of M > rad M > rad^2 M > ..., top first, with their induced actions.
 
+    The radical of the algebra is its commutator ideal (the quotient is
+    commutative and generated by idempotents, hence semisimple, and the
+    ground field has characteristic zero), so rad . W is the generator
+    closure of the commutator images of W.  The commutators' columns are
+    built once, for every step.
+
     Layers are yielded lazily, so taking only the top computes one radical.
-    Each layer's generator matrices are expressed on residues of spanning
+    Each layer's generator action is expressed on residues of spanning
     vectors modulo the next filtration step; the generators preserve each
     step, so reducing an image modulo the step and solving against the
     residue basis is exact.
     """
+    cols = m._columns()
+    comms = _commutator_columns(m)
     current: list[Vec] = [{j: 1} for j in range(m.dim)]
     current_dim = m.dim
     while current_dim > 0:
-        nxt = [dict(r) for r in radical_vectors(m, current).basis()]
+        images = (_apply_cols(comm, v) for comm in comms for v in current)
+        rad = _generator_closure(m, (w for w in images if w))
+        nxt = rad.basis()
         if len(nxt) >= current_dim:
             raise RuntimeError("radical filtration did not shrink")
-        e1 = EchelonSpace(m.dim)
-        for v in nxt:
-            e1.add(v)
-        e2 = EchelonSpace(m.dim, track=True)
+        span = EchelonSpace(m.dim, track=True)
         reps: list[Vec] = []
         for v in current:
-            res = e1.residue(v)
-            if res and not e2.contains(res):
-                e2.add(res)  # accepted adds only, so input index == rep index
+            res = rad.residue(v)
+            if res and not span.contains(res):
+                span.add(res)  # accepted adds only, so input index == rep index
                 reps.append(res)
-        d = len(reps)
-        gens = []
-        for i in range(1, m.n):
-            data = {}
-            for col, rep in enumerate(reps):
-                img = e1.residue(m.gen(i).apply(rep))
-                coords = e2.input_coords(img)
+        layer_cols = []
+        for g in cols:
+            gcols = []
+            for rep in reps:
+                coords = span.input_coords(rad.residue(_apply_cols(g, rep)))
                 if coords is None:
                     raise RuntimeError("layer action escaped the layer")
-                for row, x in coords.items():
-                    data[row, col] = x
-            gens.append(RatMat(d, d, data))
-        yield Layer(d, gens)
+                gcols.append(coords)
+            layer_cols.append(gcols)
+        yield Layer(len(reps), layer_cols)
         current = nxt
         current_dim = len(nxt)
 
 
-def _eigensplit(layer: Layer, n: int) -> Counter[tuple[int, ...]]:
-    """Joint {0,1}-eigenpattern multiplicities of commuting idempotents."""
-    blocks: list[tuple[tuple[int, ...], list[Vec]]] = [
-        ((), [{j: 1} for j in range(layer.dim)])
-    ]
-    for i in range(1, n):
-        a = layer.gens[i - 1]
-        new_blocks = []
-        for pattern, vecs in blocks:
-            for eig in (0, 1):
-                shifted = a if eig == 0 else a - RatMat.identity(layer.dim)
-                # solve for combinations c with shifted . (V c) = 0
-                cols = [shifted.apply(v) for v in vecs]
-                rows: dict[int, Vec] = {}
-                for cidx, col in enumerate(cols):
-                    for r, x in col.items():
-                        rows.setdefault(r, {})[cidx] = x
-                for c in nullspace(list(rows.values()), len(vecs)):
-                    w: Vec = {}
-                    for cidx, x in c.items():
-                        vec_axpy(w, x, vecs[cidx])
-                    new_blocks.append((pattern + (eig,), [w]))
-        # regroup: combine vectors with identical pattern
-        grouped: dict[tuple[int, ...], list[Vec]] = {}
-        for pattern, vecs in new_blocks:
-            grouped.setdefault(pattern, []).extend(vecs)
-        blocks = [(pat, vecs) for pat, vecs in sorted(grouped.items())]
-        if sum(len(v) for _, v in blocks) != layer.dim:
+def _eigensplit(layer: Layer) -> Counter[tuple[int, ...]]:
+    """Joint {0,1}-eigenpattern multiplicities of commuting idempotents.
+
+    Each generator in turn splits every block of vectors into its kernel
+    and its fixed space there.  When the generator kills or fixes each
+    vector of a block, the vectors themselves split it; otherwise each
+    part is solved for.  The parts must make up the whole layer, or the
+    action is not diagonalisable and the layer is not semisimple.
+    """
+    blocks: dict[tuple[int, ...], list[Vec]] = {(): [{j: 1} for j in range(layer.dim)]}
+    for a in layer.cols:
+        split: dict[tuple[int, ...], list[Vec]] = {}
+        for pattern, vecs in blocks.items():
+            images = [_apply_cols(a, v) for v in vecs]
+            if all(not w or w == v for v, w in zip(vecs, images)):
+                parts: list[list[Vec]] = [[], []]
+                for v, w in zip(vecs, images):
+                    parts[bool(w)].append(v)
+            else:
+                parts = [_eigenspace(vecs, images, 0), _eigenspace(vecs, images, 1)]
+            for eig, part in enumerate(parts):
+                if part:
+                    split[pattern + (eig,)] = part
+        blocks = split
+        if sum(len(vecs) for vecs in blocks.values()) != layer.dim:
             raise RuntimeError("layer is not semisimple: eigensplit lost dimensions")
-    return Counter({pat: len(vecs) for pat, vecs in blocks})
+    return Counter({pattern: len(vecs) for pattern, vecs in blocks.items()})
+
+
+def _eigenspace(vecs: list[Vec], images: list[Vec], eig: int) -> list[Vec]:
+    """A basis of the w in the span of vecs with a w = eig w, given the images a v."""
+    # solve for combinations c with (a - eig) . (V c) = 0
+    rows: dict[int, Vec] = {}
+    for cidx, (v, img) in enumerate(zip(vecs, images)):
+        col = img
+        if eig:
+            col = dict(img)
+            vec_axpy(col, -1, v)
+        for r, x in col.items():
+            rows.setdefault(r, {})[cidx] = x
+    out = []
+    for c in nullspace(list(rows.values()), len(vecs)):
+        w: Vec = {}
+        for cidx, x in c.items():
+            vec_axpy(w, x, vecs[cidx])
+        out.append(w)
+    return out
 
 
 def _layer_factors(layer: Layer, n: int) -> Counter[Composition]:
@@ -585,7 +630,7 @@ def _layer_factors(layer: Layer, n: int) -> Counter[Composition]:
     simple indexed by the composition with partial sums I.
     """
     out: Counter[Composition] = Counter()
-    for pattern, mult in _eigensplit(layer, n).items():
+    for pattern, mult in _eigensplit(layer).items():
         subset = {i + 1 for i, e in enumerate(pattern) if e == 0}
         out[comp_of(subset, n)] += mult
     return out

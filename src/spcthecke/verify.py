@@ -539,7 +539,7 @@ def _case_pim(case) -> list:
 CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] = {
     "rel-2.1": (
         "generator relations hold on every constructed module",
-        6, lambda m: _upto_algebra(m, _relation_modules), _case_relations,
+        7, lambda m: _upto_algebra(m, _relation_modules), _case_relations,
     ),
     "prop-3.4": (
         "tableau set nonempty exactly for compatible shape/type",
@@ -587,13 +587,13 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
     ),
     "cor-5.6": (
         "projectivity of canonical submodules classified exactly",
-        5,
+        7,
         lambda m: [("pair", p) for p in _upto_algebra(m, _compatible_pairs)] + [("counterexample", None)],
         _case_projectivity,
     ),
     "factors-vs-descents": (
         "radical-filtration factors equal descent compositions",
-        5, lambda m: _upto(m, _compatible_pairs), _case_factors,
+        7, lambda m: _upto(m, _compatible_pairs), _case_factors,
     ),
     "app-A": (
         "letter bound and nonattacking window on class quotients",
@@ -601,7 +601,7 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
     ),
     "pim-dims": (
         "ideal dimensions, tops, and the factorial total",
-        5, lambda m: _upto_algebra(m, _subsets), _case_pim,
+        7, lambda m: _upto_algebra(m, _subsets), _case_pim,
     ),
 }
 

@@ -77,7 +77,7 @@ def test_criterion_09_sign_twist_and_projected_transpose():
 
 
 def test_criterion_10_projectivity_classification():
-    _check("criterion-10 projectivity classification (n<=5)", [("cor-5.6", {"max_n": 5})])
+    _check("criterion-10 projectivity classification (n<=7)", [("cor-5.6", {"max_n": 7})])
 
 
 def test_criterion_11_factors_vs_descents():
@@ -89,4 +89,4 @@ def test_criterion_12_filtration_statistics():
 
 
 def test_criterion_13_ideal_bookkeeping():
-    _check("criterion-13 ideal dimensions and tops (n<=5)", [("pim-dims", {"max_n": 5})])
+    _check("criterion-13 ideal dimensions and tops (n<=7)", [("pim-dims", {"max_n": 7})])

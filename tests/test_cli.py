@@ -116,9 +116,22 @@ def test_algebra_bound_is_checked_before_any_case(claim, monkeypatch, capsys):
 
     desc, default, cases_of, _ = verify.CLAIMS[claim]
     monkeypatch.setitem(verify.CLAIMS, claim, (desc, default, cases_of, no_case))
-    assert cli.main(["verify", claim, "--max-n", "7"]) == 2
+    assert cli.main(["verify", claim, "--max-n", "8"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "n = 7 exceeds algebra bound 6" in captured.err
+    assert captured.out == "" and "n = 8 exceeds algebra bound 7" in captured.err
+
+
+def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
+    from spcthecke import modules
+
+    def broken(*args):
+        raise RuntimeError("layer is not semisimple: eigensplit lost dimensions")
+
+    monkeypatch.setattr(modules, "_eigensplit", broken)
+    assert cli.main(["verify", "factors-vs-descents", "--max-n", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: layer is not semisimple: eigensplit lost dimensions\n"
 
 
 def test_verify_list():

@@ -83,7 +83,7 @@ def test_regular_module_dims_and_relations():
     m3 = regular_module(3)
     assert m3.dim == 6 and check_relations(m3).ok
     with pytest.raises(BoundExceeded):
-        regular_module(7)
+        regular_module(8)
 
 
 def test_pim_examples_degree_three():
@@ -107,6 +107,18 @@ def test_pim_generator_lives_in_its_ideal():
     assert element_vector(e)  # nonzero
     m = pim_module(4, frozenset({1, 3}))
     assert m.dim == descent_class_size(4, {1, 3})
+
+
+def test_pim_seed_is_the_generator_element():
+    # the ideal is seeded on vectors; the algebra-element product is the oracle
+    from spcthecke.hecke import _pim_seed
+
+    subsets = [(n, frozenset(s)) for n in range(1, 7) for r in range(n) for s in itertools.combinations(range(1, n), r)]
+    assert len(subsets) == 63
+    for n, subset in subsets:
+        assert _pim_seed(n, subset) == element_vector(pim_generator(n, subset)), (n, subset)
+    with pytest.raises(ValueError):
+        pim_module(3, {3})
 
 
 def test_pim_module_caches_on_normalised_arguments():

@@ -24,7 +24,7 @@ def test_matmul_and_identity():
 
 def test_apply_and_transpose():
     a = RatMat.from_dense([[0, 1], [1, 1]])
-    assert a.apply({0: 1}) == {1: 1}
+    assert a.cols() == [{1: 1}, {0: 1, 1: 1}] and a.col(0) == {1: 1}
     assert a.transpose().to_dense() == [[0, 1], [1, 1]]
 
 

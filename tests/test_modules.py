@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+import action_oracle
 import hom_oracle
 from spcthecke import permutations as P
 from spcthecke.compositions import compositions, set_of
@@ -20,11 +21,13 @@ from spcthecke.modules import (
     hom_space,
     is_indecomposable,
     is_spct_cyclic,
+    radical_filtration,
     reachable_pairs,
     ribbon_module,
     simple_module,
     spct_module,
     submodule_on_labels,
+    top_factors,
     word_transport_holds,
     HModule,
     LinearMap,
@@ -58,11 +61,11 @@ def test_spct_module_action_matches_case_split():
     src = Spct([[3, 2], [1]])
     snk = Spct([[3, 1], [2]])
     # generator 1 swaps the source to the sink (nonattacking descent)
-    assert m.gen(1).apply({m.index(src): 1}) == {m.index(snk): 1}
+    assert m.act(1, {m.index(src): 1}) == {m.index(snk): 1}
     # generator 2 fixes the source (2 is not a descent there)
-    assert m.gen(2).apply({m.index(src): 1}) == {m.index(src): 1}
+    assert m.act(2, {m.index(src): 1}) == {m.index(src): 1}
     # generator 2 kills the sink (attacking descent)
-    assert m.gen(2).apply({m.index(snk): 1}) == {}
+    assert m.act(2, {m.index(snk): 1}) == {}
 
 
 def test_spct_module_one_dimensional_cases():
@@ -96,6 +99,81 @@ def test_check_relations_negative_control():
     report = check_relations(corrupted)
     assert not report.ok
     assert any(v["relation"] == "idempotent" for v in report.violations)
+    assert report.violations == action_oracle.check_relations(corrupted)
+
+
+# two idempotents on Q^2 that neither braid nor commute: e0 -> e0, e1 -> 0,
+# and e0 -> e0, e1 -> e0
+_E = RatMat(2, 2, {(0, 0): 1})
+_P = RatMat(2, 2, {(0, 0): 1, (0, 1): 1})
+
+
+def test_check_relations_braid_only_violation():
+    corrupted = HModule(3, ("a", "b"), (_E, _P))
+    report = check_relations(corrupted)
+    assert report.violations == [{"relation": "braid", "i": 1}]
+    assert action_oracle.check_relations(corrupted) == report.violations
+
+
+def test_check_relations_far_commutation_only_violation():
+    # pi_2 = 0 satisfies both braid relations whatever pi_1 and pi_3 are
+    corrupted = HModule(4, ("a", "b"), (_E, RatMat.zero(2, 2), _P))
+    report = check_relations(corrupted)
+    assert report.violations == [{"relation": "commute", "i": 1, "j": 3}]
+    assert action_oracle.check_relations(corrupted) == report.violations
+
+
+def test_module_algorithms_against_action_oracle():
+    mods = []
+    for n in range(1, 6):
+        mods += [spct_module(a, s) for a, s in compatible_pairs(n)]
+        mods += [ribbon_module(a, v) for a in compositions(n) for v in ("opi", "theta", "star")]
+        mods += [pim_module(n, set_of(a)) for a in compositions(n)]
+    for m in mods:
+        assert check_relations(m).violations == action_oracle.check_relations(m) == [], m
+        layers = action_oracle.radical_layers(m)
+        assert [layer.dim for layer in radical_filtration(m)] == [d for d, _ in layers], m
+        assert composition_factors(m) == action_oracle.composition_factors(m), m
+        assert top_factors(m) == action_oracle.top_factors(m), m
+
+
+def test_eigensplit_rejects_a_layer_that_is_not_semisimple():
+    from spcthecke.modules import Layer, _eigensplit
+
+    # e_0, e_1 -> e_1 splits into e_0 - e_1 and e_1; the identity fixes both
+    assert _eigensplit(Layer(2, [[{1: 1}, {1: 1}], [{0: 1}, {1: 1}]])) == Counter({(0, 1): 1, (1, 1): 1})
+    # nilpotent: e_1 -> e_0 -> 0; and an eigenvalue 2
+    for cols in ([{}, {0: 1}], [{0: 2}, {1: 1}]):
+        with pytest.raises(RuntimeError, match="not semisimple"):
+            _eigensplit(Layer(2, [cols]))
+
+
+def test_act_leaves_a_cached_module_unchanged():
+    m = pim_module(4, {1})
+    before = [[m.gen(i).col(b) for b in range(m.dim)] for i in range(1, m.n)]
+    gens = m.gens
+    for i in range(1, m.n):
+        for b in range(m.dim):
+            v = {b: 1}
+            w = m.act(i, v)
+            v[b] = 5
+            v[(b + 1) % m.dim] = -1
+            for k in list(w):
+                w[k] = 7
+            w[m.dim - 1] = 3
+    assert pim_module(4, [1]) is m and m.gens == gens
+    assert [[m.act(i, {b: 1}) for b in range(m.dim)] for i in range(1, m.n)] == before
+    with pytest.raises(ValueError):
+        m.act(m.n, {0: 1})
+
+
+def test_check_intertwiner_against_oracle():
+    theta, star = ribbon_module((2, 1, 1), "theta"), ribbon_module((2, 1, 1), "star")
+    ident = RatMat.identity(theta.dim)
+    lm = LinearMap(theta, star, ident)
+    assert lm.check_intertwiner() is action_oracle.intertwines(theta, star, ident) is False
+    for f in hom_space(theta, star):
+        assert LinearMap(theta, star, f).check_intertwiner() is action_oracle.intertwines(theta, star, f) is True
 
 
 def test_submodule_guard():
@@ -122,6 +200,7 @@ def _hom_against_oracle(m, n_):
     maps = hom_space(m, n_)
     assert len(maps) == len(hom_oracle.hom_space(m, n_)), (m, n_)
     assert all(LinearMap(m, n_, f).check_intertwiner() for f in maps), (m, n_)
+    assert all(action_oracle.intertwines(m, n_, f) for f in maps), (m, n_)
     flat = [{r * m.dim + c: x for (r, c), x in f.data.items()} for f in maps]
     assert rank_of(flat, n_.dim * m.dim) == len(maps), (m, n_)
     return maps
