@@ -4,8 +4,9 @@ Exit codes: 0 on success, 1 when a verified property fails (the report
 with its witness is printed as JSON), 2 for usage errors (including a
 `verify --max-n` or `--jobs` below 1) and exceeded size bounds, and 3 for
 an internal error: a `RuntimeError` raised when a computation finds its
-own invariant broken (say, a radical layer that is not semisimple) is
-printed as one ``error: internal: ...`` line, with no traceback.
+own invariant broken (say, a radical layer that is not semisimple), or
+any other exception a claim's case raises, is printed as one
+``error: internal: ...`` line, with no traceback.
 """
 
 from __future__ import annotations

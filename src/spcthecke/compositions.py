@@ -22,10 +22,6 @@ from typing import Iterable, Sequence
 
 Composition = tuple[int, ...]
 
-#: largest n accepted by the shape enumerators
-DEFAULT_ENUM_BOUND = 12
-
-
 class BoundExceeded(ValueError):
     """Raised when a size bound guarding an exhaustive computation is hit."""
 
@@ -317,16 +313,6 @@ def partitions(n: int) -> list[Composition]:
 def subsets(n: int) -> list[frozenset[int]]:
     """Subsets of {1, ..., n-1} in the order matching `compositions(n)`."""
     return [set_of(alpha) for alpha in compositions(n)]
-
-
-def enumerate_shapes(n: int, kind: str, bound: int = DEFAULT_ENUM_BOUND):
-    """Bounded front end over `compositions` / `partitions` / `subsets`."""
-    if n > bound:
-        raise BoundExceeded(f"n = {n} exceeds enumeration bound {bound}")
-    table = {"compositions": compositions, "partitions": partitions, "subsets": subsets}
-    if kind not in table:
-        raise ValueError(f"unknown enumeration kind {kind!r}")
-    return table[kind](n)
 
 
 def to_json(alpha: Sequence[int]) -> list[int]:

@@ -14,11 +14,13 @@ automorphism (gen_i -> 1 - gen_i) are expanded.
 The regular representation and its cyclic left ideals generated by
 (barred longest element of a parabolic) * (plain longest element of the
 complementary parabolic) -- the projective indecomposables -- are built
-here as `HModule` values with exact matrices.  An ideal is built on
-vectors: its generator's coordinates come from left-applying the barred
-factors to a basis vector, with no product of algebra elements.  A module
-is projective exactly when it has the dimension of the projective cover
-of its top (`is_projective`).
+here as `HModule` values, written straight into their generator columns.
+Left multiplication by gen_i sends the basis element p to s_i p when the
+value i stands left of i+1 in p, and fixes it otherwise.  An ideal is
+built on vectors: its generator's coordinates come from left-applying the
+barred factors to a basis vector, with no product of algebra elements.
+A module is projective exactly when it has the dimension of the
+projective cover of its top (`is_projective`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .compositions import BoundExceeded, set_of
-from .linalg import EchelonSpace, RatMat, Scalar, Vec, vec_axpy
+from .linalg import EchelonSpace, Scalar, Vec, vec_axpy
 from .modules import DEFAULT_ALGEBRA_BOUND, HModule, top_factors
 from . import permutations
 from .permutations import Permutation
@@ -126,10 +128,6 @@ class HeckeElement:
         return f"HeckeElement({self.n}, {' + '.join(bits)})"
 
 
-def pi_element(sigma: Sequence[int]) -> HeckeElement:
-    return HeckeElement.pi(sigma)
-
-
 def opi_element(sigma: Sequence[int]) -> HeckeElement:
     """Expansion of the barred basis element in the plain basis.
 
@@ -176,13 +174,16 @@ def _basis_order(n: int) -> tuple[Permutation, ...]:
 
 @lru_cache(maxsize=None)
 def _left_mult_images(n: int, i: int) -> tuple[int, ...]:
-    """index -> index map of left multiplication by gen_i on the basis."""
+    """index -> index map of left multiplication by gen_i on the basis.
+
+    s_i p is longer than p exactly when the value i stands left of i+1 in p.
+    """
     order = _basis_order(n)
     index = {p: k for k, p in enumerate(order)}
     images = []
     for p in order:
-        q = permutations.s_times(i, p)
-        images.append(index[q] if permutations.length(q) > permutations.length(p) else index[p])
+        longer = p.index(i) < p.index(i + 1)
+        images.append(index[permutations.s_times(i, p)] if longer else index[p])
     return tuple(images)
 
 
@@ -192,12 +193,8 @@ def regular_module(n: int, bound: int = DEFAULT_ALGEBRA_BOUND) -> HModule:
     Basis order is (length, one-line word), fixed for reproducibility.
     """
     _check_algebra_bound(n, bound)
-    order = _basis_order(n)
-    gens = []
-    for i in range(1, n):
-        images = _left_mult_images(n, i)
-        gens.append(RatMat(len(order), len(order), {(images[j], j): 1 for j in range(len(order))}))
-    return HModule(n, order, gens, name=f"H_{n}(0)")
+    cols = [[{k: 1} for k in _left_mult_images(n, i)] for i in range(1, n)]
+    return HModule(n, _basis_order(n), cols, name=f"H_{n}(0)")
 
 
 def element_vector(h: HeckeElement) -> Vec:
@@ -283,17 +280,16 @@ def _pim_module(n: int, subset: frozenset[int]) -> HModule:
     basis_rows = [dict(r) for r in space.basis()]
     labels = [order[p] for p in sorted(space.pivots)]
     remap = _pivot_positions(space)
-    gens = []
+    cols = []
     for i in range(1, n):
-        data = {}
-        for col, b in enumerate(basis_rows):
+        g = []
+        for b in basis_rows:
             coords = space.coords(_apply_left_gen(n, i, b))
             if coords is None:
                 raise RuntimeError("cyclic ideal not closed under the action")
-            for row_idx, x in coords.items():
-                data[remap[row_idx], col] = x
-        gens.append(RatMat(len(basis_rows), len(basis_rows), data))
-    return HModule(n, labels, gens, name=f"P_{sorted(subset)}")
+            g.append({remap[row_idx]: x for row_idx, x in coords.items()})
+        cols.append(g)
+    return HModule(n, labels, cols, name=f"P_{sorted(subset)}")
 
 
 pim_module.cache_info = _pim_module.cache_info
@@ -302,18 +298,6 @@ pim_module.cache_info = _pim_module.cache_info
 def _pivot_positions(space: EchelonSpace) -> dict[int, int]:
     """Map internal row index -> position in the pivot-sorted basis."""
     return {space.pivots[p]: k for k, p in enumerate(sorted(space.pivots))}
-
-
-def pim_modules(n: int, bound: int = DEFAULT_ALGEBRA_BOUND) -> dict[frozenset[int], HModule]:
-    """All projective indecomposables for the given degree, keyed by subset."""
-    from itertools import combinations
-
-    out = {}
-    universe = list(range(1, n))
-    for r in range(len(universe) + 1):
-        for sub in combinations(universe, r):
-            out[frozenset(sub)] = pim_module(n, frozenset(sub), bound)
-    return out
 
 
 @dataclass

@@ -1,9 +1,12 @@
 """Concrete modules over the degree-n 0-Hecke algebra and verification tools.
 
-An `HModule` packages a labeled basis with one exact rational matrix per
-generator.  Everything downstream is linear algebra over Q: the relation
-checker, intertwiner (hom) spaces, endomorphism rings with the trace-form
-radical, and radical filtrations with their semisimple-layer eigensplit.
+An `HModule` packages a labeled basis with its generators' columns: column
+j of generator i is the image of the j-th basis vector, an exact sparse
+vector.  The constructors write these columns directly, and the tableau
+module takes each one from the single rule `tableaux.pi_action`.
+Everything downstream is linear algebra over Q: the relation checker,
+intertwiner (hom) spaces, endomorphism rings with the trace-form radical,
+and radical filtrations with their semisimple-layer eigensplit.
 Hom spaces are solved from a presentation of the source module by
 generators and relations, so a map is fixed by its values on the
 generators; a class submodule is cyclic, generated by its source, so its
@@ -11,13 +14,12 @@ endomorphisms cost dim M unknowns, not (dim M)^2.  The projectivity test
 lives in `hecke`, beside the projective indecomposables it compares
 against.
 
-Column action: a generator acts on coordinate vectors through its columns,
-column j of generator i being the image of the j-th basis vector.  An
-`HModule` builds these columns from its matrices on first use, once, and
-`HModule.act` applies them; every algorithm here works on vectors that
-way and forms no matrix product.  A relation between two words in the
-generators holds when both words send every basis vector to the same
-image, and a map f with matrix F intertwines when
+Column action: `HModule.act` applies a generator's columns to a
+coordinate vector; every algorithm here works on vectors that way and
+forms no matrix product.  `HModule.gen` builds a fresh matrix from the
+columns, for serialisation and for tests.  A relation between two words
+in the generators holds when both words send every basis vector to the
+same image, and a map f with matrix F intertwines when
 ``F (pi_i e_b) == pi_i (F e_b)`` for every generator i and basis vector b.
 """
 
@@ -40,28 +42,31 @@ DEFAULT_ALGEBRA_BOUND = 7
 
 
 class HModule:
-    """A module given by a labeled basis and exact generator matrices.
+    """A module given by a labeled basis and its generators' columns.
 
-    The generators act on vectors through their columns, which are built
-    on the first call that needs them: many modules are only restricted,
-    measured or serialised, and never acted on.
+    ``cols[i - 1][j]`` is the image of the j-th basis vector under the
+    i-th generator, a sparse vector with nonzero entries.  The columns are
+    the only stored form of the action; `gen` builds a matrix from them.
     """
 
-    __slots__ = ("n", "basis", "gens", "name", "_index", "_cols")
+    __slots__ = ("n", "basis", "cols", "name", "_index")
 
-    def __init__(self, n: int, basis: Sequence, gens: Sequence[RatMat], name: str = ""):
-        if len(gens) != max(n - 1, 0):
-            raise ValueError(f"expected {n - 1} generator matrices, got {len(gens)}")
+    def __init__(self, n: int, basis: Sequence, cols: Sequence[Sequence[Vec]], name: str = ""):
+        if len(cols) != max(n - 1, 0):
+            raise ValueError(f"expected {n - 1} generators, got {len(cols)}")
         d = len(basis)
-        for g in gens:
-            if (g.nrows, g.ncols) != (d, d):
-                raise ValueError("generator matrix shape does not match basis size")
+        for g in cols:
+            if len(g) != d:
+                raise ValueError(f"generator has {len(g)} columns, basis size is {d}")
+            for col in g:
+                for r, x in col.items():
+                    if not 0 <= r < d or not x:
+                        raise ValueError(f"column entry {r}: {x} is zero or has no row in 0..{d - 1}")
         self.n = n
         self.basis = tuple(basis)
-        self.gens = tuple(gens)
+        self.cols = tuple(list(g) for g in cols)
         self.name = name
         self._index = {b: i for i, b in enumerate(self.basis)}
-        self._cols: list[list[Vec]] | None = None
 
     @property
     def dim(self) -> int:
@@ -74,33 +79,24 @@ class HModule:
         return label in self._index
 
     def gen(self, i: int) -> RatMat:
-        """Matrix of the i-th generator (1-based)."""
+        """A new matrix of the i-th generator (1-based)."""
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"generator index {i} out of range")
-        return self.gens[i - 1]
-
-    def _columns(self) -> list[list[Vec]]:
-        """Per generator, the images of the basis vectors; built once.
-
-        The algorithms of this module read them and never mutate them;
-        callers outside it get fresh vectors from `act`.
-        """
-        if self._cols is None:
-            self._cols = [g.cols() for g in self.gens]
-        return self._cols
+        data = {(r, c): x for c, col in enumerate(self.cols[i - 1]) for r, x in col.items()}
+        return RatMat(self.dim, self.dim, data)
 
     def act(self, i: int, v: Vec) -> Vec:
         """The i-th generator (1-based) applied to v, as a new vector."""
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"generator index {i} out of range")
-        return _apply_cols(self._columns()[i - 1], v)
+        return _apply_cols(self.cols[i - 1], v)
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "dim": self.dim,
             "basis_labels": [_label_json(b) for b in self.basis],
-            "generators": [g.to_quadruples() for g in self.gens],
+            "generators": [self.gen(i).to_quadruples() for i in range(1, self.n)],
         }
 
     def __repr__(self):
@@ -131,7 +127,7 @@ class LinearMap:
         f = self.matrix.cols()
         ok = all(
             _apply_cols(f, src[b]) == _apply_cols(tgt, f[b])
-            for src, tgt in zip(self.source._columns(), self.target._columns())
+            for src, tgt in zip(self.source.cols, self.target.cols)
             for b in range(self.source.dim)
         )
         self.intertwines = ok
@@ -147,16 +143,14 @@ def simple_module(alpha: Sequence[int]) -> HModule:
     alpha = check_composition(alpha)
     n = sum(alpha)
     s = set_of(alpha)
-    gens = [
-        RatMat(1, 1, {} if i in s else {(0, 0): 1}) for i in range(1, n)
-    ]
-    return HModule(n, (alpha,), gens, name=f"F{alpha}")
+    cols = [[{} if i in s else {0: 1}] for i in range(1, n)]
+    return HModule(n, (alpha,), cols, name=f"F{alpha}")
 
 
 def spct_module(
     alpha: Sequence[int], sigma: Sequence[int], bound: int = tableaux.DEFAULT_TABLEAU_BOUND
 ) -> HModule:
-    """The tableau module: fix off-descents, kill attacking descents, swap else.
+    """The tableau module: each generator acts by `tableaux.pi_action`.
 
     An incompatible pair yields the zero module.
     """
@@ -165,19 +159,11 @@ def spct_module(
     taus = tableaux.enumerate_spct(alpha, sigma, bound)
     n = sum(alpha)
     index = {t: j for j, t in enumerate(taus)}
-    descents = [tableaux.descent_set(t) for t in taus]
-    gens = []
+    cols = []
     for i in range(1, n):
-        data = {}
-        for j, (t, des) in enumerate(zip(taus, descents)):
-            if i not in des:
-                data[j, j] = 1
-            elif tableaux.is_attacking(t, i, i + 1):
-                pass
-            else:
-                data[index[t.swap_values(i)], j] = 1
-        gens.append(RatMat(len(taus), len(taus), data))
-    return HModule(n, taus, gens, name=f"S^{sigma}_{alpha}")
+        images = (tableaux.pi_action(t, i) for t in taus)
+        cols.append([{} if u is None else {index[u]: 1} for u in images])
+    return HModule(n, taus, cols, name=f"S^{sigma}_{alpha}")
 
 
 RIBBON_VARIANTS = ("opi", "theta", "star")
@@ -208,30 +194,26 @@ def ribbon_module(
     ts = tableaux.enumerate_srt(alpha, bound)
     n = sum(alpha)
     index = {t: j for j, t in enumerate(ts)}
-    gens = []
+    cols = []
     for i in range(1, n):
-        data = {}
+        g = []
         for j, t in enumerate(ts):
             r, r1 = t.row_of(i), t.row_of(i + 1)
             if r > r1:
-                if variant == "opi":
-                    pass
-                else:
-                    data[j, j] = 1
+                col = {} if variant == "opi" else {j: 1}
             elif r == r1:
-                if variant == "opi":
-                    data[j, j] = 1
+                col = {j: 1} if variant == "opi" else {}
             else:
                 k = index[t.swap_values(i)]
                 if variant == "opi":
-                    data[j, j] = 1
-                    data[k, j] = 1
+                    col = {j: 1, k: 1}
                 elif variant == "theta":
-                    data[k, j] = -1
+                    col = {k: -1}
                 else:
-                    data[k, j] = 1
-        gens.append(RatMat(len(ts), len(ts), data))
-    return HModule(n, ts, gens, name=f"P_{alpha}[{variant}]")
+                    col = {k: 1}
+            g.append(col)
+        cols.append(g)
+    return HModule(n, ts, cols, name=f"P_{alpha}[{variant}]")
 
 
 def submodule_on_labels(m: HModule, labels: Sequence, name: str = "") -> HModule:
@@ -241,18 +223,16 @@ def submodule_on_labels(m: HModule, labels: Sequence, name: str = "") -> HModule
     cannot silently build a non-module.
     """
     idx = [m.index(b) for b in labels]
-    keep = set(idx)
     pos = {j: p for p, j in enumerate(idx)}
-    gens = []
-    for g in m.gens:
-        data = {}
-        for (r, c), x in g.data.items():
-            if c in keep:
-                if r not in keep:
-                    raise ValueError("label subset is not generator-stable")
-                data[pos[r], pos[c]] = x
-        gens.append(RatMat(len(idx), len(idx), data))
-    return HModule(m.n, [m.basis[j] for j in idx], gens, name=name or f"{m.name}|sub")
+    cols = []
+    for g in m.cols:
+        sub = []
+        for j in idx:
+            if not pos.keys() >= g[j].keys():
+                raise ValueError("label subset is not generator-stable")
+            sub.append({pos[r]: x for r, x in g[j].items()})
+        cols.append(sub)
+    return HModule(m.n, [m.basis[j] for j in idx], cols, name=name or f"{m.name}|sub")
 
 
 def class_submodule_of(m: HModule, cls: SpctClass) -> HModule:
@@ -269,15 +249,13 @@ def direct_sum(mods: Sequence[HModule], name: str = "") -> HModule:
     for k, m in enumerate(mods):
         basis.extend((k, b) for b in m.basis)
     offsets = list(itertools.accumulate([0] + [m.dim for m in mods]))
-    gens = []
-    for i in range(1, n):
-        data = {}
-        for k, m in enumerate(mods):
-            off = offsets[k]
-            for (r, c), x in m.gen(i).data.items():
-                data[off + r, off + c] = x
-        gens.append(RatMat(offsets[-1], offsets[-1], data))
-    return HModule(n, basis, gens, name=name or "(+)".join(m.name for m in mods))
+    cols = []
+    for i in range(n - 1):
+        g = []
+        for off, m in zip(offsets, mods):
+            g += ({off + r: x for r, x in col.items()} for col in m.cols[i])
+        cols.append(g)
+    return HModule(n, basis, cols, name=name or "(+)".join(m.name for m in mods))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +274,7 @@ class RelationReport:
 def check_relations(m: HModule) -> RelationReport:
     """Exact idempotency, braid, and far-commutation checks, column by column."""
     violations = []
-    cols = m._columns()
+    cols = m.cols
 
     def word(*letters: int) -> list[Vec]:
         # images of the basis vectors under pi_{letters[0]} ... pi_{letters[-1]}
@@ -351,7 +329,7 @@ def hom_space(m: HModule, n_: HModule) -> list[RatMat]:
     dm, dn = m.dim, n_.dim
     if dm == 0 or dn == 0:
         return []
-    src_cols, tgt_cols = m._columns(), n_._columns()
+    src_cols, tgt_cols = m.cols, n_.cols
     span = EchelonSpace(dm, track=True)
     accepted: list[Vec] = []  # raw input k of `span` is accepted[k]
     position: dict[frozenset, int] = {}  # accepted vector -> k
@@ -440,10 +418,6 @@ def _impose_relation(
     return out
 
 
-def end_ring(m: HModule) -> list[RatMat]:
-    return hom_space(m, m)
-
-
 @dataclass
 class IndecomposabilityCertificate:
     end_dim: int
@@ -470,7 +444,7 @@ def is_indecomposable(m: HModule) -> tuple[bool, IndecomposabilityCertificate]:
     """
     if m.dim == 0:
         raise ValueError("the zero module has no endomorphism ring")
-    ends = end_ring(m)
+    ends = hom_space(m, m)
     k = len(ends)
     rows: list[Vec] = [{} for _ in range(k)]
     for a in range(k):
@@ -491,7 +465,7 @@ def is_indecomposable(m: HModule) -> tuple[bool, IndecomposabilityCertificate]:
 
 def _commutator_columns(m: HModule) -> list[list[Vec]]:
     """Columns of every nonzero commutator pi_i pi_j - pi_j pi_i."""
-    cols = m._columns()
+    cols = m.cols
     out = []
     for a, b in itertools.combinations(cols, 2):
         comm = []
@@ -505,7 +479,7 @@ def _commutator_columns(m: HModule) -> list[list[Vec]]:
 
 
 def _generator_closure(m: HModule, seeds: Iterable[Vec]) -> EchelonSpace:
-    cols = m._columns()
+    cols = m.cols
     space = EchelonSpace(m.dim)
     frontier = []
     for v in seeds:
@@ -543,7 +517,7 @@ def radical_filtration(m: HModule) -> Iterator[Layer]:
     step, so reducing an image modulo the step and solving against the
     residue basis is exact.
     """
-    cols = m._columns()
+    cols = m.cols
     comms = _commutator_columns(m)
     current: list[Vec] = [{j: 1} for j in range(m.dim)]
     current_dim = m.dim
@@ -671,21 +645,25 @@ def is_spct_cyclic(alpha: Sequence[int], sigma: Sequence[int], bound: int = tabl
     return any(generates(m, t) for t in m.basis)
 
 
+def _moves(ts: Iterable[Spct]) -> Iterator[tuple[Spct, int, Spct]]:
+    """Moving edges (t, i, t') of the tableaux ts, generator i sending t to t' != t."""
+    for t in ts:
+        for i in range(1, t.n):
+            u = tableaux.pi_action(t, i)
+            if u is not None and u is not t:
+                yield t, i, u
+
+
 def action_edges(alpha, sigma, bound: int = tableaux.DEFAULT_TABLEAU_BOUND):
     """Directed moving edges (t, i, t') with generator i sending t to t' != t."""
-    edges = []
-    for t in tableaux.enumerate_spct(alpha, sigma, bound):
-        for i in sorted(tableaux.descent_set(t)):
-            if not tableaux.is_attacking(t, i, i + 1):
-                edges.append((t, i, t.swap_values(i)))
-    return edges
+    return list(_moves(tableaux.enumerate_spct(alpha, sigma, bound)))
 
 
 def action_components(alpha, sigma, bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> list[frozenset[Spct]]:
     """Connected components of the (undirected) action graph."""
     ts = tableaux.enumerate_spct(alpha, sigma, bound)
     adj: dict[Spct, set[Spct]] = {t: set() for t in ts}
-    for t, _, u in action_edges(alpha, sigma, bound):
+    for t, _, u in _moves(ts):
         adj[t].add(u)
         adj[u].add(t)
     seen: set[Spct] = set()
@@ -712,7 +690,7 @@ def graph_dot(alpha, sigma, bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> str:
     lines = ["digraph spct {"]
     for t in ts:
         lines.append(f'  {names[t]} [label="{t.to_json()}"];')
-    for t, i, u in action_edges(alpha, sigma, bound):
+    for t, i, u in _moves(ts):
         lines.append(f'  {names[t]} -> {names[u]} [label="{i}"];')
     lines.append("}")
     return "\n".join(lines)
@@ -769,9 +747,10 @@ def word_transport_holds(cls: SpctClass, t: Spct, u: Spct, max_words: int = 24) 
     for word in itertools.islice(permutations.all_reduced_words(rho), max_words):
         cur = t
         for i in reversed(word):
-            if i not in tableaux.descent_set(cur) or tableaux.is_attacking(cur, i, i + 1):
+            nxt = tableaux.pi_action(cur, i)
+            if nxt is None or nxt is cur:
                 return False
-            cur = cur.swap_values(i)
+            cur = nxt
         if cur != u:
             return False
     return True
@@ -780,10 +759,8 @@ def word_transport_holds(cls: SpctClass, t: Spct, u: Spct, max_words: int = 24) 
 def reachable_pairs(cls: SpctClass) -> list[tuple[Spct, Spct]]:
     """Ordered pairs (t, u), t != u, with u reachable from t by moving steps."""
     succ: dict[Spct, set[Spct]] = {t: set() for t in cls.members}
-    for t in cls.members:
-        for i in sorted(tableaux.descent_set(t)):
-            if not tableaux.is_attacking(t, i, i + 1):
-                succ[t].add(t.swap_values(i))
+    for t, _, u in _moves(cls.members):
+        succ[t].add(u)
     out = []
     for t in cls.members:
         seen: set[Spct] = set()

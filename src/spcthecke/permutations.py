@@ -33,10 +33,6 @@ def identity(m: int) -> Permutation:
     return tuple(range(1, m + 1))
 
 
-def apply(p: Sequence[int], i: int) -> int:
-    return p[i - 1]
-
-
 def inverse(p: Sequence[int]) -> Permutation:
     p = check_perm(p)
     inv = [0] * len(p)

@@ -466,6 +466,25 @@ def descent_set(t: Spct) -> frozenset[int]:
     return frozenset(des)
 
 
+def pi_action(t: Spct, i: int) -> Spct | None:
+    """The tableau-module generator pi_i on one tableau.
+
+    pi_i fixes t when i is not a descent, kills t (None) when i attacks
+    i+1, and otherwise swaps the values i and i+1.
+
+    >>> t = Spct([[3, 2], [1]])
+    >>> pi_action(t, 2) is t, pi_action(t, 1)
+    (True, Spct([[3, 1], [2]]))
+    >>> pi_action(Spct([[3, 1], [2]]), 2) is None
+    True
+    """
+    if t.pos(i + 1)[1] < t.pos(i)[1]:
+        return t
+    if is_attacking(t, i, i + 1):
+        return None
+    return t.swap_values(i)
+
+
 def is_attacking(t: Spct, i: int, j: int) -> bool:
     """Whether values i < j attack: same column, or j lower-right of i."""
     if not i < j:
@@ -473,27 +492,6 @@ def is_attacking(t: Spct, i: int, j: int) -> bool:
     ri, ci = t.pos(i)
     rj, cj = t.pos(j)
     return ci == cj or (cj == ci + 1 and rj > ri)
-
-
-@dataclass(frozen=True)
-class DescentData:
-    descents: frozenset[int]
-    attacking: dict[int, bool]
-    comp: Composition
-
-
-def descents(t: Spct) -> DescentData:
-    """Descent set, per-descent attacking flags, and the descent composition.
-
-    >>> d = descents(Spct([[3, 2], [1]]))
-    >>> sorted(d.descents), d.comp
-    ([1], (1, 2))
-    >>> d = descents(Spct([[3, 1], [2]]))
-    >>> sorted(d.descents), d.attacking[2], d.comp
-    ([2], True, (2, 1))
-    """
-    des = descent_set(t)
-    return DescentData(des, {i: is_attacking(t, i, i + 1) for i in sorted(des)}, comp_of(des, t.n))
 
 
 def comp_of_tableau(t: Spct) -> Composition:

@@ -25,6 +25,7 @@ from collections import Counter
 from typing import Callable, Sequence
 
 from .compositions import (
+    BoundExceeded,
     bubble_fiber_word,
     comp_of,
     compositions,
@@ -607,7 +608,14 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
 
 
 def run_claim(claim: str, max_n: int | None = None, jobs: int = 1) -> dict:
-    """Check one claim on every case up to max_n (the claim's default if None)."""
+    """Check one claim on every case up to max_n (the claim's default if None).
+
+    Bad arguments raise `KeyError` or `ValueError`, and a max_n over a
+    size bound raises `BoundExceeded`, also from inside a case.  Any other
+    exception a case raises is an internal error and is raised again as
+    `RuntimeError`, so that a case's own `ValueError` is not taken for bad
+    arguments.
+    """
     if claim not in CLAIMS:
         raise KeyError(f"unknown claim id {claim!r}")
     _, default_max_n, cases_of, check = CLAIMS[claim]
@@ -618,7 +626,13 @@ def run_claim(claim: str, max_n: int | None = None, jobs: int = 1) -> dict:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     cases = cases_of(max_n)
-    failures = [f for fs in _run_cases(cases, check, jobs) for f in fs]
+    try:
+        results = _run_cases(cases, check, jobs)
+    except (BoundExceeded, RuntimeError):
+        raise
+    except Exception as exc:
+        raise RuntimeError(f"{type(exc).__name__}: {exc}") from exc
+    failures = [f for fs in results for f in fs]
     params = {"max_n": max_n}
     if claim == "thm-3.15":
         params["module_max_n"] = _MODULE_MAX_N

@@ -28,7 +28,7 @@ def apply(mat, v):
 def check_relations(m):
     """The violation list, from matrix products."""
     violations = []
-    g = m.gens
+    g = [m.gen(i) for i in range(1, m.n)]
     for i in range(1, m.n):
         if g[i - 1] * g[i - 1] != g[i - 1]:
             violations.append({"relation": "idempotent", "i": i})

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from spcthecke import cli, qsym, verify
+from spcthecke.compositions import BoundExceeded
 from spcthecke.qsym import QSymElt
 
 BASE = [sys.executable, "-m", "spcthecke.cli"]
@@ -132,6 +133,31 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal: layer is not semisimple: eigensplit lost dimensions\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "exc, code, line",
+    [
+        (
+            ValueError("label subset is not generator-stable"),
+            3,
+            "error: internal: ValueError: label subset is not generator-stable",
+        ),
+        (KeyError("t"), 3, "error: internal: KeyError: 't'"),
+        (BoundExceeded("n = 4 exceeds bound 3"), 2, "error: n = 4 exceeds bound 3"),
+    ],
+)
+def test_exception_inside_a_case(exc, code, line, jobs, monkeypatch, capsys):
+    from spcthecke import modules
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(modules, "submodule_on_labels", broken)
+    assert cli.main(["verify", "thm-3.1", "--max-n", "3", "--jobs", jobs]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
 
 
 def test_verify_list():

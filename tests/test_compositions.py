@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from spcthecke import permutations as P
 from spcthecke.compositions import (
-    BoundExceeded,
     Cell,
     bubble_act,
     bubble_act_word,
@@ -14,7 +13,6 @@ from spcthecke.compositions import (
     comp_of,
     compositions,
     complement_of,
-    enumerate_shapes,
     partitions,
     rd_column_heights,
     rd_row_spans,
@@ -125,12 +123,6 @@ def test_enumeration_orders():
     assert len(partitions(4)) == 5
     assert len(compositions(6)) == 2 ** 5
     assert subsets(3) == [set_of(a) for a in compositions(3)]
-
-
-def test_enumeration_bound():
-    with pytest.raises(BoundExceeded):
-        enumerate_shapes(13, "compositions")
-    assert enumerate_shapes(13, "compositions", bound=13)
 
 
 def test_ribbon_geometry():

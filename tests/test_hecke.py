@@ -10,10 +10,8 @@ from spcthecke.hecke import (
     descent_class_size,
     element_vector,
     opi_element,
-    pi_element,
     pim_generator,
     pim_module,
-    pim_modules,
     regular_module,
     theta,
 )
@@ -23,13 +21,13 @@ from spcthecke.modules import check_relations, is_indecomposable, top_factors
 def test_basis_multiplication_examples():
     e = HeckeElement.unit(3)
     s1 = (2, 1, 3)
-    assert e.times_gen(1) == pi_element(s1)
-    assert pi_element(s1).times_gen(1) == pi_element(s1)  # idempotent rule
+    assert e.times_gen(1) == HeckeElement.pi(s1)
+    assert HeckeElement.pi(s1).times_gen(1) == HeckeElement.pi(s1)  # idempotent rule
     # braid: multiplying the unit along both reduced words of the longest
     # element lands on the same basis element
     left = e.times_gen(1).times_gen(2).times_gen(1)
     right = e.times_gen(2).times_gen(1).times_gen(2)
-    assert left == right == pi_element((3, 2, 1))
+    assert left == right == HeckeElement.pi((3, 2, 1))
 
 
 def test_opi_element_examples():
@@ -60,22 +58,37 @@ def test_opi_reduced_word_independent():
 
 
 def test_theta_examples():
-    s1 = pi_element((2, 1))
+    s1 = HeckeElement.pi((2, 1))
     assert theta(s1) == HeckeElement.unit(2) - s1
     assert theta(HeckeElement.unit(2)) == HeckeElement.unit(2)
-    h = pi_element((3, 1, 2))
+    h = HeckeElement.pi((3, 1, 2))
     assert theta(theta(h)) == h
 
 
 def test_theta_is_an_algebra_map():
     elts = [
-        pi_element((2, 1, 3)) + 2 * pi_element((1, 3, 2)),
+        HeckeElement.pi((2, 1, 3)) + 2 * HeckeElement.pi((1, 3, 2)),
         opi_element((3, 2, 1)),
-        pi_element((3, 1, 2)) - pi_element((1, 2, 3)),
+        HeckeElement.pi((3, 1, 2)) - HeckeElement.pi((1, 2, 3)),
     ]
     for a in elts:
         for b in elts:
             assert theta(a * b) == theta(a) * theta(b)
+
+
+def test_left_mult_images_against_lengths():
+    # the position rule against the definition: s_i p replaces p when longer
+    from spcthecke.hecke import _basis_order, _left_mult_images
+
+    for n in range(1, 7):
+        order = _basis_order(n)
+        index = {p: k for k, p in enumerate(order)}
+        for i in range(1, n):
+            expected = []
+            for p in order:
+                q = P.s_times(i, p)
+                expected.append(index[q] if P.length(q) > P.length(p) else index[p])
+            assert _left_mult_images(n, i) == tuple(expected), (n, i)
 
 
 def test_regular_module_dims_and_relations():
@@ -89,10 +102,10 @@ def test_regular_module_dims_and_relations():
 def test_pim_examples_degree_three():
     trivial = pim_module(3, frozenset())
     assert trivial.dim == 1
-    assert all(g.to_dense() == [[1]] for g in trivial.gens)
+    assert all(trivial.gen(i).to_dense() == [[1]] for i in range(1, 3))
     sign = pim_module(3, frozenset({1, 2}))
     assert sign.dim == 1
-    assert all(g.to_dense() == [[0]] for g in sign.gens)
+    assert all(sign.gen(i).to_dense() == [[0]] for i in range(1, 3))
 
 
 def test_pim_dimension_matches_ribbon_count():
@@ -133,12 +146,12 @@ def test_pim_module_caches_on_normalised_arguments():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_ideal_decomposition(n):
-    mods = pim_modules(n)
+    mods = {frozenset(s): pim_module(n, s) for r in range(n) for s in itertools.combinations(range(1, n), r)}
     assert sum(m.dim for m in mods.values()) == math.factorial(n)
     for subset, m in mods.items():
         assert check_relations(m).ok
         # unit pivots throughout, so the action stays integer
-        assert all(type(x) is int for g in m.gens for x in g.data.values())
+        assert all(type(x) is int for i in range(1, n) for x in m.gen(i).data.values())
         assert m.dim == descent_class_size(n, subset)
         assert dict(top_factors(m)) == {comp_of(subset, n): 1}
         ok, cert = is_indecomposable(m)
@@ -152,5 +165,5 @@ def test_hmodule_json_round_trip():
     payload = m.to_json()
     assert payload["n"] == 3 and payload["dim"] == m.dim
     assert len(payload["generators"]) == 2
-    for g, quads in zip(m.gens, payload["generators"]):
+    for g, quads in zip([m.gen(i) for i in range(1, m.n)], payload["generators"]):
         assert RatMat.from_quadruples(m.dim, m.dim, quads) == g

@@ -73,7 +73,7 @@ def test_spct_module_one_dimensional_cases():
     assert m.dim == 1
     m = spct_module((4,), (1,))
     assert m.dim == 1
-    assert all(g.to_dense() == [[1]] for g in m.gens)
+    assert all(m.gen(i).to_dense() == [[1]] for i in range(1, m.n))
 
 
 def test_spct_module_zero_for_incompatible():
@@ -91,11 +91,7 @@ def test_ribbon_module_variants():
 
 def test_check_relations_negative_control():
     m = spct_module((2, 1), (2, 1))
-    corrupted = HModule(
-        m.n,
-        m.basis,
-        (m.gens[0], RatMat(m.dim, m.dim, {(0, 0): 1, (1, 0): 1, (1, 1): 1})),
-    )
+    corrupted = HModule(m.n, m.basis, (m.cols[0], [{0: 1, 1: 1}, {1: 1}]))
     report = check_relations(corrupted)
     assert not report.ok
     assert any(v["relation"] == "idempotent" for v in report.violations)
@@ -104,8 +100,8 @@ def test_check_relations_negative_control():
 
 # two idempotents on Q^2 that neither braid nor commute: e0 -> e0, e1 -> 0,
 # and e0 -> e0, e1 -> e0
-_E = RatMat(2, 2, {(0, 0): 1})
-_P = RatMat(2, 2, {(0, 0): 1, (0, 1): 1})
+_E = [{0: 1}, {}]
+_P = [{0: 1}, {0: 1}]
 
 
 def test_check_relations_braid_only_violation():
@@ -117,7 +113,7 @@ def test_check_relations_braid_only_violation():
 
 def test_check_relations_far_commutation_only_violation():
     # pi_2 = 0 satisfies both braid relations whatever pi_1 and pi_3 are
-    corrupted = HModule(4, ("a", "b"), (_E, RatMat.zero(2, 2), _P))
+    corrupted = HModule(4, ("a", "b"), (_E, [{}, {}], _P))
     report = check_relations(corrupted)
     assert report.violations == [{"relation": "commute", "i": 1, "j": 3}]
     assert action_oracle.check_relations(corrupted) == report.violations
@@ -151,7 +147,7 @@ def test_eigensplit_rejects_a_layer_that_is_not_semisimple():
 def test_act_leaves_a_cached_module_unchanged():
     m = pim_module(4, {1})
     before = [[m.gen(i).col(b) for b in range(m.dim)] for i in range(1, m.n)]
-    gens = m.gens
+    cols = m.cols
     for i in range(1, m.n):
         for b in range(m.dim):
             v = {b: 1}
@@ -161,10 +157,33 @@ def test_act_leaves_a_cached_module_unchanged():
             for k in list(w):
                 w[k] = 7
             w[m.dim - 1] = 3
-    assert pim_module(4, [1]) is m and m.gens == gens
+    assert pim_module(4, [1]) is m and m.cols is cols
     assert [[m.act(i, {b: 1}) for b in range(m.dim)] for i in range(1, m.n)] == before
     with pytest.raises(ValueError):
         m.act(m.n, {0: 1})
+
+
+def test_gen_leaves_a_cached_module_unchanged():
+    m = pim_module(4, {1})
+    before = [[m.act(i, {b: 1}) for b in range(m.dim)] for i in range(1, m.n)]
+    g = m.gen(1)
+    g.data.clear()
+    g.data[0, 0] = 9
+    assert pim_module(4, [1]) is m
+    assert [[m.act(i, {b: 1}) for b in range(m.dim)] for i in range(1, m.n)] == before
+    assert m.gen(1).cols() == before[0]
+
+
+def test_hmodule_rejects_malformed_columns():
+    ok = [{0: 1}, {}]
+    HModule(3, ("a", "b"), (ok, ok))
+    with pytest.raises(ValueError, match="expected 2 generators"):
+        HModule(3, ("a", "b"), (ok,))
+    with pytest.raises(ValueError, match="3 columns"):
+        HModule(3, ("a", "b"), (ok, ok + [{}]))
+    for bad in ({2: 1}, {-1: 1}, {0: 0}):
+        with pytest.raises(ValueError, match="column entry"):
+            HModule(3, ("a", "b"), (ok, [{}, bad]))
 
 
 def test_check_intertwiner_against_oracle():

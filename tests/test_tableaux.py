@@ -14,16 +14,19 @@ from spcthecke.tableaux import (
     classify,
     col_word,
     decrement_part,
-    descents,
+    comp_of_tableau,
+    descent_set,
     entry_one_cells,
     enumerate_spct,
     enumerate_srt,
     equivalence_classes,
     hatted_source_tableau,
+    is_attacking,
     is_compatible,
     is_sigma_simple,
     is_valid_spct_rows,
     pacd_pairs,
+    pi_action,
     removable_nodes,
     source_ribbon_tableau,
     spct_exists,
@@ -201,13 +204,28 @@ def test_srt_validity():
 
 
 def test_descents_examples():
-    d = descents(Spct([[3, 2], [1]]))
-    assert d.descents == {1} and d.comp == (1, 2) and d.attacking == {1: False}
-    d = descents(Spct([[3, 1], [2]]))
-    assert d.descents == {2} and d.comp == (2, 1) and d.attacking == {2: True}
+    t = Spct([[3, 2], [1]])
+    assert descent_set(t) == {1} and comp_of_tableau(t) == (1, 2) and not is_attacking(t, 1, 2)
+    t = Spct([[3, 1], [2]])
+    assert descent_set(t) == {2} and comp_of_tableau(t) == (2, 1) and is_attacking(t, 2, 3)
     single = Spct([list(range(5, 0, -1))])
-    assert descents(single).descents == frozenset()
-    assert descents(single).comp == (5,)
+    assert descent_set(single) == frozenset()
+    assert comp_of_tableau(single) == (5,)
+
+
+def test_pi_action_against_descents_and_attacks():
+    for n in range(1, 7):
+        for alpha, sigma in all_pairs(n):
+            for t in enumerate_spct(alpha, sigma):
+                des = descent_set(t)
+                for i in range(1, n):
+                    u = pi_action(t, i)
+                    if i not in des:
+                        assert u is t
+                    elif is_attacking(t, i, i + 1):
+                        assert u is None
+                    else:
+                        assert u == t.swap_values(i) and is_valid_spct_rows(u.rows, sigma)
 
 
 def test_class_label_examples():
