@@ -7,8 +7,12 @@
 * `tau_of_ribbon` transposes a ribbon tableau column-by-column into a
   candidate composition tableau; `ribbon_to_spct` keeps it only when it
   satisfies all defining conditions for the requested type.
+  `spct_to_ribbon` inverts it: the rows, sorted, are written as the
+  ribbon's column-major reading.  Both sides read the ribbon's columns
+  from the geometry `tableaux` computes once per shape.
 * `omega_set` is the combinatorial kernel of the projected transpose map,
-  and `prc_phi_map` builds that map as an exact matrix and verifies it.
+  and `prc_phi_map` builds that map as an exact matrix and verifies it,
+  taking the canonical class from the target module's basis.
 * `iota_map` is the diagonal sign isomorphism from the sign-twisted ribbon
   module onto its sign-free version.
 """
@@ -126,7 +130,7 @@ def tau_of_ribbon(T: Srt, sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
             f"type degree {len(sigma)} != number of ribbon columns {ncols}"
         )
     return tuple(
-        tuple(sorted(T.column_top_down(sigma[i]), reverse=True)) for i in range(ncols)
+        tuple(sorted(T.column(sigma[i]), reverse=True)) for i in range(ncols)
     )
 
 
@@ -145,20 +149,7 @@ def spct_to_ribbon(t: Spct, sigma: Sequence[int]) -> Srt:
     alpha = complement_of(
         permutations.compose_right_action(t.shape, inv)
     )
-    spans = tableaux.rd_row_spans(alpha)
-    grid: dict[tuple[int, int], int] = {}
-    for c in range(1, len(inv) + 1):
-        vals = sorted(t.rows[inv[c - 1] - 1])
-        rows_here = sorted(
-            (r + 1 for r, (lo, hi) in enumerate(spans) if lo <= c <= hi), reverse=True
-        )
-        for r, v in zip(rows_here, vals):
-            grid[r, c] = v
-    rows = tuple(
-        tuple(grid[r + 1, c] for c in range(lo, hi + 1))
-        for r, (lo, hi) in enumerate(spans)
-    )
-    return Srt(rows)
+    return Srt._from_reading(alpha, [v for r in inv for v in sorted(t.rows[r - 1])])
 
 
 def omega_set(alpha: Sequence[int], sigma: Sequence[int], bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> list[Srt]:
@@ -180,7 +171,7 @@ def omega_set(alpha: Sequence[int], sigma: Sequence[int], bound: int = tableaux.
 
 def _omega_member(T: Srt, sigma: Permutation) -> bool:
     ncols = T.num_columns()
-    cols = [list(reversed(T.column_top_down(c))) for c in range(1, ncols + 1)]
+    cols = [T.column(c)[::-1] for c in range(1, ncols + 1)]
     inv = permutations.inverse(sigma)
     for i in range(1, ncols + 1):
         for j in range(i + 1, ncols + 1):
@@ -239,7 +230,7 @@ def prc_phi_map(alpha: Sequence[int], sigma: Sequence[int], bound: int = tableau
         )
     src = ribbon_module(alpha, "star", bound)
     big = spct_module(beta, sigma, bound)
-    cls = tableaux.canonical_class(beta, sigma, bound)
+    cls = tableaux.canonical_class(big.basis)
     tgt = submodule_on_labels(big, cls.members, name=f"{big.name}|canonical")
     data = {}
     for j, T in enumerate(src.basis):

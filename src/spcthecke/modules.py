@@ -659,9 +659,9 @@ def action_edges(alpha, sigma, bound: int = tableaux.DEFAULT_TABLEAU_BOUND):
     return list(_moves(tableaux.enumerate_spct(alpha, sigma, bound)))
 
 
-def action_components(alpha, sigma, bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> list[frozenset[Spct]]:
-    """Connected components of the (undirected) action graph."""
-    ts = tableaux.enumerate_spct(alpha, sigma, bound)
+def action_components(ts: Sequence[Spct]) -> list[frozenset[Spct]]:
+    """Connected components of the (undirected) action graph on `ts`, the
+    listed tableaux of one pair, such as a tableau module's basis."""
     adj: dict[Spct, set[Spct]] = {t: set() for t in ts}
     for t, _, u in _moves(ts):
         adj[t].add(u)

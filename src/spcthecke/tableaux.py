@@ -25,13 +25,22 @@ and sigma_m = 1 (the smaller pair drops row m, and the type loses the
 value 1).  The same move rule decides existence without listing
 (`spct_exists`).  An `Srt` is enumerated by column-major backtracking.
 
+Both kinds share one filling core: rows, shape, n, the map from each
+value to its (row, column), `swap_values`, equality, hashing and JSON.
+Its public constructor checks only that the rows are nonempty and hold
+exactly 1..n; its trusted constructor checks nothing, and every tableau
+built inside the package (the enumerators, the canonical and ribbon
+sources, `swap_values`) goes through it.  Each kind adds its geometry:
+composition rows all start in column 1, while a ribbon shape's row spans
+and the cells of each column, top down, are computed once per shape and
+shared as tuples by all its tableaux.
+
 This module also hosts the structural predicates on shape/type pairs:
 compatibility, obstruction pairs with their witness conditions,
 sigma-simplicity, removable nodes, and the explicit canonical source
 tableau and its hatted variant.  Arguments are validated at the public
-functions only; `enumerate_spct`, `canonical_source_tableau` and
-`Spct.swap_values` build tableaux through a trusted constructor that
-skips the checks.
+functions only.  Equivalence classes are formed from tableaux already
+listed, such as a module's basis, so a pair is listed once.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .compositions import (
     BoundExceeded,
@@ -56,13 +65,14 @@ from .permutations import Permutation, _standardize, standardize
 DEFAULT_TABLEAU_BOUND = 9
 
 
-class Spct:
-    """A filling of a composition diagram; rows top to bottom, 1-based cells.
+class _Filling:
+    """Rows filled bijectively by 1..n; 1-based (row, column) cells.
 
-    The constructor checks only that the entries are exactly 1..n; use
-    `is_valid_spct_rows` for the full defining conditions (constructions
-    such as the hatted source filling are allowed to produce invalid
-    fillings, which are kept as raw rows).
+    The two tableau kinds share this core and add only their geometry:
+    the column each row starts in (`_starts`), `entry`, `column`,
+    `num_columns` and `pretty`.  The public constructor checks only that
+    the rows are nonempty and hold exactly 1..n; `_trusted` checks
+    nothing.
     """
 
     __slots__ = ("rows", "shape", "n", "_pos")
@@ -71,7 +81,7 @@ class Spct:
         self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rows)
         self.shape: Composition = check_composition(tuple(len(r) for r in self.rows))
         self.n = sum(self.shape)
-        self._pos: dict[int, tuple[int, int]] = _positions(self.rows)
+        self._pos: dict[int, tuple[int, int]] = _positions(self.rows, self._starts(self.shape))
         if sorted(self._pos) != list(range(1, self.n + 1)):
             raise ValueError(f"entries must be exactly 1..{self.n}: {self.rows}")
 
@@ -82,21 +92,80 @@ class Spct:
         shape: Composition,
         n: int,
         pos: dict[int, tuple[int, int]] | None = None,
-    ) -> "Spct":
+    ):
         """A tableau from rows known to fill `shape` with 1..n; nothing is checked."""
         t = object.__new__(cls)
         t.rows, t.shape, t.n = rows, shape, n
-        t._pos = _positions(rows) if pos is None else pos
+        t._pos = _positions(rows, cls._starts(shape)) if pos is None else pos
         return t
+
+    @staticmethod
+    def _starts(shape: Composition) -> Iterable[int]:
+        """The column of the first box of each row."""
+        raise NotImplementedError
+
+    def pos(self, value: int) -> tuple[int, int]:
+        """(row, column) of a value."""
+        return self._pos[value]
+
+    def swap_values(self, i: int):
+        """The filling with values i and i+1 exchanged; every box stays put."""
+        if not 1 <= i < self.n:
+            raise ValueError(f"cannot swap {i} and {i + 1} in a filling of 1..{self.n}")
+        a, b = self._pos[i], self._pos[i + 1]
+        ra, rb = a[0] - 1, b[0] - 1
+        rows = list(self.rows)
+        ka, kb = rows[ra].index(i), rows[rb].index(i + 1)
+        row = rows[ra]
+        rows[ra] = row[:ka] + (i + 1,) + row[ka + 1 :]
+        row = rows[rb]
+        rows[rb] = row[:kb] + (i,) + row[kb + 1 :]
+        pos = dict(self._pos)
+        pos[i], pos[i + 1] = b, a
+        return self._trusted(tuple(rows), self.shape, self.n, pos)
+
+    def to_json(self) -> list[list[int]]:
+        """The rows, in the order the shape lists them."""
+        return [list(r) for r in self.rows]
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({[list(r) for r in self.rows]})"
+
+
+def _positions(rows: tuple[tuple[int, ...], ...], starts: Iterable[int]) -> dict[int, tuple[int, int]]:
+    """Map each entry to its (row, column), row r starting in column starts[r]."""
+    return {v: (i, j) for i, (row, s) in enumerate(zip(rows, starts), 1) for j, v in enumerate(row, s)}
+
+
+#: every row of a composition diagram starts in column 1
+_FIRST_COLUMN = itertools.repeat(1)
+
+
+class Spct(_Filling):
+    """A filling of a composition diagram; rows top to bottom, left-justified.
+
+    Use `is_valid_spct_rows` for the full defining conditions (constructions
+    such as the hatted source filling are allowed to produce invalid
+    fillings, which are kept as raw rows).
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _starts(shape: Composition) -> Iterable[int]:
+        return _FIRST_COLUMN
 
     def entry(self, row: int, col: int) -> int | None:
         """Entry at 1-based (row, col), or None outside the diagram."""
         if 1 <= row <= len(self.rows) and 1 <= col <= len(self.rows[row - 1]):
             return self.rows[row - 1][col - 1]
         return None
-
-    def pos(self, value: int) -> tuple[int, int]:
-        return self._pos[value]
 
     @property
     def sigma(self) -> Permutation:
@@ -110,22 +179,6 @@ class Spct:
     def num_columns(self) -> int:
         return max(self.shape, default=0)
 
-    def swap_values(self, i: int) -> "Spct":
-        """The filling with values i and i+1 exchanged."""
-        if not 1 <= i < self.n:
-            raise ValueError(f"cannot swap {i} and {i + 1} in a filling of 1..{self.n}")
-        a, b = self._pos[i], self._pos[i + 1]
-        rows = list(self.rows)
-        for (r, c), v in ((a, i + 1), (b, i)):
-            row = rows[r - 1]
-            rows[r - 1] = row[: c - 1] + (v,) + row[c:]
-        pos = dict(self._pos)
-        pos[i], pos[i + 1] = b, a
-        return Spct._trusted(tuple(rows), self.shape, self.n, pos)
-
-    def to_json(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
     def pretty(self) -> str:
         """Left-justified rows, top to bottom, in diagram orientation."""
         width = max((len(str(v)) for row in self.rows for v in row), default=1)
@@ -133,103 +186,76 @@ class Spct:
             " ".join(str(v).rjust(width) for v in row) for row in self.rows
         )
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Spct) and self.rows == other.rows
 
-    def __hash__(self):
-        return hash(self.rows)
+class _Ribbon(NamedTuple):
+    """The geometry of one ribbon shape, shared by all its tableaux."""
 
-    def __repr__(self):
-        return f"Spct({[list(r) for r in self.rows]})"
-
-
-def _positions(rows: tuple[tuple[int, ...], ...]) -> dict[int, tuple[int, int]]:
-    """Map each entry to its 1-based (row, column)."""
-    return {v: (i, j) for i, row in enumerate(rows, start=1) for j, v in enumerate(row, start=1)}
+    spans: tuple[tuple[int, int], ...]  # first and last column of each row, bottom-up
+    columns: tuple[tuple[tuple[int, int], ...], ...]  # the (row, column) cells of each column, top down
+    cells: tuple[tuple[int, int], ...]  # column-major: columns left to right, each top down
 
 
-class Srt:
+@lru_cache(maxsize=50_000)
+def _ribbon(alpha: Composition) -> _Ribbon:
+    spans = tuple(rd_row_spans(alpha))
+    width = spans[-1][1] if spans else 0
+    columns = tuple(
+        tuple((r, c) for r in range(len(spans), 0, -1) if spans[r - 1][0] <= c <= spans[r - 1][1])
+        for c in range(1, width + 1)
+    )
+    return _Ribbon(spans, columns, tuple(itertools.chain.from_iterable(columns)))
+
+
+class Srt(_Filling):
     """A standard ribbon tableau; rows stored bottom to top."""
 
-    __slots__ = ("rows", "shape", "n", "spans", "_pos")
+    __slots__ = ()
 
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rows)
-        self.shape: Composition = check_composition(tuple(len(r) for r in self.rows))
-        self.n = sum(self.shape)
-        self.spans = rd_row_spans(self.shape)
-        self._pos: dict[int, tuple[int, int]] = {}
-        for i, (row, (lo, _)) in enumerate(zip(self.rows, self.spans), start=1):
-            for off, v in enumerate(row):
-                self._pos[v] = (i, lo + off)
-        if sorted(self._pos) != list(range(1, self.n + 1)):
-            raise ValueError(f"entries must be exactly 1..{self.n}: {self.rows}")
+    @staticmethod
+    def _starts(shape: Composition) -> Iterable[int]:
+        return (lo for lo, _ in _ribbon(shape).spans)
 
-    def pos(self, value: int) -> tuple[int, int]:
-        """(row from the bottom, column) of a value."""
-        return self._pos[value]
+    @classmethod
+    def _from_reading(cls, alpha: Composition, word: Sequence[int]) -> "Srt":
+        """The filling of `alpha` whose column-major reading is `word`; nothing is checked."""
+        geo = _ribbon(alpha)
+        grid = dict(zip(geo.cells, word))
+        rows = tuple(
+            tuple(grid[r, c] for c in range(lo, hi + 1)) for r, (lo, hi) in enumerate(geo.spans, 1)
+        )
+        return cls._trusted(rows, alpha, len(word), dict(zip(word, geo.cells)))
 
     def row_of(self, value: int) -> int:
+        """The row, counted from the bottom, holding a value."""
         return self._pos[value][0]
 
     def num_columns(self) -> int:
-        return self.spans[-1][1] if self.spans else 0
-
-    def column_rows(self, c: int) -> list[int]:
-        """Row indices meeting column c, from top (largest) down."""
-        return sorted(
-            (i + 1 for i, (lo, hi) in enumerate(self.spans) if lo <= c <= hi),
-            reverse=True,
-        )
+        return len(_ribbon(self.shape).columns)
 
     def entry(self, row: int, col: int) -> int | None:
+        """Entry at (row from the bottom, column), or None outside the ribbon."""
         if not 1 <= row <= len(self.rows):
             return None
-        lo, hi = self.spans[row - 1]
+        lo, hi = _ribbon(self.shape).spans[row - 1]
         if lo <= col <= hi:
             return self.rows[row - 1][col - lo]
         return None
 
-    def column_top_down(self, c: int) -> list[int]:
+    def column(self, c: int) -> list[int]:
         """Entries of column c from the visual top down (increasing)."""
-        return [self.entry(r, c) for r in self.column_rows(c)]
-
-    def entry_from_bottom(self, k: int, c: int) -> int | None:
-        """k-th entry counted from the bottom of column c (local indexing)."""
-        col = self.column_top_down(c)
-        if 1 <= k <= len(col):
-            return col[len(col) - k]
-        return None
-
-    def swap_values(self, i: int) -> "Srt":
-        return Srt(
-            tuple(
-                tuple(i + 1 if v == i else i if v == i + 1 else v for v in row)
-                for row in self.rows
-            )
-        )
-
-    def to_json(self) -> list[list[int]]:
-        """Rows bottom to top, matching the shape composition."""
-        return [list(r) for r in self.rows]
+        geo = _ribbon(self.shape)
+        if not 1 <= c <= len(geo.columns):
+            return []
+        return [self.rows[r - 1][c - geo.spans[r - 1][0]] for r, _ in geo.columns[c - 1]]
 
     def pretty(self) -> str:
         """Drawn with the first row at the bottom and columns aligned."""
         width = max((len(str(v)) for row in self.rows for v in row), default=1)
         lines = []
-        for (lo, _), row in sorted(zip(self.spans, self.rows), reverse=True):
+        for (lo, _), row in sorted(zip(_ribbon(self.shape).spans, self.rows), reverse=True):
             pad = " " * ((lo - 1) * (width + 1))
             lines.append(pad + " ".join(str(v).rjust(width) for v in row))
         return "\n".join(lines)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Srt) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(("srt", self.rows))
-
-    def __repr__(self):
-        return f"Srt({[list(r) for r in self.rows]})"
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +411,8 @@ def enumerate_srt(alpha: Sequence[int], bound: int = DEFAULT_TABLEAU_BOUND) -> t
 @lru_cache(maxsize=50_000)
 def _enumerate_srt(alpha: Composition) -> tuple[Srt, ...]:
     n = sum(alpha)
-    if n == 0:
-        return (Srt(()),)
-    spans = rd_row_spans(alpha)
-    width = spans[-1][1]
-    cells = []
-    for c in range(1, width + 1):
-        rows_here = [r + 1 for r, (lo, hi) in enumerate(spans) if lo <= c <= hi]
-        cells.extend((r, c) for r in sorted(rows_here, reverse=True))
-    grid = {cell: 0 for cell in cells}
+    cells = _ribbon(alpha).cells
+    grid = dict.fromkeys(cells, 0)
     used = [False] * (n + 1)
     out: list[Srt] = []
 
@@ -408,11 +427,7 @@ def _enumerate_srt(alpha: Composition) -> tuple[Srt, ...]:
 
     def fill(k: int):
         if k == len(cells):
-            rows = tuple(
-                tuple(grid[r + 1, c] for c in range(lo, hi + 1))
-                for r, (lo, hi) in enumerate(spans)
-            )
-            out.append(Srt(rows))
+            out.append(Srt._from_reading(alpha, [grid[cell] for cell in cells]))
             return
         r, c = cells[k]
         for v in range(1, n + 1):
@@ -437,20 +452,7 @@ def source_ribbon_tableau(alpha: Sequence[int]) -> Srt:
     This is the cyclic generator of the ribbon modules.
     """
     alpha = check_composition(alpha)
-    spans = rd_row_spans(alpha)
-    width = spans[-1][1] if spans else 0
-    grid: dict[tuple[int, int], int] = {}
-    v = 1
-    for c in range(1, width + 1):
-        rows_here = [r + 1 for r, (lo, hi) in enumerate(spans) if lo <= c <= hi]
-        for r in sorted(rows_here, reverse=True):
-            grid[r, c] = v
-            v += 1
-    rows = tuple(
-        tuple(grid[r + 1, c] for c in range(lo, hi + 1))
-        for r, (lo, hi) in enumerate(spans)
-    )
-    return Srt(rows)
+    return Srt._from_reading(alpha, range(1, sum(alpha) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -563,16 +565,16 @@ class SpctClass:
     sink: Spct
 
 
-def equivalence_classes(
-    alpha: Composition, sigma: Permutation, bound: int = DEFAULT_TABLEAU_BOUND
-) -> list[SpctClass]:
-    """Partition of the tableau set by standardized column word.
+def equivalence_classes(ts: Sequence[Spct]) -> list[SpctClass]:
+    """Partition of the tableaux of one pair by standardized column word.
 
-    Each class records its unique source and sink (their existence and
-    uniqueness is itself exercised by the verification suite).
+    `ts` is the pair's listed tableaux, such as `enumerate_spct(alpha,
+    sigma)` or a tableau module's basis.  Each class records its unique
+    source and sink (their existence and uniqueness is itself exercised by
+    the verification suite).
     """
     groups: dict[ClassLabel, list[Spct]] = {}
-    for t in enumerate_spct(alpha, sigma, bound):
+    for t in ts:
         groups.setdefault(class_label(t), []).append(t)
     classes = []
     for label, members in groups.items():
@@ -581,7 +583,7 @@ def equivalence_classes(
         sinks = [t for t, k in zip(members, kinds) if k in ("sink", "both")]
         if len(sources) != 1 or len(sinks) != 1:
             raise RuntimeError(
-                f"class {label} of ({alpha}, {sigma}) has {len(sources)} sources "
+                f"class {label} of ({label.shape}, {members[0].sigma}) has {len(sources)} sources "
                 f"and {len(sinks)} sinks"
             )
         classes.append(SpctClass(label, tuple(members), sources[0], sinks[0]))
@@ -589,16 +591,20 @@ def equivalence_classes(
     return classes
 
 
-def canonical_class(
-    alpha: Composition, sigma: Permutation, bound: int = DEFAULT_TABLEAU_BOUND
-) -> SpctClass:
-    """The class containing the canonical source tableau."""
-    tau_c = canonical_source_tableau(alpha, sigma)
+def canonical_class(ts: Sequence[Spct]) -> SpctClass:
+    """The class containing the canonical source tableau.
+
+    `ts` is the listed tableaux of one compatible pair, as for
+    `equivalence_classes`.
+    """
+    if not ts:
+        raise ValueError("no tableaux, so no canonical class")
+    tau_c = canonical_source_tableau(ts[0].shape, ts[0].sigma)
     label = class_label(tau_c)
-    for cl in equivalence_classes(alpha, sigma, bound):
+    for cl in equivalence_classes(ts):
         if cl.label == label:
             return cl
-    raise RuntimeError(f"canonical class not found for ({alpha}, {sigma})")
+    raise RuntimeError(f"canonical class not found for ({tau_c.shape}, {tau_c.sigma})")
 
 
 # ---------------------------------------------------------------------------
@@ -713,31 +719,6 @@ def removable_nodes(alpha: Sequence[int], sigma: Sequence[int]) -> list[Cell]:
     return out
 
 
-def decrement_part(
-    alpha: Sequence[int], sigma: Sequence[int], m: int
-) -> tuple[Composition, Permutation]:
-    """Shrink part m by one box, dropping it (and value 1 of the type) at 0.
-
-    Returns the new shape together with the type acting on it: the type is
-    unchanged while part m stays positive, and loses the value 1 when the
-    part disappears.
-    """
-    alpha = check_composition(alpha)
-    sigma = permutations.check_perm(sigma)
-    if not 1 <= m <= len(alpha):
-        raise ValueError(f"part index {m} out of range")
-    if alpha[m - 1] > 1:
-        parts = list(alpha)
-        parts[m - 1] -= 1
-        return tuple(parts), sigma
-    if sigma[m - 1] != 1:
-        raise ValueError(
-            f"part {m} of {alpha} has one box but type value {sigma[m - 1]} != 1"
-        )
-    parts = alpha[: m - 1] + alpha[m:]
-    return parts, permutations.sigma_down(sigma)
-
-
 def _canonical_rows(alpha: Composition, sigma: Permutation) -> tuple[tuple[int, ...], ...]:
     inv = permutations.inverse(sigma)
     rows: list[tuple[int, ...]] = [()] * len(alpha)
@@ -808,14 +789,3 @@ def hatted_source_tableau(alpha: Sequence[int], sigma: Sequence[int]) -> HattedS
     shifted[r_last - 1] = shifted[r_last - 1] + (1,)
     rows = tuple(shifted)
     return HattedSource(rows, is_valid_spct_rows(rows, sigma))
-
-
-def entry_one_cells(
-    alpha: Composition, sigma: Permutation, bound: int = DEFAULT_TABLEAU_BOUND
-) -> set[Cell]:
-    """Cells carrying the entry 1 across all tableaux of the given pair."""
-    out = set()
-    for t in enumerate_spct(alpha, sigma, bound):
-        r, c = t.pos(1)
-        out.add(Cell(r, c, "cd"))
-    return out

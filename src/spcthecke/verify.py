@@ -160,11 +160,12 @@ def _case_compat(case) -> list:
 def _case_classes(case) -> list:
     alpha, sigma = case
     bad = []
+    ts = tableaux.enumerate_spct(alpha, sigma)
     try:
-        classes = tableaux.equivalence_classes(alpha, sigma)
+        classes = tableaux.equivalence_classes(ts)
     except RuntimeError as exc:  # source/sink uniqueness violated
         return [{"alpha": alpha, "sigma": sigma, "error": str(exc)}]
-    comp_sets = {frozenset(c) for c in modules.action_components(alpha, sigma)}
+    comp_sets = {frozenset(c) for c in modules.action_components(ts)}
     label_sets = {frozenset(cl.members) for cl in classes}
     if comp_sets != label_sets:
         bad.append({"alpha": alpha, "sigma": sigma, "error": "classes != components"})
@@ -231,7 +232,7 @@ def _case_indecomposable(case) -> list:
     alpha, sigma = case
     bad = []
     mod = modules.spct_module(alpha, sigma)
-    for cls in tableaux.equivalence_classes(alpha, sigma):
+    for cls in tableaux.equivalence_classes(mod.basis):
         sub = modules.class_submodule_of(mod, cls)
         ok, cert = modules.is_indecomposable(sub)
         if not ok:
@@ -393,7 +394,7 @@ def _case_projectivity(case) -> list:
     alpha, sigma = payload
     bad = []
     mod = modules.spct_module(alpha, sigma)
-    cls = tableaux.canonical_class(alpha, sigma)
+    cls = tableaux.canonical_class(mod.basis)
     sub = modules.class_submodule_of(mod, cls)
     got, cert = hecke.is_projective(sub)
     want = _canonical_projectivity_expected(alpha, sigma)
@@ -428,7 +429,7 @@ def _noncanonical_counterexample() -> dict | None:
     mod = modules.spct_module((2, 2, 1), (2, 3, 1))
     cls = next(
         cl
-        for cl in tableaux.equivalence_classes((2, 2, 1), (2, 3, 1))
+        for cl in tableaux.equivalence_classes(mod.basis)
         if tau0 in cl.members
     )
     if cls.source != tau0:
@@ -476,7 +477,7 @@ def _case_factors(case) -> list:
 def _case_appendix(case) -> list:
     alpha, sigma = case
     bad = []
-    for cls in tableaux.equivalence_classes(alpha, sigma):
+    for cls in tableaux.equivalence_classes(tableaux.enumerate_spct(alpha, sigma)):
         t0 = cls.source
         for t in cls.members:
             if t == t0:

@@ -125,7 +125,8 @@ def test_spct_to_ribbon_inverts_transpose():
                 for T in enumerate_srt(alpha):
                     t = ribbon_to_spct(T, sigma)
                     if t is not None:
-                        assert spct_to_ribbon(t, sigma) == T
+                        u = spct_to_ribbon(t, sigma)
+                        assert u == T and all(u.pos(v) == T.pos(v) for v in range(1, n + 1))
 
 
 def test_omega_examples():

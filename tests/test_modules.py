@@ -229,7 +229,7 @@ def test_end_rings_of_class_submodules_against_oracle():
     for n in range(1, 7):
         for alpha, sigma in compatible_pairs(n):
             m = spct_module(alpha, sigma)
-            for cl in equivalence_classes(alpha, sigma):
+            for cl in equivalence_classes(m.basis):
                 sub = class_submodule_of(m, cl)
                 _hom_against_oracle(sub, sub)
                 _, cert = is_indecomposable(sub)
@@ -263,7 +263,7 @@ def test_hom_from_cover_contains_surjection():
 
     alpha, sigma = (2, 2), (2, 1)
     m = spct_module(alpha, sigma)
-    cls = canonical_class(alpha, sigma)
+    cls = canonical_class(m.basis)
     sub = class_submodule_of(m, cls)
     ideal = pim_module(sum(alpha), set_of(compose_right_action(alpha, inverse(sigma))))
     homs = _hom_against_oracle(ideal, sub)
@@ -303,7 +303,7 @@ def test_is_projective_examples():
     assert got
 
     m = spct_module((2, 2), (1, 2))
-    sub = class_submodule_of(m, canonical_class((2, 2), (1, 2)))
+    sub = class_submodule_of(m, canonical_class(m.basis))
     got, cert = is_projective(sub)
     assert not got and cert.cover_dim > cert.dim == sub.dim
 
@@ -314,7 +314,8 @@ def test_is_projective_against_invertible_homs():
     # space basis; every negative has a cover strictly larger than M
     for n in range(1, 6):
         for alpha, sigma in compatible_pairs(n):
-            sub = class_submodule_of(spct_module(alpha, sigma), canonical_class(alpha, sigma))
+            m = spct_module(alpha, sigma)
+            sub = class_submodule_of(m, canonical_class(m.basis))
             got, cert = is_projective(sub)
             if not got:
                 assert cert.cover_dim != cert.dim, (alpha, sigma)
@@ -332,12 +333,12 @@ def test_block_decomposition_by_classes():
     for n in range(1, 6):
         for alpha, sigma in compatible_pairs(n):
             m = spct_module(alpha, sigma)
-            classes = equivalence_classes(alpha, sigma)
+            classes = equivalence_classes(m.basis)
             # restriction raises if any class leaks, so this is the block check
             subs = [class_submodule_of(m, cl) for cl in classes]
             assert sum(s.dim for s in subs) == m.dim
             assert {frozenset(cl.members) for cl in classes} == {
-                frozenset(c) for c in action_components(alpha, sigma)
+                frozenset(c) for c in action_components(m.basis)
             }
 
 
@@ -353,21 +354,21 @@ def test_spct_cyclic_iff_one_source():
 def test_cyclic_span_from_source_covers_class():
     for alpha, sigma in [((2, 2), (1, 2)), ((2, 1, 1), (2, 3, 1)), ((3, 2), (2, 1))]:
         m = spct_module(alpha, sigma)
-        for cl in equivalence_classes(alpha, sigma):
+        for cl in equivalence_classes(m.basis):
             assert cyclic_span(m, {m.index(cl.source): 1}) == len(cl.members)
 
 
 def test_word_transport_on_reachable_pairs():
     for n in range(1, 7):
         for alpha, sigma in compatible_pairs(n):
-            for cl in equivalence_classes(alpha, sigma):
+            for cl in equivalence_classes(enumerate_spct(alpha, sigma)):
                 for t, u in reachable_pairs(cl):
                     assert word_transport_holds(cl, t, u), (alpha, sigma, t.rows, u.rows)
 
 
 def test_appendix_invariants_base_cases():
     m = spct_module((2, 1), (2, 1))
-    (cl,) = equivalence_classes((2, 1), (2, 1))
+    (cl,) = equivalence_classes(m.basis)
     src, snk = cl.source, cl.sink
     inv = appendix_invariants(cl, snk)
     assert inv.rho == (2, 1, 3)  # one swap of the first two column-word letters
@@ -384,7 +385,7 @@ def test_appendix_one_step_above_source():
 
     for n in range(1, 7):
         for alpha, sigma in compatible_pairs(n):
-            for cl in equivalence_classes(alpha, sigma):
+            for cl in equivalence_classes(enumerate_spct(alpha, sigma)):
                 t0 = cl.source
                 for i in sorted(descent_set(t0)):
                     if is_attacking(t0, i, i + 1):

@@ -4,6 +4,7 @@ import pytest
 
 from spcthecke import modules
 from spcthecke import permutations as P
+from spcthecke import tableaux
 from spcthecke.compositions import BoundExceeded, Cell, compositions
 from spcthecke.tableaux import (
     Spct,
@@ -13,10 +14,8 @@ from spcthecke.tableaux import (
     class_label,
     classify,
     col_word,
-    decrement_part,
     comp_of_tableau,
     descent_set,
-    entry_one_cells,
     enumerate_spct,
     enumerate_srt,
     equivalence_classes,
@@ -89,30 +88,49 @@ def test_existence_matches_enumeration():
     assert spct_exists((), ())
 
 
-def _assert_same_as_public(t, sigma):
-    public = Spct(t.rows)
+def _assert_same_as_public(t):
+    public = type(t)(t.rows)
     assert (t.rows, t.shape, t.n) == (public.rows, public.shape, public.n)
     assert all(t.pos(v) == public.pos(v) for v in range(1, t.n + 1))
-    assert is_valid_spct_rows(t.rows, sigma)
+    # column oracle from the public positions: the values in column c, from
+    # the top row down (composition rows count down, ribbon rows count up)
+    down = 1 if isinstance(t, Spct) else -1
+    assert t.num_columns() == max((public.pos(v)[1] for v in range(1, t.n + 1)), default=0)
+    for c in range(1, t.num_columns() + 1):
+        here = [v for v in range(1, t.n + 1) if public.pos(v)[1] == c]
+        assert t.column(c) == sorted(here, key=lambda v: down * public.pos(v)[0])
 
 
 def test_trusted_tableaux_match_the_public_constructor():
     for n in range(1, 8):
         for alpha, sigma in all_pairs(n):
             for t in enumerate_spct(alpha, sigma):
-                _assert_same_as_public(t, sigma)
+                _assert_same_as_public(t)
+                assert is_valid_spct_rows(t.rows, sigma)
     for n in range(1, 7):
         for alpha, sigma in all_pairs(n):
             for _, _, u in modules.action_edges(alpha, sigma):
-                _assert_same_as_public(u, sigma)
+                _assert_same_as_public(u)
+                assert is_valid_spct_rows(u.rows, sigma)
+    for n in range(1, 8):
+        for alpha in compositions(n):
+            _assert_same_as_public(source_ribbon_tableau(alpha))
+            for t in enumerate_srt(alpha):
+                _assert_same_as_public(t)
+                for i in range(1, n):
+                    _assert_same_as_public(t.swap_values(i))
 
 
 def test_swap_values_range():
     t = Spct([[3, 1], [2]])
     assert t.swap_values(2).rows == ((2, 1), (3,))
-    for i in (0, 3):
-        with pytest.raises(ValueError):
-            t.swap_values(i)
+    T = Srt([[1, 3], [2]])
+    assert T.swap_values(1).rows == ((2, 3), (1,))
+    assert T.swap_values(2).rows == ((1, 2), (3,))
+    for u in (t, T):
+        for i in (0, 3):
+            with pytest.raises(ValueError):
+                u.swap_values(i)
 
 
 # every public entry point whose internals trust their arguments still
@@ -139,9 +157,10 @@ def test_malformed_pairs_are_rejected(fn, alpha, sigma):
 
 
 def test_malformed_fillings_and_words_are_rejected():
-    for rows in ([[2, 2]], [[3, 1]], [[2, 1], []], [[1, 0]]):
-        with pytest.raises(ValueError):
-            Spct(rows)
+    for kind in (Spct, Srt):
+        for rows in ([[2, 2]], [[3, 1]], [[2, 1], []], [[1, 0]]):
+            with pytest.raises(ValueError):
+                kind(rows)
     with pytest.raises(ValueError):
         P.standardize((4, 2, 4))
 
@@ -193,10 +212,23 @@ def test_enumerate_bound():
 def test_srt_validity():
     t = Srt([[1, 3], [2, 8], [7], [6], [5], [4, 10], [9]])
     assert t.shape == (2, 2, 1, 1, 1, 2, 1)
-    assert t.column_top_down(3) == [4, 5, 6, 7, 8]
-    assert t.entry_from_bottom(1, 3) == 8
-    assert t.entry_from_bottom(5, 3) == 4
+    assert t.column(3) == [4, 5, 6, 7, 8]
+    assert t.column(0) == t.column(5) == []
     assert t.pos(9) == (7, 4)
+
+
+def test_ribbon_geometry_is_shared_tuples():
+    ts = enumerate_srt((2, 2, 1))
+    geo = tableaux._ribbon(ts[0].shape)
+    assert all(tableaux._ribbon(t.shape) is geo for t in ts)
+
+    def frozen(x):
+        return isinstance(x, int) or isinstance(x, tuple) and all(frozen(y) for y in x)
+
+    assert frozen(geo)
+    before = ts[0].column(2)
+    ts[0].column(2).append(99)
+    assert ts[0].column(2) == before
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +271,13 @@ def test_class_label_examples():
 
 
 def test_equivalence_classes_examples():
-    cls = equivalence_classes((2, 1), (2, 1))
+    cls = equivalence_classes(enumerate_spct((2, 1), (2, 1)))
     assert len(cls) == 1 and len(cls[0].members) == 2
-    cls = equivalence_classes((1, 1, 1), (2, 3, 1))
+    cls = equivalence_classes(enumerate_spct((1, 1, 1), (2, 3, 1)))
     assert len(cls) == 1 and len(cls[0].members) == 1
     # class count equals component count for ((2,2), id)
-    from spcthecke.modules import action_components
-
-    assert len(equivalence_classes((2, 2), (1, 2))) == len(action_components((2, 2), (1, 2)))
+    ts = enumerate_spct((2, 2), (1, 2))
+    assert len(equivalence_classes(ts)) == len(modules.action_components(ts))
 
 
 def test_classify_examples():
@@ -265,7 +296,7 @@ def test_unique_source_and_sink_per_class():
         for alpha, sigma in all_pairs(n):
             if not is_compatible(alpha, sigma):
                 continue
-            for cl in equivalence_classes(alpha, sigma):
+            for cl in equivalence_classes(enumerate_spct(alpha, sigma)):
                 kinds = [classify(t) for t in cl.members]
                 assert sum(k in ("source", "both") for k in kinds) == 1
                 assert sum(k in ("sink", "both") for k in kinds) == 1
@@ -318,12 +349,17 @@ def test_removable_nodes_examples():
     assert [(c.row, c.col) for c in cells] == [(1, 2), (2, 2)]
 
 
+def _entry_one_cells(alpha, sigma):
+    """Listing oracle: the cells holding the entry 1 across all tableaux of the pair."""
+    return {Cell(*t.pos(1), "cd") for t in enumerate_spct(alpha, sigma)}
+
+
 def test_removable_nodes_are_entry_one_cells():
     for n in range(1, 7):
         for alpha, sigma in all_pairs(n):
             if not is_compatible(alpha, sigma):
                 continue
-            assert set(removable_nodes(alpha, sigma)) == entry_one_cells(alpha, sigma)
+            assert set(removable_nodes(alpha, sigma)) == _entry_one_cells(alpha, sigma)
 
 
 def test_decrement_keeps_simplicity():
@@ -331,8 +367,9 @@ def test_decrement_keeps_simplicity():
         for alpha, sigma in all_pairs(n):
             if not is_compatible(alpha, sigma) or not is_sigma_simple(alpha, sigma):
                 continue
+            smaller = {m + 1: (beta, tau) for m, beta, tau in tableaux._entry_one_moves(alpha, sigma)}
             for cell in removable_nodes(alpha, sigma):
-                ahat, bsig = decrement_part(alpha, sigma, cell.row)
+                ahat, bsig = smaller[cell.row]
                 if ahat:
                     assert is_compatible(ahat, bsig)
                     assert is_sigma_simple(ahat, bsig), (alpha, sigma, cell)
@@ -401,7 +438,7 @@ def test_canonical_source_is_a_source_in_its_class():
                 continue
             tc = canonical_source_tableau(alpha, sigma)
             assert classify(tc) in ("source", "both")
-            assert canonical_class(alpha, sigma).source == tc
+            assert canonical_class(enumerate_spct(alpha, sigma)).source == tc
 
 
 def test_hatted_source_examples():
@@ -435,7 +472,7 @@ def test_source_ribbon_tableau():
     t = source_ribbon_tableau((1, 3, 2))
     # columns, left to right, are consecutive blocks increasing downward
     for c in range(1, t.num_columns() + 1):
-        col = t.column_top_down(c)
+        col = t.column(c)
         assert col == sorted(col)
-    flat = [v for c in range(1, t.num_columns() + 1) for v in t.column_top_down(c)]
+    flat = [v for c in range(1, t.num_columns() + 1) for v in t.column(c)]
     assert flat == list(range(1, t.n + 1))
