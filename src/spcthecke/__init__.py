@@ -5,9 +5,9 @@ The package is organised bottom-up:
 * `compositions`, `permutations` -- the indexing combinatorics;
 * `linalg` -- exact rational vectors, matrices, and elimination;
 * `tableaux` -- the tableau objects, enumeration, and shape predicates;
-* `hecke` -- the algebra in the pi-basis, its regular representation, the
-  projective indecomposables, and the exact projectivity test;
-* `modules` -- concrete modules with one exact matrix per generator plus
+* `hecke` -- the regular representation of the algebra, its projective
+  indecomposables, and the exact projectivity test;
+* `modules` -- concrete modules holding each generator's exact columns plus
   the verification toolbox (relations, hom spaces, radicals, factors);
 * `maps` -- the structural bijections and homomorphisms between them;
 * `qsym` -- degree-graded quasisymmetric functions and characteristics;

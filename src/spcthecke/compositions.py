@@ -52,10 +52,6 @@ def check_composition(alpha: Sequence[int]) -> Composition:
     return alpha
 
 
-def size(alpha: Sequence[int]) -> int:
-    return sum(alpha)
-
-
 def set_of(alpha: Sequence[int]) -> frozenset[int]:
     """The partial-sum subset of {1, ..., n-1} encoding a composition of n.
 
@@ -102,39 +98,13 @@ def complement_of(alpha: Sequence[int]) -> Composition:
     >>> complement_of((2, 2, 1, 1, 1, 2, 1))
     (1, 2, 5, 2)
     """
-    n = size(alpha)
+    n = sum(alpha)
     return comp_of(frozenset(range(1, n)) - set_of(alpha), n)
-
-
-def transpose_of(alpha: Sequence[int]) -> Composition:
-    """reverse . complement == complement . reverse."""
-    return reverse_of(complement_of(alpha))
 
 
 def sorted_parts(alpha: Sequence[int]) -> Composition:
     """The partition obtained by sorting parts weakly decreasing."""
     return tuple(sorted(check_composition(alpha), reverse=True))
-
-
-def transform(alpha: Sequence[int], kind: str) -> Composition:
-    """Dispatch reverse / complement / transpose / sort by name.
-
-    >>> transform((2, 2, 1, 1, 1, 2, 1), "complement")
-    (1, 2, 5, 2)
-    >>> transform((1, 3, 2), "reverse")
-    (2, 3, 1)
-    >>> transform((1, 3, 2), "sort")
-    (3, 2, 1)
-    """
-    table = {
-        "reverse": reverse_of,
-        "complement": complement_of,
-        "transpose": transpose_of,
-        "sort": sorted_parts,
-    }
-    if kind not in table:
-        raise ValueError(f"unknown transform {kind!r}")
-    return table[kind](alpha)
 
 
 def is_partition(alpha: Sequence[int]) -> bool:
@@ -159,21 +129,6 @@ def rd_row_spans(alpha: Sequence[int]) -> list[tuple[int, int]]:
         spans.append((start, start + part - 1))
         start += part - 1
     return spans
-
-
-def rd_column_heights(alpha: Sequence[int]) -> list[int]:
-    """Number of boxes in each ribbon column, left to right.
-
-    The column heights of rd(alpha) read off the complement composition:
-
-    >>> rd_column_heights((2, 2, 1, 1, 1, 2, 1))
-    [1, 2, 5, 2]
-    """
-    spans = rd_row_spans(alpha)
-    width = spans[-1][1] if spans else 0
-    return [
-        sum(1 for lo, hi in spans if lo <= c <= hi) for c in range(1, width + 1)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +264,3 @@ def partitions(n: int) -> list[Composition]:
     rec(n, n, ())
     return sorted(out)
 
-
-def subsets(n: int) -> list[frozenset[int]]:
-    """Subsets of {1, ..., n-1} in the order matching `compositions(n)`."""
-    return [set_of(alpha) for alpha in compositions(n)]
-
-
-def to_json(alpha: Sequence[int]) -> list[int]:
-    return list(check_composition(alpha))

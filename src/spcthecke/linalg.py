@@ -58,10 +58,6 @@ class RatMat:
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "RatMat":
-        return cls(nrows, ncols)
-
-    @classmethod
     def from_dense(cls, rows: Sequence[Sequence[Scalar]]) -> "RatMat":
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
@@ -90,9 +86,6 @@ class RatMat:
         for (r, c), x in self.data.items():
             out[r][c] = x
         return out
-
-    def transpose(self) -> "RatMat":
-        return RatMat(self.ncols, self.nrows, {(c, r): x for (r, c), x in self.data.items()})
 
     def __mul__(self, other):
         if isinstance(other, RatMat):
@@ -145,9 +138,6 @@ class RatMat:
 
     def is_zero(self) -> bool:
         return not self.data
-
-    def nnz(self) -> int:
-        return len(self.data)
 
     def trace(self) -> Fraction:
         return Fraction(sum(x for (r, c), x in self.data.items() if r == c))

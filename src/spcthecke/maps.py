@@ -14,13 +14,16 @@
   and `prc_phi_map` builds that map as an exact matrix and verifies it,
   taking the canonical class from the target module's basis.
 * `iota_map` is the diagonal sign isomorphism from the sign-twisted ribbon
-  module onto its sign-free version.
+  module onto its sign-free version; a tableau's sign is the parity of its
+  `star_distances` distance from the source.
+
+Every map lists its tableaux at the enumerators' default size bound.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .compositions import check_composition, complement_of, is_partition, sorted_parts
@@ -30,24 +33,6 @@ from . import permutations
 from .permutations import Permutation
 from . import tableaux
 from .tableaux import Spct, Srt
-
-
-@dataclass
-class MapWitness:
-    """Input/output record of one map application, with placement trace."""
-
-    name: str
-    input_rows: list
-    output_rows: list | None
-    trace: list = field(default_factory=list)
-
-    def to_json(self):
-        return {
-            "map": self.name,
-            "input": self.input_rows,
-            "output": self.output_rows,
-            "trace": self.trace,
-        }
 
 
 def rho(t: Spct) -> Spct:
@@ -65,7 +50,7 @@ def rho(t: Spct) -> Spct:
     return Spct(rows)
 
 
-def phi(tbar: Spct, sigma: Sequence[int], witness: MapWitness | None = None) -> Spct:
+def phi(tbar: Spct, sigma: Sequence[int]) -> Spct:
     """Greedy inverse of `rho` toward the requested first-column type.
 
     The first column is rearranged so its standardization is `sigma`;
@@ -84,33 +69,27 @@ def phi(tbar: Spct, sigma: Sequence[int], witness: MapWitness | None = None) -> 
         raise ValueError("type degree does not match shape length")
     first = sorted(tbar.column(1))
     rows: list[list[int]] = [[first[sigma[r] - 1]] for r in range(ell)]
-    if witness is not None:
-        witness.trace.append({"column": 1, "placed": [row[0] for row in rows]})
     for c in range(2, tbar.num_columns() + 1):
-        placed = []
         for v in sorted(tbar.column(c), reverse=True):
             for r in range(ell):
                 if len(rows[r]) == c - 1 and rows[r][-1] > v:
                     rows[r].append(v)
-                    placed.append({"value": v, "row": r + 1})
                     break
             else:
                 raise ValueError(
                     f"no admissible row for entry {v} in column {c}; "
                     "input is not in the image of the column sort"
                 )
-        if witness is not None:
-            witness.trace.append({"column": c, "placed": placed})
     return Spct(tuple(tuple(r) for r in rows))
 
 
-def psi(t: Spct, sigma2: Sequence[int], witness: MapWitness | None = None) -> Spct:
+def psi(t: Spct, sigma2: Sequence[int]) -> Spct:
     """Change the type through the partition-shape pivot.
 
     >>> psi(Spct([[5, 2], [7, 6, 4], [3, 1]]), (1, 2, 3)).shape
     (2, 2, 3)
     """
-    return phi(rho(t), sigma2, witness)
+    return phi(rho(t), sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +131,7 @@ def spct_to_ribbon(t: Spct, sigma: Sequence[int]) -> Srt:
     return Srt._from_reading(alpha, [v for r in inv for v in sorted(t.rows[r - 1])])
 
 
-def omega_set(alpha: Sequence[int], sigma: Sequence[int], bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> list[Srt]:
+def omega_set(alpha: Sequence[int], sigma: Sequence[int]) -> list[Srt]:
     """Ribbon tableaux killed by the projected transpose map.
 
     Local column indexing: entry k of column j counts from the bottom box
@@ -163,7 +142,7 @@ def omega_set(alpha: Sequence[int], sigma: Sequence[int], bound: int = tableaux.
     """
     sigma = permutations.check_perm(sigma)
     out = []
-    for T in tableaux.enumerate_srt(alpha, bound):
+    for T in tableaux.enumerate_srt(alpha):
         if _omega_member(T, sigma):
             out.append(T)
     return out
@@ -212,7 +191,7 @@ class PrcPhiResult:
         }
 
 
-def prc_phi_map(alpha: Sequence[int], sigma: Sequence[int], bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> PrcPhiResult:
+def prc_phi_map(alpha: Sequence[int], sigma: Sequence[int]) -> PrcPhiResult:
     """Build and verify the map from the sign-free ribbon module onto the
     canonical-class submodule of the transposed tableau module.
 
@@ -228,8 +207,8 @@ def prc_phi_map(alpha: Sequence[int], sigma: Sequence[int], bound: int = tableau
             f"target shape {beta} is incompatible with {sigma}; "
             "the projected transpose map is identically zero there"
         )
-    src = ribbon_module(alpha, "star", bound)
-    big = spct_module(beta, sigma, bound)
+    src = ribbon_module(alpha, "star")
+    big = spct_module(beta, sigma)
     cls = tableaux.canonical_class(big.basis)
     tgt = submodule_on_labels(big, cls.members, name=f"{big.name}|canonical")
     data = {}
@@ -244,13 +223,13 @@ def prc_phi_map(alpha: Sequence[int], sigma: Sequence[int], bound: int = tableau
 
     surjective = rank_of(mat.rows(), src.dim) == tgt.dim
     kernel = nullspace(mat.rows(), src.dim)
-    omega = omega_set(alpha, sigma, bound)
+    omega = omega_set(alpha, sigma)
     omega_vecs = [{src.index(T): 1} for T in omega]
     matches = span_equal(kernel, omega_vecs, src.dim)
     return PrcPhiResult(linmap, surjective, matches, len(omega), tgt.dim)
 
 
-def prc_phi_for_target(beta: Sequence[int], sigma: Sequence[int], bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> PrcPhiResult:
+def prc_phi_for_target(beta: Sequence[int], sigma: Sequence[int]) -> PrcPhiResult:
     """Same map, parametrized by the tableau-module side.
 
     The ribbon shape is the complement of the type-unsorted target shape,
@@ -260,17 +239,17 @@ def prc_phi_for_target(beta: Sequence[int], sigma: Sequence[int], bound: int = t
     beta = check_composition(beta)
     sigma = permutations.check_perm(sigma)
     alpha = complement_of(permutations.compose_right_action(beta, permutations.inverse(sigma)))
-    return prc_phi_map(alpha, sigma, bound)
+    return prc_phi_map(alpha, sigma)
 
 
 # ---------------------------------------------------------------------------
 # the diagonal sign isomorphism
 
 
-def star_distances(alpha: Sequence[int], bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> dict[Srt, int]:
+def star_distances(alpha: Sequence[int]) -> dict[Srt, int]:
     """BFS distance from the column-major source in the sign-free action graph."""
     alpha = check_composition(alpha)
-    ts = tableaux.enumerate_srt(alpha, bound)
+    ts = tableaux.enumerate_srt(alpha)
     t0 = tableaux.source_ribbon_tableau(alpha)
     dist = {t0: 0}
     queue = deque([t0])
@@ -290,22 +269,12 @@ def star_distances(alpha: Sequence[int], bound: int = tableaux.DEFAULT_TABLEAU_B
     return dist
 
 
-def iota_sign(T: Srt, bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> int:
-    """Parity of the distance from the source tableau.
-
-    >>> iota_sign(tableaux.source_ribbon_tableau((2, 1)))
-    1
-    """
-    dist = star_distances(T.shape, bound)
-    return ((-1) ** dist[T])
-
-
-def iota_map(alpha: Sequence[int], bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> LinearMap:
+def iota_map(alpha: Sequence[int]) -> LinearMap:
     """Diagonal signs conjugating the sign-twisted module to the sign-free one."""
     alpha = check_composition(alpha)
-    theta_mod = ribbon_module(alpha, "theta", bound)
-    star_mod = ribbon_module(alpha, "star", bound)
-    dist = star_distances(alpha, bound)
+    theta_mod = ribbon_module(alpha, "theta")
+    star_mod = ribbon_module(alpha, "star")
+    dist = star_distances(alpha)
     mat = RatMat(
         star_mod.dim,
         theta_mod.dim,

@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .compositions import Composition, check_composition, comp_of, set_of
+from .compositions import Composition, check_composition, comp_of
 from .linalg import EchelonSpace, RatMat, Vec, nullspace, rank_of, vec_axpy
 from . import permutations
 from .permutations import Permutation
@@ -138,25 +138,14 @@ class LinearMap:
 # module constructors
 
 
-def simple_module(alpha: Sequence[int]) -> HModule:
-    """The one-dimensional module indexed by a composition of n."""
-    alpha = check_composition(alpha)
-    n = sum(alpha)
-    s = set_of(alpha)
-    cols = [[{} if i in s else {0: 1}] for i in range(1, n)]
-    return HModule(n, (alpha,), cols, name=f"F{alpha}")
-
-
-def spct_module(
-    alpha: Sequence[int], sigma: Sequence[int], bound: int = tableaux.DEFAULT_TABLEAU_BOUND
-) -> HModule:
+def spct_module(alpha: Sequence[int], sigma: Sequence[int]) -> HModule:
     """The tableau module: each generator acts by `tableaux.pi_action`.
 
     An incompatible pair yields the zero module.
     """
     alpha = check_composition(alpha)
     sigma = permutations.check_perm(sigma)
-    taus = tableaux.enumerate_spct(alpha, sigma, bound)
+    taus = tableaux.enumerate_spct(alpha, sigma)
     n = sum(alpha)
     index = {t: j for j, t in enumerate(taus)}
     cols = []
@@ -169,9 +158,7 @@ def spct_module(
 RIBBON_VARIANTS = ("opi", "theta", "star")
 
 
-def ribbon_module(
-    alpha: Sequence[int], variant: str = "opi", bound: int = tableaux.DEFAULT_TABLEAU_BOUND
-) -> HModule:
+def ribbon_module(alpha: Sequence[int], variant: str = "opi") -> HModule:
     """A module on ribbon tableaux; `variant` picks the generator action.
 
     With values i, i+1 in rows (from the bottom) r and r' of T:
@@ -191,7 +178,7 @@ def ribbon_module(
     if variant not in RIBBON_VARIANTS:
         raise ValueError(f"unknown ribbon variant {variant!r}")
     alpha = check_composition(alpha)
-    ts = tableaux.enumerate_srt(alpha, bound)
+    ts = tableaux.enumerate_srt(alpha)
     n = sum(alpha)
     index = {t: j for j, t in enumerate(ts)}
     cols = []
@@ -237,25 +224,6 @@ def submodule_on_labels(m: HModule, labels: Sequence, name: str = "") -> HModule
 
 def class_submodule_of(m: HModule, cls: SpctClass) -> HModule:
     return submodule_on_labels(m, cls.members, name=f"{m.name}|{cls.label}")
-
-
-def direct_sum(mods: Sequence[HModule], name: str = "") -> HModule:
-    if not mods:
-        raise ValueError("direct sum of nothing")
-    n = mods[0].n
-    if any(m.n != n for m in mods):
-        raise ValueError("degree mismatch in direct sum")
-    basis = []
-    for k, m in enumerate(mods):
-        basis.extend((k, b) for b in m.basis)
-    offsets = list(itertools.accumulate([0] + [m.dim for m in mods]))
-    cols = []
-    for i in range(n - 1):
-        g = []
-        for off, m in zip(offsets, mods):
-            g += ({off + r: x for r, x in col.items()} for col in m.cols[i])
-        cols.append(g)
-    return HModule(n, basis, cols, name=name or "(+)".join(m.name for m in mods))
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +605,9 @@ def generates(m: HModule, label) -> bool:
     return cyclic_span(m, {m.index(label): 1}) == m.dim
 
 
-def is_spct_cyclic(alpha: Sequence[int], sigma: Sequence[int], bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> bool:
+def is_spct_cyclic(alpha: Sequence[int], sigma: Sequence[int]) -> bool:
     """Whether one tableau generates the whole tableau module."""
-    m = spct_module(alpha, sigma, bound)
+    m = spct_module(alpha, sigma)
     if m.dim == 0:
         return False
     return any(generates(m, t) for t in m.basis)
@@ -652,11 +620,6 @@ def _moves(ts: Iterable[Spct]) -> Iterator[tuple[Spct, int, Spct]]:
             u = tableaux.pi_action(t, i)
             if u is not None and u is not t:
                 yield t, i, u
-
-
-def action_edges(alpha, sigma, bound: int = tableaux.DEFAULT_TABLEAU_BOUND):
-    """Directed moving edges (t, i, t') with generator i sending t to t' != t."""
-    return list(_moves(tableaux.enumerate_spct(alpha, sigma, bound)))
 
 
 def action_components(ts: Sequence[Spct]) -> list[frozenset[Spct]]:

@@ -81,10 +81,6 @@ def length(p: Sequence[int]) -> int:
     return sum(1 for a, b in itertools.combinations(p, 2) if a > b)
 
 
-def sign(p: Sequence[int]) -> int:
-    return -1 if length(p) % 2 else 1
-
-
 def descent_set(p: Sequence[int]) -> frozenset[int]:
     """Positions i with p(i) > p(i+1)."""
     p = check_perm(p)
@@ -114,14 +110,6 @@ def reduced_word(p: Sequence[int]) -> tuple[int, ...]:
         suffix.append(i)
         w = times_s(w, i)
     return tuple(reversed(suffix))
-
-
-def perm_from_word(word: Sequence[int], m: int) -> Permutation:
-    """The product s_{i_1} ... s_{i_p} in S_m."""
-    p = identity(m)
-    for i in reversed(list(word)):
-        p = s_times(i, p)
-    return p
 
 
 def all_reduced_words(p: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -179,22 +167,6 @@ def longest_element(m: int, subset: Sequence[int] | None = None) -> Permutation:
         a, b = block[0], block[-1] + 1
         w[a - 1 : b] = reversed(w[a - 1 : b])
     return tuple(w)
-
-
-def sigma_down(p: Sequence[int]) -> Permutation:
-    """Delete the value 1 and shift the rest down by one.
-
-    >>> sigma_down((2, 1, 3, 4))
-    (1, 2, 3)
-    >>> sigma_down((2, 3, 1))
-    (1, 2)
-    >>> sigma_down((1,))
-    ()
-    """
-    p = check_perm(p)
-    if len(p) == 0:
-        raise ValueError("cannot reduce the empty permutation")
-    return tuple(v - 1 for v in p if v != 1)
 
 
 def compose_right_action(alpha: Sequence[int], p: Sequence[int]) -> tuple[int, ...]:
@@ -267,6 +239,3 @@ def perms_by_length_lex(m: int) -> tuple[Permutation, ...]:
     """All of S_m sorted by (length, one-line word); a stable basis order."""
     return tuple(sorted(all_perms(m), key=lambda p: (length(p), p)))
 
-
-def to_json(p: Sequence[int]) -> list[int]:
-    return list(check_perm(p))

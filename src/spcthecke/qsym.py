@@ -123,7 +123,7 @@ def ch_spct(alpha: Sequence[int], sigma: Sequence[int], bound: int = DEFAULT_QSY
     return QSymElt(sum(alpha), "F", dict(out))
 
 
-def qschur(alpha: Sequence[int], bound: int = DEFAULT_QSYM_BOUND) -> QSymElt:
+def qschur(alpha: Sequence[int]) -> QSymElt:
     """The quasisymmetric Schur function of a composition, in the F basis.
 
     >>> qschur((1, 2)).terms
@@ -132,7 +132,7 @@ def qschur(alpha: Sequence[int], bound: int = DEFAULT_QSYM_BOUND) -> QSymElt:
     {(2, 1): 1}
     """
     alpha = check_composition(alpha)
-    return ch_spct(alpha, permutations.identity(len(alpha)), bound)
+    return ch_spct(alpha, permutations.identity(len(alpha)))
 
 
 def _enumerate_syt(lam: Composition) -> list[tuple[tuple[int, ...], ...]]:
@@ -165,7 +165,7 @@ def _enumerate_syt(lam: Composition) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def schur_oracle(lam: Sequence[int], bound: int = DEFAULT_QSYM_BOUND) -> QSymElt:
+def schur_oracle(lam: Sequence[int]) -> QSymElt:
     """Schur function via the classical standard-tableau descent expansion.
 
     >>> schur_oracle((2, 1)).terms == {(1, 2): 1, (2, 1): 1}
@@ -177,8 +177,8 @@ def schur_oracle(lam: Sequence[int], bound: int = DEFAULT_QSYM_BOUND) -> QSymElt
     if not is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
     n = sum(lam)
-    if n > bound:
-        raise BoundExceeded(f"n = {n} exceeds bound {bound}")
+    if n > DEFAULT_QSYM_BOUND:
+        raise BoundExceeded(f"n = {n} exceeds bound {DEFAULT_QSYM_BOUND}")
     out: Counter[Composition] = Counter()
     for t in _enumerate_syt(lam):
         row = {}
@@ -197,7 +197,7 @@ def qschur_expansion(alpha: Sequence[int], sigma: Sequence[int]) -> QSymElt:
     return QSymElt(sum(alpha), "QS", {beta: 1 for beta in bubble_fiber(alpha, sigma)})
 
 
-def recursion_check(alpha: Sequence[int], sigma: Sequence[int], i: int, bound: int = DEFAULT_QSYM_BOUND) -> bool:
+def recursion_check(alpha: Sequence[int], sigma: Sequence[int], i: int) -> bool:
     """One-step characteristic recursion: strip the generator i off the type.
 
     Requires the type to descend at i (its length must drop); the left side
@@ -209,10 +209,10 @@ def recursion_check(alpha: Sequence[int], sigma: Sequence[int], i: int, bound: i
     shorter = permutations.times_s(sigma, i)
     if permutations.length(shorter) >= permutations.length(sigma):
         raise ValueError(f"type does not descend at {i}")
-    lhs = ch_spct(alpha, sigma, bound)
+    lhs = ch_spct(alpha, sigma)
     rhs = QSymElt(sum(alpha), "F", {})
     for beta in bubble_fiber_word(alpha, (i,)):
-        rhs = rhs + ch_spct(beta, shorter, bound)
+        rhs = rhs + ch_spct(beta, shorter)
     return lhs == rhs
 
 
@@ -331,10 +331,10 @@ class BnElement:
         return permutations.compose_right_action(self.shape, permutations.inverse(self.type_))
 
 
-def bn_basis(n: int, bound: int = DEFAULT_QSYM_BOUND) -> list[BnElement]:
+def bn_basis(n: int) -> list[BnElement]:
     """Characteristics of partition-shape modules over minimal coset types."""
-    if n > bound:
-        raise BoundExceeded(f"n = {n} exceeds bound {bound}")
+    if n > DEFAULT_QSYM_BOUND:
+        raise BoundExceeded(f"n = {n} exceeds bound {DEFAULT_QSYM_BOUND}")
     out = []
     for lam in sorted(compositions(n)):
         if not is_partition(lam) or not lam:
@@ -360,7 +360,7 @@ def min_rearrangement_length(lam: Composition, beta: Composition) -> int:
     return sum(1 for i, b in enumerate(beta) for c in beta[i + 1 :] if b < c)
 
 
-def z_basis_certificate(n: int, bound: int = DEFAULT_QSYM_BOUND) -> dict:
+def z_basis_certificate(n: int) -> dict:
     """Certify that the degree-n basis is a lattice basis of the component.
 
     Checks, exactly: the count is 2^(n-1); leading terms (shape acted on by
@@ -372,7 +372,7 @@ def z_basis_certificate(n: int, bound: int = DEFAULT_QSYM_BOUND) -> dict:
     determinant is the product of the diagonal and must be +-1.  A matrix
     with an entry below the diagonal reports ``det`` None and fails.
     """
-    elements = bn_basis(n, bound)
+    elements = bn_basis(n)
     order = composition_order(n)
     pos = {a: k for k, a in enumerate(order)}
     report: dict = {"n": n, "size": len(elements), "expected_size": 2 ** max(n - 1, 0)}

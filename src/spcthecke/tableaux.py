@@ -24,6 +24,8 @@ boxes (the smaller pair shrinks part m, same type), or when alpha_m = 1
 and sigma_m = 1 (the smaller pair drops row m, and the type loses the
 value 1).  The same move rule decides existence without listing
 (`spct_exists`).  An `Srt` is enumerated by column-major backtracking.
+The two enumerators are the only size-guarded entry points here: each
+refuses an n above `DEFAULT_TABLEAU_BOUND` unless given a larger `bound`.
 
 Both kinds share one filling core: rows, shape, n, the map from each
 value to its (row, column), `swap_values`, equality, hashing and JSON.
@@ -69,8 +71,8 @@ class _Filling:
     """Rows filled bijectively by 1..n; 1-based (row, column) cells.
 
     The two tableau kinds share this core and add only their geometry:
-    the column each row starts in (`_starts`), `entry`, `column`,
-    `num_columns` and `pretty`.  The public constructor checks only that
+    the column each row starts in (`_starts`), `column` and
+    `num_columns`.  The public constructor checks only that
     the rows are nonempty and hold exactly 1..n; `_trusted` checks
     nothing.
     """
@@ -161,12 +163,6 @@ class Spct(_Filling):
     def _starts(shape: Composition) -> Iterable[int]:
         return _FIRST_COLUMN
 
-    def entry(self, row: int, col: int) -> int | None:
-        """Entry at 1-based (row, col), or None outside the diagram."""
-        if 1 <= row <= len(self.rows) and 1 <= col <= len(self.rows[row - 1]):
-            return self.rows[row - 1][col - 1]
-        return None
-
     @property
     def sigma(self) -> Permutation:
         """The type: standardization of the first column read top to bottom."""
@@ -178,13 +174,6 @@ class Spct(_Filling):
 
     def num_columns(self) -> int:
         return max(self.shape, default=0)
-
-    def pretty(self) -> str:
-        """Left-justified rows, top to bottom, in diagram orientation."""
-        width = max((len(str(v)) for row in self.rows for v in row), default=1)
-        return "\n".join(
-            " ".join(str(v).rjust(width) for v in row) for row in self.rows
-        )
 
 
 class _Ribbon(NamedTuple):
@@ -232,30 +221,12 @@ class Srt(_Filling):
     def num_columns(self) -> int:
         return len(_ribbon(self.shape).columns)
 
-    def entry(self, row: int, col: int) -> int | None:
-        """Entry at (row from the bottom, column), or None outside the ribbon."""
-        if not 1 <= row <= len(self.rows):
-            return None
-        lo, hi = _ribbon(self.shape).spans[row - 1]
-        if lo <= col <= hi:
-            return self.rows[row - 1][col - lo]
-        return None
-
     def column(self, c: int) -> list[int]:
         """Entries of column c from the visual top down (increasing)."""
         geo = _ribbon(self.shape)
         if not 1 <= c <= len(geo.columns):
             return []
         return [self.rows[r - 1][c - geo.spans[r - 1][0]] for r, _ in geo.columns[c - 1]]
-
-    def pretty(self) -> str:
-        """Drawn with the first row at the bottom and columns aligned."""
-        width = max((len(str(v)) for row in self.rows for v in row), default=1)
-        lines = []
-        for (lo, _), row in sorted(zip(_ribbon(self.shape).spans, self.rows), reverse=True):
-            pad = " " * ((lo - 1) * (width + 1))
-            lines.append(pad + " ".join(str(v).rjust(width) for v in row))
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +261,6 @@ def is_valid_spct_rows(rows: Sequence[Sequence[int]], sigma: Sequence[int] | Non
                 if len(rows[i]) < k + 1 or rows[i][k] <= rows[j][k]:
                     return False
     return True
-
-
-def _check_tableau_bound(n: int, bound: int) -> None:
-    if n > bound:
-        raise BoundExceeded(f"n = {n} exceeds tableau enumeration bound {bound}")
 
 
 def _check_pair(alpha: Sequence[int], sigma: Sequence[int]) -> tuple[Composition, Permutation]:
@@ -361,7 +327,8 @@ def enumerate_spct(
     ()
     """
     alpha, sigma = _check_pair(alpha, sigma)
-    _check_tableau_bound(sum(alpha), bound)
+    if sum(alpha) > bound:
+        raise BoundExceeded(f"n = {sum(alpha)} exceeds tableau enumeration bound {bound}")
     return _enumerate_spct(alpha, sigma)
 
 
@@ -404,7 +371,8 @@ def enumerate_srt(alpha: Sequence[int], bound: int = DEFAULT_TABLEAU_BOUND) -> t
     1
     """
     alpha = check_composition(alpha)
-    _check_tableau_bound(sum(alpha), bound)
+    if sum(alpha) > bound:
+        raise BoundExceeded(f"n = {sum(alpha)} exceeds tableau enumeration bound {bound}")
     return _enumerate_srt(alpha)
 
 

@@ -54,7 +54,7 @@ def _upto(max_n: int, per_degree: Callable[[int], Sequence]) -> list:
 def _upto_algebra(max_n: int, per_degree: Callable[[int], Sequence]) -> list:
     """`_upto` for claims that build algebra modules, refusing a max_n
     above the algebra bound before any case is listed or run."""
-    hecke._check_algebra_bound(max_n, modules.DEFAULT_ALGEBRA_BOUND)
+    hecke._check_algebra_bound(max_n)
     return _upto(max_n, per_degree)
 
 

@@ -14,13 +14,12 @@ from spcthecke.compositions import (
     compositions,
     complement_of,
     partitions,
-    rd_column_heights,
     rd_row_spans,
     reverse_of,
     set_of,
-    subsets,
-    transform,
+    sorted_parts,
 )
+from spcthecke.tableaux import _ribbon
 
 comps = st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=6).map(tuple)
 
@@ -52,17 +51,19 @@ def test_comp_set_round_trip(n, data):
 
 
 def test_transform_examples():
-    assert transform((2, 2, 1, 1, 1, 2, 1), "complement") == (1, 2, 5, 2)
-    assert transform((1, 3, 2), "reverse") == (2, 3, 1)
-    assert transform((1, 3, 2), "sort") == (3, 2, 1)
+    assert complement_of((2, 2, 1, 1, 1, 2, 1)) == (1, 2, 5, 2)
+    assert reverse_of((1, 3, 2)) == (2, 3, 1)
+    assert sorted_parts((1, 3, 2)) == (3, 2, 1)
     with pytest.raises(ValueError):
-        transform((1,), "frobnicate")
+        reverse_of((1, 0))
 
 
 @given(comps)
 def test_transform_involutions(alpha):
-    for kind in ("reverse", "complement", "transpose"):
-        assert transform(transform(alpha, kind), kind) == alpha
+    assert reverse_of(reverse_of(alpha)) == alpha
+    assert complement_of(complement_of(alpha)) == alpha
+    transpose = reverse_of(complement_of(alpha))
+    assert reverse_of(complement_of(transpose)) == alpha
 
 
 @given(comps)
@@ -71,8 +72,8 @@ def test_transpose_both_orders(alpha):
 
 
 def test_empty_composition_fixed_by_transforms():
-    for kind in ("reverse", "complement", "transpose", "sort"):
-        assert transform((), kind) == ()
+    for transform in (reverse_of, complement_of, sorted_parts):
+        assert transform(()) == ()
 
 
 def test_bubble_act_examples():
@@ -122,16 +123,15 @@ def test_enumeration_orders():
     assert compositions(0) == [()]
     assert len(partitions(4)) == 5
     assert len(compositions(6)) == 2 ** 5
-    assert subsets(3) == [set_of(a) for a in compositions(3)]
 
 
 def test_ribbon_geometry():
     assert rd_row_spans((1, 3, 2)) == [(1, 1), (1, 3), (3, 4)]
-    assert rd_column_heights((2, 2, 1, 1, 1, 2, 1)) == [1, 2, 5, 2]
+    assert [len(c) for c in _ribbon((2, 2, 1, 1, 1, 2, 1)).columns] == [1, 2, 5, 2]
     # column heights always spell the complement
     for n in range(1, 8):
         for alpha in compositions(n):
-            assert tuple(rd_column_heights(alpha)) == complement_of(alpha)
+            assert tuple(len(c) for c in _ribbon(alpha).columns) == complement_of(alpha)
 
 
 def test_cell_kind_guard():

@@ -25,7 +25,8 @@ def test_matmul_and_identity():
 def test_apply_and_transpose():
     a = RatMat.from_dense([[0, 1], [1, 1]])
     assert a.cols() == [{1: 1}, {0: 1, 1: 1}] and a.col(0) == {1: 1}
-    assert a.transpose().to_dense() == [[0, 1], [1, 1]]
+    b = RatMat.from_dense([[1, 2], [0, 3]])
+    assert b.rows() == [{0: 1, 1: 2}, {1: 3}] and b.cols() == [{0: 1}, {0: 2, 1: 3}]
 
 
 def test_quadruple_round_trip():

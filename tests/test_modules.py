@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -15,7 +16,6 @@ from spcthecke.modules import (
     class_submodule_of,
     composition_factors,
     cyclic_span,
-    direct_sum,
     generates,
     graph_dot,
     hom_space,
@@ -24,7 +24,6 @@ from spcthecke.modules import (
     radical_filtration,
     reachable_pairs,
     ribbon_module,
-    simple_module,
     spct_module,
     submodule_on_labels,
     top_factors,
@@ -49,6 +48,28 @@ def compatible_pairs(n):
         for sigma in P.all_perms(len(alpha)):
             if is_compatible(alpha, sigma):
                 yield alpha, sigma
+
+
+def simple_module(alpha):
+    """The one-dimensional module of a composition: pi_i kills it for i in set_of(alpha)."""
+    n = sum(alpha)
+    s = set_of(alpha)
+    cols = [[{} if i in s else {0: 1}] for i in range(1, n)]
+    return HModule(n, (alpha,), cols, name=f"F{alpha}")
+
+
+def direct_sum(mods):
+    """The direct sum, basis labels tagged (summand index, label)."""
+    n = mods[0].n
+    basis = [(k, b) for k, m in enumerate(mods) for b in m.basis]
+    offsets = list(itertools.accumulate([0] + [m.dim for m in mods]))
+    cols = []
+    for i in range(n - 1):
+        g = []
+        for off, m in zip(offsets, mods):
+            g += ({off + r: x for r, x in col.items()} for col in m.cols[i])
+        cols.append(g)
+    return HModule(n, basis, cols, name="(+)".join(m.name for m in mods))
 
 
 # ---------------------------------------------------------------------------

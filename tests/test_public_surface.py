@@ -1,0 +1,70 @@
+"""Every public top-level function or class of the package has a caller in it.
+
+A name is called when the package's code refers to it, as a name or an
+attribute, outside the name's own definition.  Docstrings and doctests are
+strings, so a mention there does not count, and neither does an import.
+The keep-list holds the paper constructions that only their tests check.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "spcthecke"
+
+KEEP = {
+    "tableaux.removable_nodes": "the removable nodes of a pair, checked on the paper's example",
+    "tableaux.hatted_source_tableau": "the hatted source filling, valid only under the paper's extra hypotheses",
+    "modules.word_transport_holds": "reduced words of the column-word quotient carry one class member to another",
+    "modules.reachable_pairs": "the pairs of class members joined by moving steps, where word transport applies",
+    "permutations.weak_leq": "the weak order on the symmetric group",
+    "compositions.bubble_act_word": "the bubble-sorting right action along a word, inverse to the fibers",
+    "maps.spct_to_ribbon": "the inverse of the ribbon-to-tableau transpose",
+    "qsym.qs_to_f": "the QS -> F basis change, inverse to f_to_qs",
+}
+
+
+TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _public_defs(tree):
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def _references(tree, skip=None):
+    """Names and attributes the code refers to, outside the `skip` node."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_public_name_has_a_caller(module):
+    elsewhere = set().union(*(_references(t) for name, t in TREES.items() if name != module))
+    dead = []
+    for node in _public_defs(TREES[module]):
+        if f"{module}.{node.name}" in KEEP:
+            continue
+        if node.name not in elsewhere | _references(TREES[module], skip=node):
+            dead.append(node.name)
+    assert not dead, f"{module}: no caller in the package for {dead}"
+
+
+def test_keep_list_names_are_defined():
+    for key in KEEP:
+        module, name = key.split(".")
+        assert name in {node.name for node in _public_defs(TREES[module])}, key

@@ -99,8 +99,8 @@ def test_non_triangular_transition_is_a_witness(monkeypatch):
     # an F term above the diagonal: S[1,1,1] picks up F[3], which sorts first
     real = qsym.qschur
 
-    def skewed(beta, bound=qsym.DEFAULT_QSYM_BOUND):
-        elt = real(beta, bound)
+    def skewed(beta):
+        elt = real(beta)
         return elt + QSymElt(3, "F", {(3,): 1}) if beta == (1, 1, 1) else elt
 
     monkeypatch.setattr(qsym, "qschur", skewed)

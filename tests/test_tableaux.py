@@ -109,7 +109,7 @@ def test_trusted_tableaux_match_the_public_constructor():
                 assert is_valid_spct_rows(t.rows, sigma)
     for n in range(1, 7):
         for alpha, sigma in all_pairs(n):
-            for _, _, u in modules.action_edges(alpha, sigma):
+            for _, _, u in modules._moves(enumerate_spct(alpha, sigma)):
                 _assert_same_as_public(u)
                 assert is_valid_spct_rows(u.rows, sigma)
     for n in range(1, 8):
