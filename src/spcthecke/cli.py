@@ -6,13 +6,17 @@ with its witness is printed as JSON), 2 for usage errors (including a
 an internal error: a `RuntimeError` raised when a computation finds its
 own invariant broken (say, a radical layer that is not semisimple), or
 any other exception a claim's case raises, is printed as one
-``error: internal: ...`` line, with no traceback.
+``error: internal: ...`` line, with no traceback.  When the reader of
+stdout goes away first (say, ``spcthecke verify thm-3.1 | head -1``), the
+command stops quietly and exits 141, the code a shell gives a process
+ended by SIGPIPE, so the cut output is not read as a failed claim.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .compositions import BoundExceeded
@@ -24,6 +28,7 @@ from .verify import CLAIMS, run_claim
 USAGE_ERROR = 2
 PROPERTY_FAILURE = 1
 INTERNAL_ERROR = 3
+BROKEN_PIPE = 141
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -165,7 +170,15 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors already; normalise other codes
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing more can reach the reader; with stdout on devnull, the
+        # flush at exit stays quiet too
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return BROKEN_PIPE
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

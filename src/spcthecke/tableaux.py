@@ -23,19 +23,24 @@ So row m can hold 1 when alpha_m >= 2 and no row above it has alpha_m - 1
 boxes (the smaller pair shrinks part m, same type), or when alpha_m = 1
 and sigma_m = 1 (the smaller pair drops row m, and the type loses the
 value 1).  The same move rule decides existence without listing
-(`spct_exists`).  An `Srt` is enumerated by column-major backtracking.
-The two enumerators are the only size-guarded entry points here: each
-refuses an n above `DEFAULT_TABLEAU_BOUND` unless given a larger `bound`.
+(`spct_exists`).  The recursion keeps the pairs it reads in a memo for
+the life of the process; a pair requested through `enumerate_spct` that
+the memo lacks is built from it and kept only in a small cache of recent
+requests.  So the largest degree a caller walks, which holds most of the
+tableaux and which no construction reads again, is never held in full.
+An `Srt` is enumerated by column-major backtracking.  The two
+enumerators are the only size-guarded entry points here: each refuses an
+n above `DEFAULT_TABLEAU_BOUND` unless given a larger `bound`.
 
-Both kinds share one filling core: rows, shape, n, the map from each
-value to its (row, column), `swap_values`, equality, hashing and JSON.
-Its public constructor checks only that the rows are nonempty and hold
-exactly 1..n; its trusted constructor checks nothing, and every tableau
-built inside the package (the enumerators, the canonical and ribbon
-sources, `swap_values`) goes through it.  Each kind adds its geometry:
-composition rows all start in column 1, while a ribbon shape's row spans
-and the cells of each column, top down, are computed once per shape and
-shared as tuples by all its tableaux.
+Both kinds share one filling core: rows, shape, n, each value's
+(row, column), `swap_values`, equality, hashing and JSON.  Its public
+constructor checks only that the rows are nonempty and hold exactly
+1..n; its trusted constructor checks nothing, and every tableau built
+inside the package (the enumerators, the canonical and ribbon sources,
+`swap_values`) goes through it.  Each kind adds its geometry: the cells
+of a composition shape, and a ribbon shape's row spans and the cells of
+each column, top down, are computed once per shape and shared as tuples
+by all its tableaux, positions included.
 
 This module also hosts the structural predicates on shape/type pairs:
 compatibility, obstruction pairs with their witness conditions,
@@ -71,9 +76,11 @@ class _Filling:
     """Rows filled bijectively by 1..n; 1-based (row, column) cells.
 
     The two tableau kinds share this core and add only their geometry:
-    the column each row starts in (`_starts`), `column` and
-    `num_columns`.  The public constructor checks only that
-    the rows are nonempty and hold exactly 1..n; `_trusted` checks
+    `_cells`, the shape's cells in the order the rows list them, `column`
+    and `num_columns`.  Positions are a tuple indexed by value (index 0
+    unused) whose cells are the shape's own tuples, built once per shape
+    and shared by all its tableaux.  The public constructor checks only
+    that the rows are nonempty and hold exactly 1..n; `_trusted` checks
     nothing.
     """
 
@@ -83,9 +90,10 @@ class _Filling:
         self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rows)
         self.shape: Composition = check_composition(tuple(len(r) for r in self.rows))
         self.n = sum(self.shape)
-        self._pos: dict[int, tuple[int, int]] = _positions(self.rows, self._starts(self.shape))
-        if sorted(self._pos) != list(range(1, self.n + 1)):
+        values = list(itertools.chain.from_iterable(self.rows))
+        if sorted(values) != list(range(1, self.n + 1)):
             raise ValueError(f"entries must be exactly 1..{self.n}: {self.rows}")
+        self._pos: tuple[tuple[int, int] | None, ...] = _positions(values, self._cells(self.shape), self.n)
 
     @classmethod
     def _trusted(
@@ -93,28 +101,31 @@ class _Filling:
         rows: tuple[tuple[int, ...], ...],
         shape: Composition,
         n: int,
-        pos: dict[int, tuple[int, int]] | None = None,
+        pos: tuple[tuple[int, int] | None, ...] | None = None,
     ):
         """A tableau from rows known to fill `shape` with 1..n; nothing is checked."""
         t = object.__new__(cls)
         t.rows, t.shape, t.n = rows, shape, n
-        t._pos = _positions(rows, cls._starts(shape)) if pos is None else pos
+        t._pos = _positions(itertools.chain.from_iterable(rows), cls._cells(shape), n) if pos is None else pos
         return t
 
     @staticmethod
-    def _starts(shape: Composition) -> Iterable[int]:
-        """The column of the first box of each row."""
+    def _cells(shape: Composition) -> tuple[tuple[int, int], ...]:
+        """The cells of `shape`, row by row in stored order, each row left to right."""
         raise NotImplementedError
 
     def pos(self, value: int) -> tuple[int, int]:
-        """(row, column) of a value."""
+        """(row, column) of a value in 1..n."""
+        if not 0 < value <= self.n:
+            raise KeyError(value)
         return self._pos[value]
 
     def swap_values(self, i: int):
         """The filling with values i and i+1 exchanged; every box stays put."""
         if not 1 <= i < self.n:
             raise ValueError(f"cannot swap {i} and {i + 1} in a filling of 1..{self.n}")
-        a, b = self._pos[i], self._pos[i + 1]
+        pos = self._pos
+        a, b = pos[i], pos[i + 1]
         ra, rb = a[0] - 1, b[0] - 1
         rows = list(self.rows)
         ka, kb = rows[ra].index(i), rows[rb].index(i + 1)
@@ -122,9 +133,7 @@ class _Filling:
         rows[ra] = row[:ka] + (i + 1,) + row[ka + 1 :]
         row = rows[rb]
         rows[rb] = row[:kb] + (i,) + row[kb + 1 :]
-        pos = dict(self._pos)
-        pos[i], pos[i + 1] = b, a
-        return self._trusted(tuple(rows), self.shape, self.n, pos)
+        return self._trusted(tuple(rows), self.shape, self.n, pos[:i] + (b, a) + pos[i + 2 :])
 
     def to_json(self) -> list[list[int]]:
         """The rows, in the order the shape lists them."""
@@ -140,13 +149,19 @@ class _Filling:
         return f"{type(self).__name__}({[list(r) for r in self.rows]})"
 
 
-def _positions(rows: tuple[tuple[int, ...], ...], starts: Iterable[int]) -> dict[int, tuple[int, int]]:
-    """Map each entry to its (row, column), row r starting in column starts[r]."""
-    return {v: (i, j) for i, (row, s) in enumerate(zip(rows, starts), 1) for j, v in enumerate(row, s)}
+def _positions(
+    values: Iterable[int], cells: tuple[tuple[int, int], ...], n: int
+) -> tuple[tuple[int, int] | None, ...]:
+    """The cell of each value, indexed by value: `values` fill `cells` in order."""
+    pos: list[tuple[int, int] | None] = [None] * (n + 1)
+    for v, cell in zip(values, cells):
+        pos[v] = cell
+    return tuple(pos)
 
 
-#: every row of a composition diagram starts in column 1
-_FIRST_COLUMN = itertools.repeat(1)
+@lru_cache(maxsize=50_000)
+def _composition_cells(alpha: Composition) -> tuple[tuple[int, int], ...]:
+    return tuple((i, j) for i, part in enumerate(alpha, 1) for j in range(1, part + 1))
 
 
 class Spct(_Filling):
@@ -160,8 +175,8 @@ class Spct(_Filling):
     __slots__ = ()
 
     @staticmethod
-    def _starts(shape: Composition) -> Iterable[int]:
-        return _FIRST_COLUMN
+    def _cells(shape: Composition) -> tuple[tuple[int, int], ...]:
+        return _composition_cells(shape)
 
     @property
     def sigma(self) -> Permutation:
@@ -182,6 +197,7 @@ class _Ribbon(NamedTuple):
     spans: tuple[tuple[int, int], ...]  # first and last column of each row, bottom-up
     columns: tuple[tuple[tuple[int, int], ...], ...]  # the (row, column) cells of each column, top down
     cells: tuple[tuple[int, int], ...]  # column-major: columns left to right, each top down
+    by_row: tuple[tuple[int, int], ...]  # the same cells row-major: rows bottom-up, each left to right
 
 
 @lru_cache(maxsize=50_000)
@@ -192,7 +208,8 @@ def _ribbon(alpha: Composition) -> _Ribbon:
         tuple((r, c) for r in range(len(spans), 0, -1) if spans[r - 1][0] <= c <= spans[r - 1][1])
         for c in range(1, width + 1)
     )
-    return _Ribbon(spans, columns, tuple(itertools.chain.from_iterable(columns)))
+    cells = tuple(itertools.chain.from_iterable(columns))
+    return _Ribbon(spans, columns, cells, tuple(sorted(cells)))
 
 
 class Srt(_Filling):
@@ -201,8 +218,8 @@ class Srt(_Filling):
     __slots__ = ()
 
     @staticmethod
-    def _starts(shape: Composition) -> Iterable[int]:
-        return (lo for lo, _ in _ribbon(shape).spans)
+    def _cells(shape: Composition) -> tuple[tuple[int, int], ...]:
+        return _ribbon(shape).by_row
 
     @classmethod
     def _from_reading(cls, alpha: Composition, word: Sequence[int]) -> "Srt":
@@ -212,11 +229,11 @@ class Srt(_Filling):
         rows = tuple(
             tuple(grid[r, c] for c in range(lo, hi + 1)) for r, (lo, hi) in enumerate(geo.spans, 1)
         )
-        return cls._trusted(rows, alpha, len(word), dict(zip(word, geo.cells)))
+        return cls._trusted(rows, alpha, len(word), _positions(word, geo.cells, len(word)))
 
     def row_of(self, value: int) -> int:
         """The row, counted from the bottom, holding a value."""
-        return self._pos[value][0]
+        return self.pos(value)[0]
 
     def num_columns(self) -> int:
         return len(_ribbon(self.shape).columns)
@@ -317,9 +334,10 @@ def enumerate_spct(
     holding its 1, and no built tableau is re-checked.  The tableaux come
     out sorted by column reading word.  Returns () exactly when the pair
     is incompatible, which is verified against `is_compatible` rather than
-    assumed.  Results are cached on the normalised (alpha, sigma), and so
-    are the smaller pairs the recursion visits; `bound` only guards the
-    size.
+    assumed.  A pair the recursion has read comes from its memo; any other
+    is built from the memo and kept, on the normalised (alpha, sigma), in
+    a cache of the last `_REQUESTED_PAIRS` requests only, which is what
+    `enumerate_spct.cache_info()` reports.  `bound` only guards the size.
 
     >>> [t.rows for t in enumerate_spct((2, 1), (2, 1))]
     [((3, 2), (1,)), ((3, 1), (2,))]
@@ -329,16 +347,37 @@ def enumerate_spct(
     alpha, sigma = _check_pair(alpha, sigma)
     if sum(alpha) > bound:
         raise BoundExceeded(f"n = {sum(alpha)} exceeds tableau enumeration bound {bound}")
-    return _enumerate_spct(alpha, sigma)
+    listed = _SMALLER.get((alpha, sigma))
+    return _requested_spct(alpha, sigma) if listed is None else listed
 
 
-@lru_cache(maxsize=200_000)
+#: The tableaux of every pair the one-size-down recursion has read.  Only
+#: the recursion fills it, so it holds pairs below the largest degree
+#: requested, never the top-degree pairs no later construction reads.
+_SMALLER: dict[tuple[Composition, Permutation], tuple[Spct, ...]] = {}
+
+
 def _enumerate_spct(alpha: Composition, sigma: Permutation) -> tuple[Spct, ...]:
+    """A smaller pair's tableaux, through the recursion's memo."""
+    listed = _SMALLER.get((alpha, sigma))
+    if listed is None:
+        listed = _SMALLER[alpha, sigma] = _build_spct(alpha, sigma)
+    return listed
+
+
+#: Every claim requests each pair once, except thm-3.15, whose cyclicity
+#: check repeats pairs with n <= 6, and prop-4.6 and thm-4.8, whose 7,830
+#: requests for 1,950 pairs at n <= 6 come back within this many other
+#: requests: at this size they miss once per pair, as with no limit.
+_REQUESTED_PAIRS = 1024
+
+
+def _build_spct(alpha: Composition, sigma: Permutation) -> tuple[Spct, ...]:
     if not alpha:
         return (Spct._trusted((), (), 0),)
     out: list[tuple[tuple[int, ...], ...]] = []
     for m, beta, tau in _entry_one_moves(alpha, sigma):
-        if not _spct_exists(beta, tau):  # keeps empty smaller pairs out of the cache
+        if not _spct_exists(beta, tau):  # keeps empty smaller pairs out of the memo
             continue
         new_row = len(beta) < len(alpha)
         for t in _enumerate_spct(beta, tau):
@@ -354,7 +393,8 @@ def _enumerate_spct(alpha: Composition, sigma: Permutation) -> tuple[Spct, ...]:
     return tuple(Spct._trusted(rows, alpha, n) for rows in out)
 
 
-enumerate_spct.cache_info = _enumerate_spct.cache_info
+_requested_spct = lru_cache(maxsize=_REQUESTED_PAIRS)(_build_spct)
+enumerate_spct.cache_info = _requested_spct.cache_info
 
 
 def enumerate_srt(alpha: Sequence[int], bound: int = DEFAULT_TABLEAU_BOUND) -> tuple[Srt, ...]:

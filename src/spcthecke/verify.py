@@ -549,7 +549,7 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
     ),
     "lem-2.7": (
         "each class has one source, one sink, and is a component",
-        7, lambda m: _upto(m, _compatible_pairs), _case_classes,
+        8, lambda m: _upto(m, _compatible_pairs), _case_classes,
     ),
     "thm-3.15": (
         "unique source and cyclicity both characterised by simplicity",

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -213,3 +214,24 @@ def test_determinism_across_runs():
         b = run_cli("verify", claim, "--max-n", max_n, "--jobs", "2")
         assert a.returncode == b.returncode == 0, claim
         assert a.stdout == b.stdout, claim
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "thm-3.1", "--max-n", "5"),
+        ("verify", "thm-3.1", "--max-n", "3", "--jobs", "2"),
+        ("enumerate", "spct", "--shape", "2,1", "--sigma", "2,1"),
+    ],
+)
+def test_closed_stdout_exits_quietly(args):
+    # the read end is closed before the child starts, so its first write or
+    # flush to stdout fails whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(BASE + list(args), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert res.returncode == cli.BROKEN_PIPE
+    assert res.stderr == ""

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 
 import pytest
 
@@ -66,19 +68,52 @@ def _row_fillings(alpha, values):
             yield (tuple(sorted(first, reverse=True)),) + tail
 
 
+@functools.lru_cache(maxsize=None)
+def _brute_force(alpha):
+    """Independent oracle: every row-decreasing filling of `alpha` that passes
+    the full defining check, bucketed by type, each bucket in column reading
+    word order."""
+    n = sum(alpha)
+    buckets = {}
+    for rows in _row_fillings(alpha, list(range(1, n + 1))):
+        if is_valid_spct_rows(rows):
+            sigma = P.standardize(tuple(row[0] for row in rows))
+            buckets.setdefault(sigma, []).append(rows)
+    return {sigma: sorted(found, key=lambda rows: col_word(Spct(rows))) for sigma, found in buckets.items()}
+
+
 def test_enumerate_spct_brute_force_oracle():
-    # independent oracle: filter every row-decreasing filling of every shape
-    # with n <= 7, bucket by type, and compare contents and order exactly
+    # compare contents and order exactly for every pair with n <= 7
     for n in range(1, 8):
         for alpha in compositions(n):
-            buckets = {}
-            for rows in _row_fillings(alpha, list(range(1, n + 1))):
-                if is_valid_spct_rows(rows):
-                    sigma = P.standardize(tuple(row[0] for row in rows))
-                    buckets.setdefault(sigma, []).append(rows)
             for sigma in P.all_perms(len(alpha)):
-                expected = sorted(buckets.get(sigma, []), key=lambda rows: col_word(Spct(rows)))
+                expected = _brute_force(alpha).get(sigma, [])
                 assert [t.rows for t in enumerate_spct(alpha, sigma)] == expected, (alpha, sigma)
+
+
+def _clear_spct_caches():
+    tableaux._SMALLER.clear()
+    tableaux._requested_spct.cache_clear()
+
+
+def test_requested_pairs_stay_out_of_the_recursion_memo():
+    _clear_spct_caches()
+    pairs = [(alpha, sigma) for alpha, sigma in all_pairs(6) if is_compatible(alpha, sigma)]
+    for alpha, sigma in pairs:
+        assert [t.rows for t in enumerate_spct(alpha, sigma)] == _brute_force(alpha)[sigma], (alpha, sigma)
+    assert tableaux._SMALLER
+    assert all(sum(alpha) < 6 for alpha, _ in tableaux._SMALLER)
+
+
+def test_walk_order_does_not_change_the_tableaux():
+    pairs = [pair for n in range(1, 7) for pair in all_pairs(n)]
+    shuffled = list(pairs)
+    random.Random(14).shuffle(shuffled)
+    walks = []
+    for order in (pairs, pairs[::-1], shuffled):
+        _clear_spct_caches()
+        walks.append({pair: [(t.rows, t._pos) for t in enumerate_spct(*pair)] for pair in order})
+    assert walks[0] == walks[1] == walks[2]
 
 
 def test_existence_matches_enumeration():
@@ -119,6 +154,39 @@ def test_trusted_tableaux_match_the_public_constructor():
                 _assert_same_as_public(t)
                 for i in range(1, n):
                     _assert_same_as_public(t.swap_values(i))
+
+
+def _cells_from_rows(t):
+    """(row, column) of each value, read off the rows: composition rows start
+    in column 1, ribbon rows at their span's first column."""
+    if isinstance(t, Spct):
+        starts = [1] * len(t.rows)
+    else:
+        starts = [lo for lo, _ in tableaux._ribbon(t.shape).spans]
+    return {v: (r, c) for r, (row, lo) in enumerate(zip(t.rows, starts), 1) for c, v in enumerate(row, lo)}
+
+
+def test_positions_are_the_shapes_shared_cells():
+    for n in range(1, 7):
+        for alpha in compositions(n):
+            spcts = [t for sigma in P.all_perms(len(alpha)) for t in enumerate_spct(alpha, sigma)]
+            srts = list(enumerate_srt(alpha)) + [source_ribbon_tableau(alpha)]
+            for kind in (spcts, srts):
+                kind += [type(t)(t.rows) for t in kind]
+                for t in kind:
+                    expected = _cells_from_rows(t)
+                    assert {v: t.pos(v) for v in range(1, n + 1)} == expected, t
+                    for v in (0, -1, n + 1):
+                        with pytest.raises(KeyError):
+                            t.pos(v)
+                    for i in range(1, n):
+                        u = t.swap_values(i)
+                        assert _cells_from_rows(u) == {**expected, i: expected[i + 1], i + 1: expected[i]}
+                        assert {v: u.pos(v) for v in range(1, n + 1)} == _cells_from_rows(u)
+                    # the cached tableau is shared, so swapping must leave it as it was
+                    assert {v: t.pos(v) for v in range(1, n + 1)} == expected
+                # one tuple per cell, whichever tableau, type or constructor
+                assert len({id(t.pos(v)) for t in kind for v in range(1, n + 1)}) == n, alpha
 
 
 def test_swap_values_range():
