@@ -21,13 +21,23 @@ columns, for serialisation and for tests.  A relation between two words
 in the generators holds when both words send every basis vector to the
 same image, and a map f with matrix F intertwines when
 ``F (pi_i e_b) == pi_i (F e_b)`` for every generator i and basis vector b.
+
+Invariants are computed once per distinct action.  `is_indecomposable`,
+`composition_factors` and `top_factors` (and so `hecke.is_projective`)
+read only the degree, the dimension and the generator columns, never the
+basis labels or the name, so they are memoized on a flat tuple of n, dim and every column
+with its coefficients (`_action_key`).  Equal keys give identical results
+by construction, with no isomorphism argument; class submodules of
+different pairs often share their action, so most calls are served from
+the memo.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import Composition, check_composition, comp_of
@@ -265,6 +275,54 @@ def check_relations(m: HModule) -> RelationReport:
 
 
 # ---------------------------------------------------------------------------
+# invariants computed once per distinct action
+
+
+def _action_key(m: HModule) -> tuple:
+    """n, dim and every generator column with its coefficients, in basis
+    order, as one flat tuple.
+
+    Each column is its entry count followed by its (row, coefficient)
+    pairs in the column's own order, so the tuple spells out `m.cols`
+    exactly and equal keys mean equal columns iterated alike.
+    """
+    key = [m.n, m.dim]
+    for g in m.cols:
+        for col in g:
+            key.append(len(col))
+            for item in col.items():
+                key += item
+    return tuple(key)
+
+
+def _once_per_action(fresh):
+    """Memoize a function of a module on `_action_key`.
+
+    The function must read only ``m.n``, ``m.dim`` and ``m.cols``, never
+    the basis labels or the name, so a module with the same key gets the
+    same result by construction.  Every call hands out ``fresh(result)``, a new object,
+    so a caller cannot change what the memo holds; an exception is raised
+    again on every call and nothing is stored.
+    """
+
+    def decorate(fn):
+        memo: dict[tuple, object] = {}
+
+        @functools.wraps(fn)
+        def once(m: HModule):
+            key = _action_key(m)
+            result = memo.get(key)
+            if result is None:
+                result = memo[key] = fn(m)
+            return fresh(result)
+
+        once.cache_clear = memo.clear
+        return once
+
+    return decorate
+
+
+# ---------------------------------------------------------------------------
 # hom spaces, endomorphism rings, indecomposability
 
 
@@ -399,6 +457,7 @@ class IndecomposabilityCertificate:
         return {"end_dim": self.end_dim, "semisimple_rank": self.semisimple_rank}
 
 
+@_once_per_action(lambda result: (result[0], replace(result[1])))
 def is_indecomposable(m: HModule) -> tuple[bool, IndecomposabilityCertificate]:
     """Locality of the endomorphism ring via the trace form.
 
@@ -409,6 +468,9 @@ def is_indecomposable(m: HModule) -> tuple[bool, IndecomposabilityCertificate]:
     tr(f_a f_b) = sum over (r, c) of f_a[r, c] * f_b[c, r] is read off the
     two matrices without forming their product, and the form is symmetric,
     so only the entries with a <= b are computed.
+
+    Computed once per distinct action (`_once_per_action`); each call gets
+    a new certificate.
     """
     if m.dim == 0:
         raise ValueError("the zero module has no endomorphism ring")
@@ -578,16 +640,26 @@ def _layer_factors(layer: Layer, n: int) -> Counter[Composition]:
     return out
 
 
+@_once_per_action(Counter)
 def composition_factors(m: HModule) -> Counter[Composition]:
-    """Multiset of simple factors via the radical filtration."""
+    """Multiset of simple factors via the radical filtration.
+
+    Computed once per distinct action (`_once_per_action`); each call gets
+    a new `Counter`.
+    """
     out: Counter[Composition] = Counter()
     for layer in radical_filtration(m):
         out += _layer_factors(layer, m.n)
     return out
 
 
+@_once_per_action(Counter)
 def top_factors(m: HModule) -> Counter[Composition]:
-    """Simple multiplicities of M / rad M; only the top layer is computed."""
+    """Simple multiplicities of M / rad M; only the top layer is computed.
+
+    Computed once per distinct action (`_once_per_action`); each call gets
+    a new `Counter`.
+    """
     top = next(radical_filtration(m), None)
     return Counter() if top is None else _layer_factors(top, m.n)
 

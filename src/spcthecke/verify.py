@@ -19,6 +19,7 @@ sorted by case key, so the report is identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -26,6 +27,7 @@ from typing import Callable, Sequence
 
 from .compositions import (
     BoundExceeded,
+    Composition,
     bubble_fiber_word,
     comp_of,
     compositions,
@@ -256,14 +258,22 @@ def _column_sort_pairs(n: int) -> list:
     return [(lam, sigma) for lam in partitions(n) for sigma in perms.all_perms(len(lam))]
 
 
+@functools.lru_cache(maxsize=None)
+def _compositions_by_sorted_parts(n: int) -> dict[Composition, tuple[Composition, ...]]:
+    """The compositions of n grouped by their sorted parts, each group in
+    `compositions` order."""
+    groups: dict[Composition, list[Composition]] = {}
+    for alpha in compositions(n):
+        groups.setdefault(sorted_parts(alpha), []).append(alpha)
+    return {lam: tuple(group) for lam, group in groups.items()}
+
+
 def _case_column_sort(case) -> list:
     lam, sigma = case
     bad = []
     w0 = perms.longest_element(len(lam))
     union = []
-    for alpha in compositions(sum(lam)):
-        if sorted_parts(alpha) != lam:
-            continue
+    for alpha in _compositions_by_sorted_parts(sum(lam))[lam]:
         for t in tableaux.enumerate_spct(alpha, sigma):
             union.append(t)
     target = set(tableaux.enumerate_spct(lam, w0))
@@ -561,7 +571,7 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
     ),
     "thm-3.1": (
         "every class submodule has a local endomorphism ring",
-        7, lambda m: _upto(m, _compatible_pairs), _case_indecomposable,
+        8, lambda m: _upto(m, _compatible_pairs), _case_indecomposable,
     ),
     "thm-4.2": (
         "column sort is a descent-preserving bijection with greedy inverse",

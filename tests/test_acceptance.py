@@ -81,7 +81,7 @@ def test_criterion_10_projectivity_classification():
 
 
 def test_criterion_11_factors_vs_descents():
-    _check("criterion-11 factors equal descent compositions (n<=5)", [("factors-vs-descents", {"max_n": 5})])
+    _check("criterion-11 factors equal descent compositions (n<=7)", [("factors-vs-descents", {"max_n": 7})])
 
 
 def test_criterion_12_filtration_statistics():

@@ -130,6 +130,8 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
         raise RuntimeError("layer is not semisimple: eigensplit lost dimensions")
 
     monkeypatch.setattr(modules, "_eigensplit", broken)
+    # factors computed by an earlier test would be served from the memo
+    modules.composition_factors.cache_clear()
     assert cli.main(["verify", "factors-vs-descents", "--max-n", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
