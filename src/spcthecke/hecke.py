@@ -63,7 +63,7 @@ def regular_module(n: int) -> HModule:
     """
     _check_algebra_bound(n)
     cols = [[{k: 1} for k in _left_mult_images(n, i)] for i in range(1, n)]
-    return HModule(n, _basis_order(n), cols, name=f"H_{n}(0)")
+    return HModule._trusted(n, _basis_order(n), cols, f"H_{n}(0)")
 
 
 def _apply_left_gen(n: int, i: int, v: Vec) -> Vec:
@@ -128,7 +128,7 @@ def _pim_module(n: int, subset: frozenset[int]) -> HModule:
             if w and space.add(w):
                 frontier.append(w)
     basis_rows = [dict(r) for r in space.basis()]
-    labels = [order[p] for p in sorted(space.pivots)]
+    labels = tuple(order[p] for p in sorted(space.pivots))
     remap = _pivot_positions(space)
     cols = []
     for i in range(1, n):
@@ -139,7 +139,7 @@ def _pim_module(n: int, subset: frozenset[int]) -> HModule:
                 raise RuntimeError("cyclic ideal not closed under the action")
             g.append({remap[row_idx]: x for row_idx, x in coords.items()})
         cols.append(g)
-    return HModule(n, labels, cols, name=f"P_{sorted(subset)}")
+    return HModule._trusted(n, labels, cols, f"P_{sorted(subset)}")
 
 
 pim_module.cache_info = _pim_module.cache_info

@@ -12,7 +12,8 @@
   from the geometry `tableaux` computes once per shape.
 * `omega_set` is the combinatorial kernel of the projected transpose map,
   and `prc_phi_map` builds that map as an exact matrix and verifies it,
-  taking the canonical class from the target module's basis.
+  onto the canonical class submodule built from that class alone
+  (`modules.canonical_submodule`).
 * `iota_map` is the diagonal sign isomorphism from the sign-twisted ribbon
   module onto its sign-free version; a tableau's sign is the parity of its
   `star_distances` distance from the source.
@@ -28,7 +29,7 @@ from typing import Sequence
 
 from .compositions import check_composition, complement_of, is_partition, sorted_parts
 from .linalg import RatMat, span_equal, nullspace
-from .modules import LinearMap, ribbon_module, spct_module, submodule_on_labels
+from .modules import LinearMap, canonical_submodule, ribbon_module
 from . import permutations
 from .permutations import Permutation
 from . import tableaux
@@ -208,9 +209,7 @@ def prc_phi_map(alpha: Sequence[int], sigma: Sequence[int]) -> PrcPhiResult:
             "the projected transpose map is identically zero there"
         )
     src = ribbon_module(alpha, "star")
-    big = spct_module(beta, sigma)
-    cls = tableaux.canonical_class(big.basis)
-    tgt = submodule_on_labels(big, cls.members, name=f"{big.name}|canonical")
+    _, tgt = canonical_submodule(beta, sigma)
     data = {}
     for j, T in enumerate(src.basis):
         t = ribbon_to_spct(T, sigma)

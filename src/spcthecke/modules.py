@@ -2,8 +2,14 @@
 
 An `HModule` packages a labeled basis with its generators' columns: column
 j of generator i is the image of the j-th basis vector, an exact sparse
-vector.  The constructors write these columns directly, and the tableau
-module takes each one from the single rule `tableaux.pi_action`.
+vector.  The public constructor validates every column entry; the
+package's own constructors write valid columns by construction and skip
+that check (`HModule._trusted`).  The tableau module and its class
+submodules read each tableau once (`tableaux._steps`, the rule
+`tableaux.pi_action` applies one generator at a time).  A class submodule
+is built from its class alone, never restricted from the whole module:
+the same reading finds the class's source and sink and writes its
+columns, and a swap that leaves the class raises.
 Everything downstream is linear algebra over Q: the relation checker,
 intertwiner (hom) spaces, endomorphism rings with the trace-form radical,
 and radical filtrations with their semisimple-layer eigensplit.
@@ -78,6 +84,19 @@ class HModule:
         self.name = name
         self._index = {b: i for i, b in enumerate(self.basis)}
 
+    @classmethod
+    def _trusted(
+        cls, n: int, basis: tuple, cols: list[list[Vec]], name: str, index: dict | None = None
+    ) -> "HModule":
+        """A module whose columns the package wrote itself, valid by
+        construction; nothing is checked and nothing is copied.  `index`
+        maps each label to its basis position, and is built when None.
+        """
+        m = object.__new__(cls)
+        m.n, m.basis, m.cols, m.name = n, basis, tuple(cols), name
+        m._index = {b: i for i, b in enumerate(basis)} if index is None else index
+        return m
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -149,7 +168,8 @@ class LinearMap:
 
 
 def spct_module(alpha: Sequence[int], sigma: Sequence[int]) -> HModule:
-    """The tableau module: each generator acts by `tableaux.pi_action`.
+    """The tableau module: each generator acts as `tableaux.pi_action`,
+    read once per tableau (`tableaux._steps`).
 
     An incompatible pair yields the zero module.
     """
@@ -158,11 +178,70 @@ def spct_module(alpha: Sequence[int], sigma: Sequence[int]) -> HModule:
     taus = tableaux.enumerate_spct(alpha, sigma)
     n = sum(alpha)
     index = {t: j for j, t in enumerate(taus)}
-    cols = []
-    for i in range(1, n):
-        images = (tableaux.pi_action(t, i) for t in taus)
-        cols.append([{} if u is None else {index[u]: 1} for u in images])
-    return HModule(n, taus, cols, name=f"S^{sigma}_{alpha}")
+    cols = _tableau_columns(n, taus, [tableaux._steps(t) for t in taus], index)
+    return HModule._trusted(n, taus, cols, f"S^{sigma}_{alpha}", index)
+
+
+def class_submodules(alpha: Sequence[int], sigma: Sequence[int]) -> list[tuple[SpctClass, HModule]]:
+    """Every class of the pair with its submodule of the tableau module.
+
+    The classes are `tableaux.equivalence_classes` of the pair's tableaux,
+    in that order, and each submodule is built straight from its class,
+    with no whole module: each member is read once (`tableaux._steps`) for
+    both its source/sink role and its generator columns.  The submodules
+    are named ``S^sigma_alpha|label``.
+    """
+    alpha = check_composition(alpha)
+    sigma = permutations.check_perm(sigma)
+    groups = tableaux._grouped(tableaux.enumerate_spct(alpha, sigma))
+    return _class_submodules(alpha, sigma, groups)
+
+
+def canonical_submodule(alpha: Sequence[int], sigma: Sequence[int]) -> tuple[SpctClass, HModule]:
+    """The class of the canonical source tableau, with its submodule.
+
+    The tableaux are grouped by label, and only the canonical source's
+    group is read and built, as in `class_submodules`.
+    """
+    alpha = check_composition(alpha)
+    sigma = permutations.check_perm(sigma)
+    label = tableaux.class_label(tableaux.canonical_source_tableau(alpha, sigma))
+    members = tableaux._grouped(tableaux.enumerate_spct(alpha, sigma)).get(label)
+    if members is None:
+        raise RuntimeError(f"canonical class not found for ({alpha}, {sigma})")
+    return _class_submodules(alpha, sigma, {label: members})[0]
+
+
+def _class_submodules(
+    alpha: Composition, sigma: Permutation, groups: dict[tableaux.ClassLabel, list[Spct]]
+) -> list[tuple[SpctClass, HModule]]:
+    """Each group of tableaux (`tableaux._grouped`) as a class with its submodule."""
+    n = sum(alpha)
+    out = []
+    for cls, steps in tableaux._read_classes(groups):
+        index = {t: j for j, t in enumerate(cls.members)}
+        cols = _tableau_columns(n, cls.members, steps, index)
+        out.append((cls, HModule._trusted(n, cls.members, cols, f"S^{sigma}_{alpha}|{cls.label}", index)))
+    return out
+
+
+def _tableau_columns(n: int, ts: Sequence[Spct], steps: Sequence[list[int]], index: dict) -> list[list[Vec]]:
+    """The generator columns on the tableaux ts, from each one's `tableaux._steps`.
+
+    `index` places each of ts; a swap that leaves it raises `ValueError`,
+    so a set of tableaux that is not a submodule is never built as one.
+    """
+    cols: list[list[Vec]] = [[] for _ in range(n - 1)]
+    for j, (t, t_steps) in enumerate(zip(ts, steps)):
+        for i, step in enumerate(t_steps, 1):
+            if step == tableaux._SWAP:
+                k = index.get(t.swap_values(i))
+                if k is None:
+                    raise ValueError("label subset is not generator-stable")
+                cols[i - 1].append({k: 1})
+            else:
+                cols[i - 1].append({} if step == tableaux._KILL else {j: 1})
+    return cols
 
 
 RIBBON_VARIANTS = ("opi", "theta", "star")
@@ -210,30 +289,7 @@ def ribbon_module(alpha: Sequence[int], variant: str = "opi") -> HModule:
                     col = {k: 1}
             g.append(col)
         cols.append(g)
-    return HModule(n, ts, cols, name=f"P_{alpha}[{variant}]")
-
-
-def submodule_on_labels(m: HModule, labels: Sequence, name: str = "") -> HModule:
-    """Restrict to the span of a subset of basis labels.
-
-    Raises if the subset is not stable under every generator, so callers
-    cannot silently build a non-module.
-    """
-    idx = [m.index(b) for b in labels]
-    pos = {j: p for p, j in enumerate(idx)}
-    cols = []
-    for g in m.cols:
-        sub = []
-        for j in idx:
-            if not pos.keys() >= g[j].keys():
-                raise ValueError("label subset is not generator-stable")
-            sub.append({pos[r]: x for r, x in g[j].items()})
-        cols.append(sub)
-    return HModule(m.n, [m.basis[j] for j in idx], cols, name=name or f"{m.name}|sub")
-
-
-def class_submodule_of(m: HModule, cls: SpctClass) -> HModule:
-    return submodule_on_labels(m, cls.members, name=f"{m.name}|{cls.label}")
+    return HModule._trusted(n, ts, cols, f"P_{alpha}[{variant}]", index)
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +744,9 @@ def is_spct_cyclic(alpha: Sequence[int], sigma: Sequence[int]) -> bool:
 def _moves(ts: Iterable[Spct]) -> Iterator[tuple[Spct, int, Spct]]:
     """Moving edges (t, i, t') of the tableaux ts, generator i sending t to t' != t."""
     for t in ts:
-        for i in range(1, t.n):
-            u = tableaux.pi_action(t, i)
-            if u is not None and u is not t:
-                yield t, i, u
+        for i, step in enumerate(tableaux._steps(t), 1):
+            if step == tableaux._SWAP:
+                yield t, i, t.swap_values(i)
 
 
 def action_components(ts: Sequence[Spct]) -> list[frozenset[Spct]]:

@@ -47,7 +47,12 @@ compatibility, obstruction pairs with their witness conditions,
 sigma-simplicity, removable nodes, and the explicit canonical source
 tableau and its hatted variant.  Arguments are validated at the public
 functions only.  Equivalence classes are formed from tableaux already
-listed, such as a module's basis, so a pair is listed once.
+listed, such as a module's basis, so a pair is listed once.  Each
+tableau is read once for its class label (its standardized columns) and
+once for how every generator meets it (`_steps`): one comparison of the
+cells of i and i+1 per i gives the image of pi_i and whether the tableau
+is a source or a sink, so classification, the module columns and the
+action graph share one rule with `pi_action`.
 """
 
 from __future__ import annotations
@@ -480,7 +485,8 @@ def pi_action(t: Spct, i: int) -> Spct | None:
     """The tableau-module generator pi_i on one tableau.
 
     pi_i fixes t when i is not a descent, kills t (None) when i attacks
-    i+1, and otherwise swaps the values i and i+1.
+    i+1, and otherwise swaps the values i and i+1.  `_steps` reads the
+    same rule for every i at once.
 
     >>> t = Spct([[3, 2], [1]])
     >>> pi_action(t, 2) is t, pi_action(t, 1)
@@ -493,6 +499,30 @@ def pi_action(t: Spct, i: int) -> Spct | None:
     if is_attacking(t, i, i + 1):
         return None
     return t.swap_values(i)
+
+
+#: How pi_i meets a tableau (`_steps`).  i is no descent: _STAY when i+1
+#: sits immediately left of i in its row, _FIX otherwise; pi_i fixes the
+#: tableau either way.  i is a descent: _KILL when i attacks i+1, and
+#: pi_i kills the tableau; _SWAP otherwise, and pi_i swaps i and i+1.
+_STAY, _FIX, _KILL, _SWAP = range(4)
+
+
+def _steps(t: Spct) -> list[int]:
+    """How each pi_i, i = 1..n-1, meets t: one comparison of the cells of
+    i and i+1 per i.
+
+    A source has no _FIX step and a sink no _SWAP step; pi_i sends t to
+    itself (_STAY, _FIX), to zero (_KILL) or to ``t.swap_values(i)``
+    (_SWAP).
+    """
+    pos = t._pos
+    return [
+        (_STAY if rj == ri and cj == ci - 1 else _FIX)
+        if cj < ci
+        else _KILL if cj == ci or (cj == ci + 1 and rj > ri) else _SWAP
+        for (ri, ci), (rj, cj) in zip(pos[1:], pos[2:])
+    ]
 
 
 def is_attacking(t: Spct, i: int, j: int) -> bool:
@@ -533,29 +563,29 @@ def class_label(t: Spct) -> ClassLabel:
     >>> str(class_label(Spct([[4, 1], [6, 5, 3], [2]])))
     '231 12 1'
     """
-    return ClassLabel(
-        t.shape,
-        tuple(_standardize(tuple(t.column(c))) for c in range(1, t.num_columns() + 1)),
-    )
+    return ClassLabel(t.shape, _column_words(t))
+
+
+def _column_words(t: Spct) -> tuple[Permutation, ...]:
+    """Each column of t, top down, standardized."""
+    words = []
+    for col in itertools.zip_longest(*t.rows):  # shorter rows pad with None
+        if None in col:
+            col = [v for v in col if v is not None]
+        ordered = sorted(col)
+        words.append(tuple([ordered.index(v) + 1 for v in col]))
+    return tuple(words)
 
 
 def classify(t: Spct) -> str:
     """One of 'source', 'sink', 'both', 'interior'.
 
     A source requires every non-descent i < n to have i+1 immediately to
-    its left; a sink requires every descent to attack.
+    its left; a sink requires every descent to attack.  Both are read in
+    one walk over i (`_steps`).
     """
-    des = descent_set(t)
-    src = True
-    for i in range(1, t.n):
-        if i in des:
-            continue
-        ri, ci = t.pos(i)
-        rj, cj = t.pos(i + 1)
-        if not (ri == rj and cj == ci - 1):
-            src = False
-            break
-    snk = all(is_attacking(t, i, i + 1) for i in des)
+    steps = _steps(t)
+    src, snk = _FIX not in steps, _SWAP not in steps
     if src and snk:
         return "both"
     if src:
@@ -579,40 +609,40 @@ def equivalence_classes(ts: Sequence[Spct]) -> list[SpctClass]:
     `ts` is the pair's listed tableaux, such as `enumerate_spct(alpha,
     sigma)` or a tableau module's basis.  Each class records its unique
     source and sink (their existence and uniqueness is itself exercised by
-    the verification suite).
+    the verification suite).  Classes come ordered by their first
+    member's rows.
     """
-    groups: dict[ClassLabel, list[Spct]] = {}
+    return [cls for cls, _ in _read_classes(_grouped(ts))]
+
+
+def _grouped(ts: Iterable[Spct]) -> dict[ClassLabel, list[Spct]]:
+    """The tableaux by class label, each group in the order of ts."""
+    groups: dict[tuple, list[Spct]] = {}
     for t in ts:
-        groups.setdefault(class_label(t), []).append(t)
-    classes = []
+        groups.setdefault((t.shape, _column_words(t)), []).append(t)
+    return {ClassLabel(*key): members for key, members in groups.items()}
+
+
+def _read_classes(groups: dict[ClassLabel, list[Spct]]) -> list[tuple[SpctClass, list[list[int]]]]:
+    """Each group as a class, with its members' `_steps` in member order.
+
+    Every member is read once.  Raises `RuntimeError` when a group has
+    other than one source and one sink.  The classes come ordered by
+    their first member's rows.
+    """
+    out = []
     for label, members in groups.items():
-        kinds = [classify(t) for t in members]
-        sources = [t for t, k in zip(members, kinds) if k in ("source", "both")]
-        sinks = [t for t, k in zip(members, kinds) if k in ("sink", "both")]
+        steps = [_steps(t) for t in members]
+        sources = [t for t, s in zip(members, steps) if _FIX not in s]
+        sinks = [t for t, s in zip(members, steps) if _SWAP not in s]
         if len(sources) != 1 or len(sinks) != 1:
             raise RuntimeError(
                 f"class {label} of ({label.shape}, {members[0].sigma}) has {len(sources)} sources "
                 f"and {len(sinks)} sinks"
             )
-        classes.append(SpctClass(label, tuple(members), sources[0], sinks[0]))
-    classes.sort(key=lambda cl: cl.members[0].rows)
-    return classes
-
-
-def canonical_class(ts: Sequence[Spct]) -> SpctClass:
-    """The class containing the canonical source tableau.
-
-    `ts` is the listed tableaux of one compatible pair, as for
-    `equivalence_classes`.
-    """
-    if not ts:
-        raise ValueError("no tableaux, so no canonical class")
-    tau_c = canonical_source_tableau(ts[0].shape, ts[0].sigma)
-    label = class_label(tau_c)
-    for cl in equivalence_classes(ts):
-        if cl.label == label:
-            return cl
-    raise RuntimeError(f"canonical class not found for ({tau_c.shape}, {tau_c.sigma})")
+        out.append((SpctClass(label, tuple(members), sources[0], sinks[0]), steps))
+    out.sort(key=lambda read: read[0].members[0].rows)
+    return out
 
 
 # ---------------------------------------------------------------------------

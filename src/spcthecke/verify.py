@@ -233,9 +233,7 @@ def _case_w0_classification(alpha) -> list:
 def _case_indecomposable(case) -> list:
     alpha, sigma = case
     bad = []
-    mod = modules.spct_module(alpha, sigma)
-    for cls in tableaux.equivalence_classes(mod.basis):
-        sub = modules.class_submodule_of(mod, cls)
+    for cls, sub in modules.class_submodules(alpha, sigma):
         ok, cert = modules.is_indecomposable(sub)
         if not ok:
             bad.append(
@@ -403,9 +401,7 @@ def _case_projectivity(case) -> list:
         return [counter] if counter else []
     alpha, sigma = payload
     bad = []
-    mod = modules.spct_module(alpha, sigma)
-    cls = tableaux.canonical_class(mod.basis)
-    sub = modules.class_submodule_of(mod, cls)
+    _, sub = modules.canonical_submodule(alpha, sigma)
     got, cert = hecke.is_projective(sub)
     want = _canonical_projectivity_expected(alpha, sigma)
     if got != want:
@@ -436,15 +432,11 @@ def _noncanonical_counterexample() -> dict | None:
     dimension 1, maximal rank 2.
     """
     tau0 = tableaux.Spct([[4, 3], [5, 2], [1]])
-    mod = modules.spct_module((2, 2, 1), (2, 3, 1))
-    cls = next(
-        cl
-        for cl in tableaux.equivalence_classes(mod.basis)
-        if tau0 in cl.members
+    cls, sub = next(
+        (cl, sub) for cl, sub in modules.class_submodules((2, 2, 1), (2, 3, 1)) if tau0 in cl.members
     )
     if cls.source != tau0:
         return {"error": "displayed tableau is not the source of its class"}
-    sub = modules.class_submodule_of(mod, cls)
     if sub.dim != 3:
         return {"error": f"class dimension {sub.dim} != 3"}
     top = modules.top_factors(sub)

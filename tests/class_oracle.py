@@ -1,0 +1,78 @@
+"""Slow oracle: tableau modules and their class submodules, built the long way.
+
+The package reads each tableau once (`tableaux._steps`) and builds each
+class submodule straight from its class.  This oracle builds the whole
+tableau module through the public constructor with one `pi_action` call
+per tableau and generator, groups the basis by `class_label`, finds each
+class's source and sink from `descent_set`, positions and `is_attacking`,
+and restricts the whole module to each class, checking that no generator
+leaves it.  It shares none of the one-pass reading.
+"""
+
+from spcthecke import permutations as P
+from spcthecke.compositions import check_composition
+from spcthecke.modules import HModule
+from spcthecke.tableaux import class_label, descent_set, enumerate_spct, is_attacking, pi_action
+
+
+def tableau_module(alpha, sigma):
+    """The whole tableau module, validated by the public constructor."""
+    alpha, sigma = check_composition(alpha), P.check_perm(sigma)
+    ts = enumerate_spct(alpha, sigma)
+    index = {t: j for j, t in enumerate(ts)}
+    cols = []
+    for i in range(1, sum(alpha)):
+        images = (pi_action(t, i) for t in ts)
+        cols.append([{} if u is None else {index[u]: 1} for u in images])
+    return HModule(sum(alpha), ts, cols, name=f"S^{sigma}_{alpha}")
+
+
+def is_source(t):
+    """Every non-descent i < n has i+1 immediately to its left."""
+    des = descent_set(t)
+    for i in range(1, t.n):
+        if i not in des:
+            (ri, ci), (rj, cj) = t.pos(i), t.pos(i + 1)
+            if not (ri == rj and cj == ci - 1):
+                return False
+    return True
+
+
+def is_sink(t):
+    """Every descent attacks."""
+    return all(is_attacking(t, i, i + 1) for i in descent_set(t))
+
+
+def classes(ts):
+    """(label, members, source, sink) of each class, ordered by first member's rows."""
+    groups = {}
+    for t in ts:
+        groups.setdefault(class_label(t), []).append(t)
+    out = []
+    for label, members in groups.items():
+        (source,) = [t for t in members if is_source(t)]
+        (sink,) = [t for t in members if is_sink(t)]
+        out.append((label, tuple(members), source, sink))
+    out.sort(key=lambda cl: cl[1][0].rows)
+    return out
+
+
+def submodule_on_labels(m, labels, name):
+    """Restrict to the span of some basis labels; raise unless generator-stable."""
+    idx = [m.index(b) for b in labels]
+    pos = {j: p for p, j in enumerate(idx)}
+    cols = []
+    for g in m.cols:
+        sub = []
+        for j in idx:
+            if not pos.keys() >= g[j].keys():
+                raise ValueError("label subset is not generator-stable")
+            sub.append({pos[r]: x for r, x in g[j].items()})
+        cols.append(sub)
+    return HModule(m.n, [m.basis[j] for j in idx], cols, name=name)
+
+
+def class_submodules(alpha, sigma):
+    """Each class with its submodule, restricted from the whole module."""
+    m = tableau_module(alpha, sigma)
+    return [(cl, submodule_on_labels(m, cl[1], f"{m.name}|{cl[0]}")) for cl in classes(m.basis)]

@@ -157,7 +157,7 @@ def test_exception_inside_a_case(exc, code, line, jobs, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(modules, "submodule_on_labels", broken)
+    monkeypatch.setattr(modules, "class_submodules", broken)
     assert cli.main(["verify", "thm-3.1", "--max-n", "3", "--jobs", jobs]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == line + "\n"

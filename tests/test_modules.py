@@ -4,8 +4,9 @@ from collections import Counter
 import pytest
 
 import action_oracle
+import class_oracle
 import hom_oracle
-from spcthecke import modules
+from spcthecke import hecke, modules, tableaux
 from spcthecke import permutations as P
 from spcthecke.compositions import compositions, set_of
 from spcthecke.hecke import is_projective, pim_module
@@ -13,8 +14,9 @@ from spcthecke.linalg import RatMat, rank_of
 from spcthecke.modules import (
     action_components,
     appendix_invariants,
+    canonical_submodule,
     check_relations,
-    class_submodule_of,
+    class_submodules,
     composition_factors,
     cyclic_span,
     generates,
@@ -26,7 +28,6 @@ from spcthecke.modules import (
     reachable_pairs,
     ribbon_module,
     spct_module,
-    submodule_on_labels,
     top_factors,
     word_transport_holds,
     HModule,
@@ -34,7 +35,8 @@ from spcthecke.modules import (
 )
 from spcthecke.tableaux import (
     Spct,
-    canonical_class,
+    canonical_source_tableau,
+    class_label,
     classify,
     comp_of_tableau,
     enumerate_spct,
@@ -218,9 +220,68 @@ def test_check_intertwiner_against_oracle():
 
 
 def test_submodule_guard():
-    m = spct_module((2, 1), (2, 1))
-    with pytest.raises(ValueError):
-        submodule_on_labels(m, [Spct([[3, 2], [1]])])  # not stable: source moves
+    # not stable: pi_1 moves the source of (2,1)/(2,1) to the sink
+    t = Spct([[3, 2], [1]])
+    with pytest.raises(ValueError, match="not generator-stable"):
+        modules._tableau_columns(3, [t], [tableaux._steps(t)], {t: 0})
+    # a hand-made class with one source and one sink, from two classes of
+    # one pair: the source's swap lands in its own class, outside this one
+    pair = (2, 2, 1), (2, 3, 1)
+    cls_a, cls_b = (cl for cl, _ in class_submodules(*pair))
+    assert cls_a.source != cls_a.sink and cls_b.source != cls_b.sink
+    with pytest.raises(ValueError, match="not generator-stable"):
+        modules._class_submodules(*pair, {cls_a.label: [cls_a.source, cls_b.sink]})
+    # the whole pair as one class fails its source/sink count first
+    with pytest.raises(RuntimeError, match="2 sources and 2 sinks"):
+        modules._class_submodules(*pair, {cls_a.label: list(enumerate_spct(*pair))})
+
+
+# ---------------------------------------------------------------------------
+# class submodules built from their class, and trusted construction
+
+
+def _same_module(a, b):
+    assert (a.n, a.basis, a.cols, a.name, a._index) == (b.n, b.basis, b.cols, b.name, b._index), (a, b)
+
+
+def test_class_submodules_match_the_whole_module_path():
+    for n in range(1, 7):
+        for alpha, sigma in compatible_pairs(n):
+            got = class_submodules(alpha, sigma)
+            want = class_oracle.class_submodules(alpha, sigma)
+            assert len(got) == len(want), (alpha, sigma)
+            for (cls, sub), ((label, members, source, sink), oracle_sub) in zip(got, want):
+                assert (cls.label, cls.members, cls.source, cls.sink) == (label, members, source, sink)
+                _same_module(sub, oracle_sub)
+            # the package's class order is `equivalence_classes`'
+            assert [cls for cls, _ in got] == equivalence_classes(enumerate_spct(alpha, sigma))
+
+
+def test_canonical_submodule_is_the_canonical_sources_class():
+    for n in range(1, 7):
+        for alpha, sigma in compatible_pairs(n):
+            cls, sub = canonical_submodule(alpha, sigma)
+            tc = canonical_source_tableau(alpha, sigma)
+            (want,) = [cl for cl in equivalence_classes(enumerate_spct(alpha, sigma)) if tc in cl.members]
+            assert cls == want and cls.label == class_label(tc), (alpha, sigma)
+            _same_module(sub, dict(class_submodules(alpha, sigma))[cls])
+
+
+def test_trusted_modules_match_the_public_constructor():
+    mods = []
+    for n in range(1, 7):
+        for alpha, sigma in compatible_pairs(n):
+            m = spct_module(alpha, sigma)
+            _same_module(m, class_oracle.tableau_module(alpha, sigma))
+            mods.append(m)
+            mods += [sub for _, sub in class_submodules(alpha, sigma)]
+        mods += [ribbon_module(a, v) for a in compositions(n) for v in ("opi", "theta", "star")]
+        mods += [pim_module(n, set_of(a)) for a in compositions(n)]
+        mods.append(hecke.regular_module(n))
+    for m in mods:
+        public = HModule(m.n, m.basis, m.cols, m.name)
+        _same_module(m, public)
+        assert type(m.basis) is tuple and type(m.cols) is tuple and all(type(g) is list for g in m.cols), m
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +311,7 @@ def _hom_against_oracle(m, n_):
 def test_end_rings_of_class_submodules_against_oracle():
     for n in range(1, 7):
         for alpha, sigma in compatible_pairs(n):
-            m = spct_module(alpha, sigma)
-            for cl in equivalence_classes(m.basis):
-                sub = class_submodule_of(m, cl)
+            for _, sub in class_submodules(alpha, sigma):
                 _hom_against_oracle(sub, sub)
                 _, cert = is_indecomposable(sub)
                 assert (cert.end_dim, cert.semisimple_rank) == hom_oracle.end_invariants(sub), (alpha, sigma)
@@ -284,9 +343,7 @@ def test_hom_from_cover_contains_surjection():
     from spcthecke.permutations import compose_right_action, inverse
 
     alpha, sigma = (2, 2), (2, 1)
-    m = spct_module(alpha, sigma)
-    cls = canonical_class(m.basis)
-    sub = class_submodule_of(m, cls)
+    _, sub = canonical_submodule(alpha, sigma)
     ideal = pim_module(sum(alpha), set_of(compose_right_action(alpha, inverse(sigma))))
     homs = _hom_against_oracle(ideal, sub)
     assert homs
@@ -324,8 +381,7 @@ def test_is_projective_examples():
     got, cert = is_projective(one_col)
     assert got
 
-    m = spct_module((2, 2), (1, 2))
-    sub = class_submodule_of(m, canonical_class(m.basis))
+    _, sub = canonical_submodule((2, 2), (1, 2))
     got, cert = is_projective(sub)
     assert not got and cert.cover_dim > cert.dim == sub.dim
 
@@ -336,8 +392,7 @@ def test_is_projective_against_invertible_homs():
     # space basis; every negative has a cover strictly larger than M
     for n in range(1, 6):
         for alpha, sigma in compatible_pairs(n):
-            m = spct_module(alpha, sigma)
-            sub = class_submodule_of(m, canonical_class(m.basis))
+            _, sub = canonical_submodule(alpha, sigma)
             got, cert = is_projective(sub)
             if not got:
                 assert cert.cover_dim != cert.dim, (alpha, sigma)
@@ -359,7 +414,7 @@ def test_memoized_invariants_match_the_unmemoized_functions():
         for alpha, sigma in compatible_pairs(n):
             m = spct_module(alpha, sigma)
             mods.append(m)
-            mods += [class_submodule_of(m, cl) for cl in equivalence_classes(m.basis)]
+            mods += [sub for _, sub in class_submodules(alpha, sigma)]
         mods += [ribbon_module(a, v) for a in compositions(n) for v in ("opi", "theta", "star")]
         if n <= 5:
             mods += [pim_module(n, set_of(a)) for a in compositions(n)]
@@ -411,7 +466,7 @@ def test_action_key_sees_coefficients_dim_and_column_order():
 
 def test_memoized_results_are_fresh_objects():
     m = spct_module((2, 2, 1), (2, 3, 1))
-    sub = class_submodule_of(m, canonical_class(m.basis))
+    _, sub = canonical_submodule((2, 2, 1), (2, 3, 1))
     for target in (m, sub):
         ok, cert = is_indecomposable(target)
         want_cert = (cert.end_dim, cert.semisimple_rank)
@@ -439,7 +494,7 @@ def test_block_decomposition_by_classes():
             m = spct_module(alpha, sigma)
             classes = equivalence_classes(m.basis)
             # restriction raises if any class leaks, so this is the block check
-            subs = [class_submodule_of(m, cl) for cl in classes]
+            subs = [class_oracle.submodule_on_labels(m, cl.members, "") for cl in classes]
             assert sum(s.dim for s in subs) == m.dim
             assert {frozenset(cl.members) for cl in classes} == {
                 frozenset(c) for c in action_components(m.basis)

@@ -11,7 +11,6 @@ from spcthecke.compositions import BoundExceeded, Cell, compositions
 from spcthecke.tableaux import (
     Spct,
     Srt,
-    canonical_class,
     canonical_source_tableau,
     class_label,
     classify,
@@ -328,6 +327,31 @@ def test_pi_action_against_descents_and_attacks():
                         assert u == t.swap_values(i) and is_valid_spct_rows(u.rows, sigma)
 
 
+def test_steps_read_pi_action_and_the_source_sink_rule():
+    # one walk over i gives every pi_i image and both flags; the oracle
+    # is the one-step rule and the definitions from descents and attacks
+    for n in range(1, 7):
+        for alpha, sigma in all_pairs(n):
+            for t in enumerate_spct(alpha, sigma):
+                steps = tableaux._steps(t)
+                assert len(steps) == max(n - 1, 0)
+                for i, step in enumerate(steps, 1):
+                    u = pi_action(t, i)
+                    if step in (tableaux._STAY, tableaux._FIX):
+                        assert u is t
+                    elif step == tableaux._KILL:
+                        assert u is None
+                    else:
+                        assert step == tableaux._SWAP and u == t.swap_values(i)
+                des = descent_set(t)
+                source = all(
+                    t.pos(i + 1) == (t.pos(i)[0], t.pos(i)[1] - 1) for i in range(1, n) if i not in des
+                )
+                sink = all(is_attacking(t, i, i + 1) for i in des)
+                kind = {(True, True): "both", (True, False): "source", (False, True): "sink"}
+                assert classify(t) == kind.get((source, sink), "interior"), t
+
+
 def test_class_label_examples():
     t = Spct([[4, 1], [6, 5, 3], [2]])
     assert str(class_label(t)) == "231 12 1"
@@ -336,6 +360,8 @@ def test_class_label_examples():
     for alpha, sigma in all_pairs(5):
         for t in enumerate_spct(alpha, sigma):
             assert class_label(t).words[0] == sigma
+            columns = [t.column(c) for c in range(1, t.num_columns() + 1)]
+            assert class_label(t).words == tuple(P.standardize(col) for col in columns)
 
 
 def test_equivalence_classes_examples():
@@ -506,7 +532,7 @@ def test_canonical_source_is_a_source_in_its_class():
                 continue
             tc = canonical_source_tableau(alpha, sigma)
             assert classify(tc) in ("source", "both")
-            assert canonical_class(enumerate_spct(alpha, sigma)).source == tc
+            assert modules.canonical_submodule(alpha, sigma)[0].source == tc
 
 
 def test_hatted_source_examples():
