@@ -19,6 +19,11 @@
   `star_distances` distance from the source.
 
 Every map lists its tableaux at the enumerators' default size bound.
+
+Every public map validates its shape and type arguments; a tableau
+argument's rows already hold 1..n.  `rho` and `phi` only move those
+entries, so they build with `Spct._trusted`, reading the shape off the
+rows built: a caller checking the shape sees what was built.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .compositions import check_composition, complement_of, is_partition, sorted_parts
+from .compositions import check_composition, complement_of, is_partition
 from .linalg import RatMat, span_equal, nullspace
 from .modules import LinearMap, canonical_submodule, ribbon_module
 from . import permutations
@@ -42,13 +47,10 @@ def rho(t: Spct) -> Spct:
     >>> rho(Spct([[5, 2], [7, 6, 4], [3, 1]])).rows
     ((7, 6, 4), (5, 2), (3, 1))
     """
-    lam = sorted_parts(t.shape)
+    lam = sorted(t.shape, reverse=True)
     cols = [sorted(t.column(c), reverse=True) for c in range(1, t.num_columns() + 1)]
-    rows = [
-        tuple(cols[c][r] for c in range(lam[r]))
-        for r in range(len(lam))
-    ]
-    return Spct(rows)
+    rows = tuple(tuple([cols[c][r] for c in range(part)]) for r, part in enumerate(lam))
+    return Spct._trusted(rows, tuple(map(len, rows)), t.n)
 
 
 def phi(tbar: Spct, sigma: Sequence[int]) -> Spct:
@@ -81,7 +83,8 @@ def phi(tbar: Spct, sigma: Sequence[int]) -> Spct:
                     f"no admissible row for entry {v} in column {c}; "
                     "input is not in the image of the column sort"
                 )
-    return Spct(tuple(tuple(r) for r in rows))
+    out = tuple(map(tuple, rows))
+    return Spct._trusted(out, tuple(map(len, out)), tbar.n)
 
 
 def psi(t: Spct, sigma2: Sequence[int]) -> Spct:

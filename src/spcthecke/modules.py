@@ -173,9 +173,8 @@ def spct_module(alpha: Sequence[int], sigma: Sequence[int]) -> HModule:
 
     An incompatible pair yields the zero module.
     """
-    alpha = check_composition(alpha)
-    sigma = permutations.check_perm(sigma)
-    taus = tableaux.enumerate_spct(alpha, sigma)
+    alpha, sigma = tableaux._check_pair(alpha, sigma)
+    taus = tableaux._enumerate_spct(alpha, sigma)
     n = sum(alpha)
     index = {t: j for j, t in enumerate(taus)}
     cols = _tableau_columns(n, taus, [tableaux._steps(t) for t in taus], index)
@@ -191,9 +190,8 @@ def class_submodules(alpha: Sequence[int], sigma: Sequence[int]) -> list[tuple[S
     both its source/sink role and its generator columns.  The submodules
     are named ``S^sigma_alpha|label``.
     """
-    alpha = check_composition(alpha)
-    sigma = permutations.check_perm(sigma)
-    groups = tableaux._grouped(tableaux.enumerate_spct(alpha, sigma))
+    alpha, sigma = tableaux._check_pair(alpha, sigma)
+    groups = tableaux._grouped(tableaux._enumerate_spct(alpha, sigma))
     return _class_submodules(alpha, sigma, groups)
 
 
@@ -201,12 +199,12 @@ def canonical_submodule(alpha: Sequence[int], sigma: Sequence[int]) -> tuple[Spc
     """The class of the canonical source tableau, with its submodule.
 
     The tableaux are grouped by label, and only the canonical source's
-    group is read and built, as in `class_submodules`.
+    group is read and built, as in `class_submodules`.  The label comes
+    from the canonical source's rows, with no tableau built.
     """
-    alpha = check_composition(alpha)
-    sigma = permutations.check_perm(sigma)
-    label = tableaux.class_label(tableaux.canonical_source_tableau(alpha, sigma))
-    members = tableaux._grouped(tableaux.enumerate_spct(alpha, sigma)).get(label)
+    alpha, sigma = tableaux._check_compatible_pair(alpha, sigma)
+    label = tableaux.ClassLabel(alpha, tableaux._column_words(tableaux._canonical_rows(alpha, sigma)))
+    members = tableaux._grouped(tableaux._enumerate_spct(alpha, sigma)).get(label)
     if members is None:
         raise RuntimeError(f"canonical class not found for ({alpha}, {sigma})")
     return _class_submodules(alpha, sigma, {label: members})[0]
@@ -751,25 +749,34 @@ def _moves(ts: Iterable[Spct]) -> Iterator[tuple[Spct, int, Spct]]:
 
 def action_components(ts: Sequence[Spct]) -> list[frozenset[Spct]]:
     """Connected components of the (undirected) action graph on `ts`, the
-    listed tableaux of one pair, such as a tableau module's basis."""
-    adj: dict[Spct, set[Spct]] = {t: set() for t in ts}
-    for t, _, u in _moves(ts):
-        adj[t].add(u)
-        adj[u].add(t)
-    seen: set[Spct] = set()
+    listed tableaux of one pair, such as a tableau module's basis.
+
+    The graph is on indices into ts: a swap's target is the tableau whose
+    positions are the source's with i and i+1 exchanged, so no tableau is
+    built or hashed per edge.  Components come ordered by their first
+    member in ts.
+    """
+    index = {t._pos: j for j, t in enumerate(ts)}
+    adj: list[list[int]] = [[] for _ in ts]
+    for j, t in enumerate(ts):
+        pos = t._pos
+        for i, step in enumerate(tableaux._steps(t), 1):
+            if step == tableaux._SWAP:
+                k = index[pos[:i] + (pos[i + 1], pos[i]) + pos[i + 2 :]]
+                adj[j].append(k)
+                adj[k].append(j)
+    seen: set[int] = set()
     comps = []
-    for t in ts:
-        if t in seen:
-            continue
-        stack, comp = [t], set()
-        while stack:
-            u = stack.pop()
-            if u in comp:
-                continue
-            comp.add(u)
-            stack.extend(adj[u] - comp)
-        seen |= comp
-        comps.append(frozenset(comp))
+    for j in range(len(ts)):
+        if j not in seen:
+            comp, stack = {j}, [j]
+            while stack:
+                for k in adj[stack.pop()]:
+                    if k not in comp:
+                        comp.add(k)
+                        stack.append(k)
+            seen |= comp
+            comps.append(frozenset(ts[k] for k in comp))
     return comps
 
 

@@ -115,12 +115,13 @@ class QSymElt:
 
 def ch_spct(alpha: Sequence[int], sigma: Sequence[int], bound: int = DEFAULT_QSYM_BOUND) -> QSymElt:
     """Descent-composition generating sum of the tableau module, F basis."""
-    alpha = check_composition(alpha)
-    sigma = permutations.check_perm(sigma)
-    out: Counter[Composition] = Counter()
-    for t in tableaux.enumerate_spct(alpha, sigma, bound):
-        out[tableaux.comp_of_tableau(t)] += 1
-    return QSymElt(sum(alpha), "F", dict(out))
+    alpha, sigma = tableaux._check_pair(alpha, sigma)
+    return QSymElt(sum(alpha), "F", dict(_descent_counts(alpha, sigma, bound)))
+
+
+def _descent_counts(alpha: Composition, sigma: Permutation, bound: int = DEFAULT_QSYM_BOUND) -> Counter:
+    """The terms of `ch_spct` for a pair already validated."""
+    return Counter(tableaux.comp_of_tableau(t) for t in tableaux._enumerate_spct(alpha, sigma, bound))
 
 
 def qschur(alpha: Sequence[int]) -> QSymElt:
@@ -132,7 +133,7 @@ def qschur(alpha: Sequence[int]) -> QSymElt:
     {(2, 1): 1}
     """
     alpha = check_composition(alpha)
-    return ch_spct(alpha, permutations.identity(len(alpha)))
+    return QSymElt(sum(alpha), "F", dict(_descent_counts(alpha, permutations.identity(len(alpha)))))
 
 
 def _enumerate_syt(lam: Composition) -> list[tuple[tuple[int, ...], ...]]:
@@ -204,16 +205,14 @@ def recursion_check(alpha: Sequence[int], sigma: Sequence[int], i: int) -> bool:
     is the generating sum at (alpha, sigma) and the right side sums over
     the single-operator bubble fiber with the shortened type.
     """
-    alpha = check_composition(alpha)
-    sigma = permutations.check_perm(sigma)
+    alpha, sigma = tableaux._check_pair(alpha, sigma)
     shorter = permutations.times_s(sigma, i)
     if permutations.length(shorter) >= permutations.length(sigma):
         raise ValueError(f"type does not descend at {i}")
-    lhs = ch_spct(alpha, sigma)
-    rhs = QSymElt(sum(alpha), "F", {})
+    rhs: Counter[Composition] = Counter()
     for beta in bubble_fiber_word(alpha, (i,)):
-        rhs = rhs + ch_spct(beta, shorter)
-    return lhs == rhs
+        rhs.update(_descent_counts(beta, shorter))
+    return _descent_counts(alpha, sigma) == rhs
 
 
 # ---------------------------------------------------------------------------

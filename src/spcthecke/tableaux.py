@@ -45,14 +45,19 @@ by all its tableaux, positions included.
 This module also hosts the structural predicates on shape/type pairs:
 compatibility, obstruction pairs with their witness conditions,
 sigma-simplicity, removable nodes, and the explicit canonical source
-tableau and its hatted variant.  Arguments are validated at the public
-functions only.  Equivalence classes are formed from tableaux already
-listed, such as a module's basis, so a pair is listed once.  Each
-tableau is read once for its class label (its standardized columns) and
-once for how every generator meets it (`_steps`): one comparison of the
-cells of i and i+1 per i gives the image of pi_i and whether the tableau
-is a source or a sink, so classification, the module columns and the
-action graph share one rule with `pi_action`.
+tableau and its hatted variant.  Each public function on a pair validates
+it once (`_check_pair`) and hands it to a core that trusts it:
+`_enumerate_spct`, `_spct_exists`, `_compatible`, `_sigma_simple` and
+`_canonical_rows`.  Callers in the package whose pairs are already
+normalised, such as the claim cases, call the cores; the enumeration core
+still refuses an n above its bound.  Equivalence classes are formed from
+tableaux already listed, such as a module's basis, so a pair is listed
+once.  Each tableau is read once for its class label (its standardized
+columns) and once for how every generator meets it (`_steps`): one
+comparison of the cells of i and i+1 per i gives the image of pi_i,
+whether i is a descent, and whether the tableau is a source or a sink,
+so descent sets, classification, the module columns and the action graph
+share one rule with `pi_action`.
 """
 
 from __future__ import annotations
@@ -349,7 +354,11 @@ def enumerate_spct(
     >>> enumerate_spct([1, 2], [2, 1])
     ()
     """
-    alpha, sigma = _check_pair(alpha, sigma)
+    return _enumerate_spct(*_check_pair(alpha, sigma), bound)
+
+
+def _enumerate_spct(alpha: Composition, sigma: Permutation, bound: int = DEFAULT_TABLEAU_BOUND) -> tuple[Spct, ...]:
+    """`enumerate_spct` for a pair already validated; the bound still guards."""
     if sum(alpha) > bound:
         raise BoundExceeded(f"n = {sum(alpha)} exceeds tableau enumeration bound {bound}")
     listed = _SMALLER.get((alpha, sigma))
@@ -362,7 +371,7 @@ def enumerate_spct(
 _SMALLER: dict[tuple[Composition, Permutation], tuple[Spct, ...]] = {}
 
 
-def _enumerate_spct(alpha: Composition, sigma: Permutation) -> tuple[Spct, ...]:
+def _smaller_spct(alpha: Composition, sigma: Permutation) -> tuple[Spct, ...]:
     """A smaller pair's tableaux, through the recursion's memo."""
     listed = _SMALLER.get((alpha, sigma))
     if listed is None:
@@ -385,8 +394,8 @@ def _build_spct(alpha: Composition, sigma: Permutation) -> tuple[Spct, ...]:
         if not _spct_exists(beta, tau):  # keeps empty smaller pairs out of the memo
             continue
         new_row = len(beta) < len(alpha)
-        for t in _enumerate_spct(beta, tau):
-            rows = [tuple(v + 1 for v in row) for row in t.rows]
+        for t in _smaller_spct(beta, tau):
+            rows = [tuple([v + 1 for v in row]) for row in t.rows]
             if new_row:
                 rows.insert(m, (1,))
             else:
@@ -473,12 +482,9 @@ def source_ribbon_tableau(alpha: Sequence[int]) -> Srt:
 
 
 def descent_set(t: Spct) -> frozenset[int]:
-    """Values i such that i+1 sits weakly right of i (column comparison)."""
-    des = set()
-    for i in range(1, t.n):
-        if t.pos(i + 1)[1] >= t.pos(i)[1]:
-            des.add(i)
-    return frozenset(des)
+    """Values i such that i+1 sits weakly right of i (column comparison):
+    the i whose `_steps` step is _KILL or _SWAP."""
+    return frozenset([i for i, step in enumerate(_steps(t), 1) if step == _KILL or step == _SWAP])
 
 
 def pi_action(t: Spct, i: int) -> Spct | None:
@@ -563,13 +569,13 @@ def class_label(t: Spct) -> ClassLabel:
     >>> str(class_label(Spct([[4, 1], [6, 5, 3], [2]])))
     '231 12 1'
     """
-    return ClassLabel(t.shape, _column_words(t))
+    return ClassLabel(t.shape, _column_words(t.rows))
 
 
-def _column_words(t: Spct) -> tuple[Permutation, ...]:
-    """Each column of t, top down, standardized."""
+def _column_words(rows: Sequence[Sequence[int]]) -> tuple[Permutation, ...]:
+    """Each column of a filling's rows, top down, standardized."""
     words = []
-    for col in itertools.zip_longest(*t.rows):  # shorter rows pad with None
+    for col in itertools.zip_longest(*rows):  # shorter rows pad with None
         if None in col:
             col = [v for v in col if v is not None]
         ordered = sorted(col)
@@ -619,7 +625,7 @@ def _grouped(ts: Iterable[Spct]) -> dict[ClassLabel, list[Spct]]:
     """The tableaux by class label, each group in the order of ts."""
     groups: dict[tuple, list[Spct]] = {}
     for t in ts:
-        groups.setdefault((t.shape, _column_words(t)), []).append(t)
+        groups.setdefault((t.shape, _column_words(t.rows)), []).append(t)
     return {ClassLabel(*key): members for key, members in groups.items()}
 
 
@@ -669,6 +675,14 @@ def _compatible(alpha: Composition, sigma: Permutation) -> bool:
     )
 
 
+def _check_compatible_pair(alpha: Sequence[int], sigma: Sequence[int]) -> tuple[Composition, Permutation]:
+    """`_check_pair`, raising `ValueError` also when the pair is incompatible."""
+    alpha, sigma = _check_pair(alpha, sigma)
+    if not _compatible(alpha, sigma):
+        raise ValueError(f"{alpha} is not compatible with {sigma}")
+    return alpha, sigma
+
+
 @dataclass(frozen=True)
 class PacdPair:
     """An ascending-type, descending-shape pair with its witness lists.
@@ -691,9 +705,7 @@ class PacdPair:
 
 def pacd_pairs(alpha: Sequence[int], sigma: Sequence[int]) -> list[PacdPair]:
     """All obstruction pairs attached to a compatible shape/type pair."""
-    alpha, sigma = _check_pair(alpha, sigma)
-    if not _compatible(alpha, sigma):
-        raise ValueError(f"{alpha} is not compatible with {sigma}")
+    alpha, sigma = _check_compatible_pair(alpha, sigma)
     ell = len(alpha)
     pairs = []
     for i, j in itertools.combinations(range(1, ell + 1), 2):
@@ -721,7 +733,19 @@ def is_sigma_simple(alpha: Sequence[int], sigma: Sequence[int]) -> bool:
     >>> is_sigma_simple((3, 1, 2, 2), (2, 1, 3, 4))
     False
     """
-    return all(p.witnessed for p in pacd_pairs(alpha, sigma))
+    return _sigma_simple(*_check_compatible_pair(alpha, sigma))
+
+
+def _sigma_simple(alpha: Composition, sigma: Permutation) -> bool:
+    """`is_sigma_simple` for a compatible pair already validated: the
+    witness conditions of `pacd_pairs`, 0-based, listing no pair."""
+    ell = len(alpha)
+    return all(
+        any(sigma[i] < sigma[k] < sigma[j] and alpha[k] == alpha[j] - 1 for k in range(i + 1, j))
+        or any(sigma[i] < sigma[k] < sigma[j] and alpha[k] == alpha[j] for k in range(j + 1, ell))
+        for i, j in itertools.combinations(range(ell), 2)
+        if sigma[i] < sigma[j] and alpha[i] >= alpha[j] >= 2
+    )
 
 
 def removable_nodes(alpha: Sequence[int], sigma: Sequence[int]) -> list[Cell]:
@@ -734,9 +758,7 @@ def removable_nodes(alpha: Sequence[int], sigma: Sequence[int]) -> list[Cell]:
     >>> [(c.row, c.col) for c in removable_nodes((4, 1, 2, 2), (2, 1, 3, 4))]
     [(1, 4), (2, 1)]
     """
-    alpha, sigma = _check_pair(alpha, sigma)
-    if not _compatible(alpha, sigma):
-        raise ValueError(f"{alpha} is not compatible with {sigma}")
+    alpha, sigma = _check_compatible_pair(alpha, sigma)
     out = []
     for j in range(1, len(alpha) + 1):
         if sigma[j - 1] == 1:
@@ -758,14 +780,13 @@ def removable_nodes(alpha: Sequence[int], sigma: Sequence[int]) -> list[Cell]:
 
 
 def _canonical_rows(alpha: Composition, sigma: Permutation) -> tuple[tuple[int, ...], ...]:
-    inv = permutations.inverse(sigma)
+    """The rows of `canonical_source_tableau` for a pair already validated:
+    the rows filled in increasing order of their type values."""
     rows: list[tuple[int, ...]] = [()] * len(alpha)
     start = 0
-    for i in range(1, len(alpha) + 1):
-        r = inv[i - 1]
-        part = alpha[r - 1]
-        rows[r - 1] = tuple(range(start + part, start, -1))
-        start += part
+    for r in sorted(range(len(alpha)), key=sigma.__getitem__):
+        rows[r] = tuple(range(start + alpha[r], start, -1))
+        start += alpha[r]
     return tuple(rows)
 
 
@@ -780,9 +801,7 @@ def canonical_source_tableau(alpha: Sequence[int], sigma: Sequence[int]) -> Spct
     >>> canonical_source_tableau((2, 1), (2, 1)).rows
     ((3, 2), (1,))
     """
-    alpha, sigma = _check_pair(alpha, sigma)
-    if not _compatible(alpha, sigma):
-        raise ValueError(f"{alpha} is not compatible with {sigma}")
+    alpha, sigma = _check_compatible_pair(alpha, sigma)
     return Spct._trusted(_canonical_rows(alpha, sigma), alpha, sum(alpha))
 
 
@@ -812,8 +831,7 @@ def hatted_source_tableau(alpha: Sequence[int], sigma: Sequence[int]) -> HattedS
     >>> hatted_source_tableau((2, 2), (1, 2)).rows
     ((3, 2), (4, 1))
     """
-    alpha = check_composition(alpha)
-    sigma = permutations.check_perm(sigma)
+    alpha, sigma = _check_pair(alpha, sigma)
     ell = len(alpha)
     r_last = permutations.inverse(sigma)[ell - 1]
     if alpha[r_last - 1] < 2:

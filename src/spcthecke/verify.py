@@ -15,6 +15,8 @@ cases, in a process pool when asked, and returns a JSON-friendly report::
 
 Checkers are module-level and take picklable arguments, and failures are
 sorted by case key, so the report is identical for any worker count.
+Cases hold normalised shapes and types, so checkers call the cores behind
+the validating public functions (`tableaux._enumerate_spct` and others).
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ def _case_compat(case) -> list:
 def _case_classes(case) -> list:
     alpha, sigma = case
     bad = []
-    ts = tableaux.enumerate_spct(alpha, sigma)
+    ts = tableaux._enumerate_spct(alpha, sigma)
     try:
         classes = tableaux.equivalence_classes(ts)
     except RuntimeError as exc:  # source/sink uniqueness violated
@@ -191,20 +193,19 @@ def _case_simplicity(case) -> list:
     if kind == "w0":
         alpha = payload
         w0 = perms.longest_element(len(alpha))
-        if tableaux.spct_exists(alpha, w0) != is_partition(alpha):
+        if tableaux._spct_exists(alpha, w0) != is_partition(alpha):
             bad.append({"alpha": alpha, "error": "w0 nonempty != partition"})
-        if is_partition(alpha) and not tableaux.is_sigma_simple(alpha, w0):
+        if is_partition(alpha) and not tableaux._sigma_simple(alpha, w0):
             bad.append({"alpha": alpha, "error": "partition not w0-simple"})
         return bad
     alpha, sigma, module_level = payload
-    ts = tableaux.enumerate_spct(alpha, sigma)
+    ts = tableaux._enumerate_spct(alpha, sigma)
     sources = [t for t in ts if tableaux.classify(t) in ("source", "both")]
-    simple = tableaux.is_sigma_simple(alpha, sigma)
+    simple = tableaux._sigma_simple(alpha, sigma)
     if (len(sources) == 1) != simple:
         bad.append({"alpha": alpha, "sigma": sigma, "sources": len(sources), "simple": simple})
     if simple and sources:
-        canon = tableaux.canonical_source_tableau(alpha, sigma)
-        if sources[0] != canon:
+        if sources[0].rows != tableaux._canonical_rows(alpha, sigma):
             bad.append({"alpha": alpha, "sigma": sigma, "error": "unique source is not canonical"})
     if module_level:
         cyclic = modules.is_spct_cyclic(alpha, sigma)
@@ -216,7 +217,7 @@ def _case_simplicity(case) -> list:
 def _case_w0_classification(alpha) -> list:
     bad = []
     w0 = perms.longest_element(len(alpha))
-    nonempty = tableaux.spct_exists(alpha, w0)
+    nonempty = tableaux._spct_exists(alpha, w0)
     if nonempty != is_partition(alpha):
         bad.append({"alpha": alpha, "nonempty": nonempty})
     if sum(alpha) <= _MODULE_MAX_N:
@@ -272,9 +273,8 @@ def _case_column_sort(case) -> list:
     w0 = perms.longest_element(len(lam))
     union = []
     for alpha in _compositions_by_sorted_parts(sum(lam))[lam]:
-        for t in tableaux.enumerate_spct(alpha, sigma):
-            union.append(t)
-    target = set(tableaux.enumerate_spct(lam, w0))
+        union.extend(tableaux._enumerate_spct(alpha, sigma))
+    target = set(tableaux._enumerate_spct(lam, w0))
     images = set()
     for t in union:
         rt = maps.rho(t)
@@ -296,14 +296,14 @@ def _case_image_law(case) -> list:
     bad = []
     shorter = perms.times_s(sigma, i)
     image = set()
-    for t in tableaux.enumerate_spct(alpha, sigma):
+    for t in tableaux._enumerate_spct(alpha, sigma):
         u = maps.psi(t, shorter)
         image.add(u)
         if tableaux.descent_set(u) != tableaux.descent_set(t):
             bad.append({"alpha": alpha, "sigma": sigma, "i": i, "error": "descents moved"})
     expected = set()
     for beta in bubble_fiber_word(alpha, (i,)):
-        expected.update(tableaux.enumerate_spct(beta, shorter))
+        expected.update(tableaux._enumerate_spct(beta, shorter))
     if image != expected:
         bad.append(
             {
@@ -334,7 +334,7 @@ def _case_schur(lam) -> list:
     rhs = qsym.schur_oracle(lam)
     if qsym.ch_spct(lam, w0) != rhs:
         bad.append({"lambda": lam, "error": "characteristic != Schur"})
-    count = len(tableaux.enumerate_spct(lam, w0))
+    count = len(tableaux._enumerate_spct(lam, w0))
     syt = sum(rhs.terms.values())
     if count != syt:
         bad.append({"lambda": lam, "count": count, "syt": syt})
@@ -479,7 +479,7 @@ def _case_factors(case) -> list:
 def _case_appendix(case) -> list:
     alpha, sigma = case
     bad = []
-    for cls in tableaux.equivalence_classes(tableaux.enumerate_spct(alpha, sigma)):
+    for cls in tableaux.equivalence_classes(tableaux._enumerate_spct(alpha, sigma)):
         t0 = cls.source
         for t in cls.members:
             if t == t0:
@@ -613,8 +613,9 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
 def run_claim(claim: str, max_n: int | None = None, jobs: int = 1) -> dict:
     """Check one claim on every case up to max_n (the claim's default if None).
 
-    Bad arguments raise `KeyError` or `ValueError`, and a max_n over a
-    size bound raises `BoundExceeded`, also from inside a case.  Any other
+    Bad arguments raise `KeyError` or `ValueError`, as does a max_n at
+    which the claim has no case, and a max_n over a size bound raises
+    `BoundExceeded`, also from inside a case.  Any other
     exception a case raises is an internal error and is raised again as
     `RuntimeError`, so that a case's own `ValueError` is not taken for bad
     arguments.
@@ -629,6 +630,8 @@ def run_claim(claim: str, max_n: int | None = None, jobs: int = 1) -> dict:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     cases = cases_of(max_n)
+    if not cases:
+        raise ValueError(f"{claim} has no case at max_n = {max_n}")
     try:
         results = _run_cases(cases, check, jobs)
     except (BoundExceeded, RuntimeError):

@@ -6,7 +6,9 @@ tableau module through the public constructor with one `pi_action` call
 per tableau and generator, groups the basis by `class_label`, finds each
 class's source and sink from `descent_set`, positions and `is_attacking`,
 and restricts the whole module to each class, checking that no generator
-leaves it.  It shares none of the one-pass reading.
+leaves it.  Action components are found by a search over sets of
+tableaux, each edge a new tableau from `pi_action`.  It shares none of the
+one-pass reading.
 """
 
 from spcthecke import permutations as P
@@ -76,3 +78,29 @@ def class_submodules(alpha, sigma):
     """Each class with its submodule, restricted from the whole module."""
     m = tableau_module(alpha, sigma)
     return [(cl, submodule_on_labels(m, cl[1], f"{m.name}|{cl[0]}")) for cl in classes(m.basis)]
+
+
+def action_components(ts):
+    """Components of the undirected action graph, ordered by first member in ts."""
+    adj = {t: set() for t in ts}
+    for t in ts:
+        for i in range(1, t.n):
+            u = pi_action(t, i)
+            if u is not None and u is not t:
+                adj[t].add(u)
+                adj[u].add(t)
+    seen = set()
+    comps = []
+    for t in ts:
+        if t in seen:
+            continue
+        stack, comp = [t], set()
+        while stack:
+            u = stack.pop()
+            if u in comp:
+                continue
+            comp.add(u)
+            stack.extend(adj[u] - comp)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps

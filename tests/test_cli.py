@@ -180,6 +180,14 @@ def test_verify_empty_run_is_usage_error():
     assert res.stdout == "" and "max_n" in res.stderr
 
 
+@pytest.mark.parametrize("claim", ["prop-4.6", "thm-4.8"])
+def test_verify_zero_case_run_is_usage_error(claim):
+    # both list cases only from degree 2 on, so max_n = 1 checks nothing
+    res = run_cli("verify", claim, "--max-n", "1")
+    assert res.returncode == 2
+    assert res.stdout == "" and "no case" in res.stderr
+
+
 def test_bound_exceeded_is_usage_error():
     res = run_cli("enumerate", "spct", "--shape", "2,2,2,2", "--sigma", "1,2,3,4", "--bound", "6")
     assert res.returncode == 2

@@ -24,12 +24,43 @@ from spcthecke.tableaux import (
     enumerate_spct,
     enumerate_srt,
     is_compatible,
+    is_valid_spct_rows,
     source_ribbon_tableau,
 )
 
 
 # ---------------------------------------------------------------------------
 # the column sort and its inverse
+
+
+def _as_constructed(u):
+    """The filling's fields against the validating constructor's on its rows."""
+    v = Spct(u.rows)
+    return (u.rows, u.shape, u.n, u._pos) == (v.rows, v.shape, v.n, v._pos)
+
+
+def test_trusted_map_output_is_what_the_constructor_builds():
+    # rho and phi skip the constructor.  rho is checked on every tableau
+    # with n <= 6, psi on each sent to the identity type, and phi on every
+    # partition-shape tableau of reversing type sent to every type of its
+    # length, which lists every tableau once
+    for n in range(1, 7):
+        for alpha in compositions(n):
+            identity = P.identity(len(alpha))
+            w0 = P.longest_element(len(alpha))
+            for sigma in P.all_perms(len(alpha)):
+                for t in enumerate_spct(alpha, sigma):
+                    r = rho(t)
+                    assert _as_constructed(r) and is_valid_spct_rows(r.rows, w0), t
+                    u = psi(t, identity)
+                    assert _as_constructed(u) and is_valid_spct_rows(u.rows, identity), t
+        for lam in partitions(n):
+            w0 = P.longest_element(len(lam))
+            for r in enumerate_spct(lam, w0):
+                for sigma in P.all_perms(len(lam)):
+                    u = phi(r, sigma)
+                    assert _as_constructed(u) and is_valid_spct_rows(u.rows, sigma), (r, sigma)
+                    assert rho(u) == r
 
 
 def test_worked_triple():

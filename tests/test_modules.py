@@ -501,6 +501,16 @@ def test_block_decomposition_by_classes():
             }
 
 
+def test_action_components_match_the_set_search():
+    # the index search over swapped positions against a search over sets of
+    # tableaux, each edge a new tableau; order included, and the listing
+    # reversed too, since each class's first listed member reaches the rest
+    for n in range(1, 7):
+        for alpha, sigma in compatible_pairs(n):
+            for ts in (enumerate_spct(alpha, sigma), enumerate_spct(alpha, sigma)[::-1]):
+                assert action_components(ts) == class_oracle.action_components(ts), (alpha, sigma)
+
+
 def test_spct_cyclic_iff_one_source():
     for n in range(1, 6):
         for alpha, sigma in compatible_pairs(n):

@@ -14,6 +14,11 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "spcthecke"
 
 KEEP = {
+    "tableaux.spct_exists": "nonemptiness of a pair's tableaux; the claims call its core for pairs already validated",
+    "tableaux.class_label": "the class of a tableau; the package groups by the same key without building labels",
+    "tableaux.pacd_pairs": "the obstruction pairs of a pair with their witness lists",
+    "tableaux.is_sigma_simple": "sigma-simplicity; the claims call its core for pairs already validated",
+    "tableaux.canonical_source_tableau": "the canonical source; the package reads its rows through the core",
     "tableaux.removable_nodes": "the removable nodes of a pair, checked on the paper's example",
     "tableaux.hatted_source_tableau": "the hatted source filling, valid only under the paper's extra hypotheses",
     "modules.word_transport_holds": "reduced words of the column-word quotient carry one class member to another",

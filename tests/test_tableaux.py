@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from spcthecke import modules
+from spcthecke import maps, modules, qsym
 from spcthecke import permutations as P
 from spcthecke import tableaux
 from spcthecke.compositions import BoundExceeded, Cell, compositions
@@ -213,9 +213,43 @@ MALFORMED_PAIRS = [
 ]
 
 
+def _filling(alpha):
+    """Rows filling `alpha` with consecutive decreasing blocks; an empty or
+    negative part gives an empty row, which `Spct` rejects."""
+    ends = itertools.accumulate(alpha, initial=0)
+    return Spct([range(end + part, end, -1) for end, part in zip(ends, alpha)])
+
+
+def phi_of_pair(alpha, sigma):
+    return maps.phi(_filling(alpha), sigma)
+
+
+def psi_of_pair(alpha, sigma):
+    return maps.psi(_filling(alpha), sigma)
+
+
+def recursion_check_at_1(alpha, sigma):
+    return qsym.recursion_check(alpha, sigma, 1)
+
+
 @pytest.mark.parametrize(
     "fn",
-    [enumerate_spct, spct_exists, is_compatible, pacd_pairs, canonical_source_tableau, removable_nodes],
+    [
+        enumerate_spct,
+        spct_exists,
+        is_compatible,
+        pacd_pairs,
+        canonical_source_tableau,
+        removable_nodes,
+        hatted_source_tableau,
+        is_sigma_simple,
+        phi_of_pair,
+        psi_of_pair,
+        qsym.ch_spct,
+        recursion_check_at_1,
+        modules.class_submodules,
+        modules.canonical_submodule,
+    ],
 )
 @pytest.mark.parametrize("alpha, sigma", MALFORMED_PAIRS)
 def test_malformed_pairs_are_rejected(fn, alpha, sigma):
@@ -271,6 +305,8 @@ def set_of_alpha(alpha):
 def test_enumerate_bound():
     with pytest.raises(BoundExceeded):
         enumerate_spct((5, 5), (1, 2))
+    with pytest.raises(BoundExceeded):  # the core the claims call keeps the guard
+        tableaux._enumerate_spct((5, 5), (1, 2))
     with pytest.raises(BoundExceeded):
         enumerate_srt((5, 5))
     assert len(enumerate_srt((5, 5), bound=10)) > 0
@@ -310,6 +346,16 @@ def test_descents_examples():
     single = Spct([list(range(5, 0, -1))])
     assert descent_set(single) == frozenset()
     assert comp_of_tableau(single) == (5,)
+
+
+def test_descent_set_is_the_position_walk():
+    # `descent_set` reads the steps of `_steps`; the oracle walks the
+    # range-checked positions and compares columns
+    for n in range(1, 7):
+        for alpha, sigma in all_pairs(n):
+            for t in enumerate_spct(alpha, sigma):
+                walked = frozenset(i for i in range(1, n) if t.pos(i + 1)[1] >= t.pos(i)[1])
+                assert descent_set(t) == walked, t
 
 
 def test_pi_action_against_descents_and_attacks():
@@ -420,6 +466,14 @@ def test_pacd_pairs_examples():
     assert (1, 4) in by_idx and not by_idx[1, 4].witnessed
 
     assert pacd_pairs((1, 1, 2, 3), (2, 1, 3, 4)) == []
+
+
+def test_sigma_simple_core_reads_the_witness_lists():
+    for n in range(1, 8):
+        for alpha, sigma in all_pairs(n):
+            if is_compatible(alpha, sigma):
+                want = all(p.witnessed for p in pacd_pairs(alpha, sigma))
+                assert tableaux._sigma_simple(alpha, sigma) == want, (alpha, sigma)
 
 
 def test_is_sigma_simple_examples():
