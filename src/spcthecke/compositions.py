@@ -11,14 +11,14 @@ by tagging cells with a diagram kind:
 * ribbon diagrams (``"rd"``): rows indexed from the BOTTOM, the leftmost box
   of row i+1 sits directly above the rightmost box of row i.
 
-Cells are 1-based ``(row, col)`` pairs in both conventions.
+Cells are 1-based ``(row, col)`` pairs in both conventions.  A `Cell` is a
+named tuple ``(row, col, kind)`` that checks its kind and indices when built.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Composition = tuple[int, ...]
 
@@ -26,19 +26,23 @@ class BoundExceeded(ValueError):
     """Raised when a size bound guarding an exhaustive computation is hit."""
 
 
-@dataclass(frozen=True, order=True)
-class Cell:
-    """A box of a diagram; `kind` is ``"cd"`` or ``"rd"`` (see module doc)."""
-
+class _CellFields(NamedTuple):
     row: int
     col: int
     kind: str = "cd"
 
-    def __post_init__(self):
-        if self.kind not in ("cd", "rd"):
-            raise ValueError(f"unknown diagram kind {self.kind!r}")
-        if self.row < 1 or self.col < 1:
-            raise ValueError(f"cell indices are 1-based, got {(self.row, self.col)}")
+
+class Cell(_CellFields):
+    """A box of a diagram; `kind` is ``"cd"`` or ``"rd"`` (see module doc)."""
+
+    __slots__ = ()
+
+    def __new__(cls, row: int, col: int, kind: str = "cd"):
+        if kind not in ("cd", "rd"):
+            raise ValueError(f"unknown diagram kind {kind!r}")
+        if row < 1 or col < 1:
+            raise ValueError(f"cell indices are 1-based, got {(row, col)}")
+        return super().__new__(cls, row, col, kind)
 
 def check_composition(alpha: Sequence[int]) -> Composition:
     """Validate and normalise a composition to a tuple.

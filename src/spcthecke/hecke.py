@@ -19,9 +19,8 @@ Every entry point refuses an n above `modules.DEFAULT_ALGEBRA_BOUND`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .compositions import BoundExceeded, set_of
 from .linalg import EchelonSpace, Vec, vec_axpy
@@ -90,10 +89,12 @@ def pim_module(n: int, subset: Iterable[int]) -> HModule:
     The basis is the canonical echelon basis of the generator-closure of
     the cyclic vector inside the regular representation; labels are the
     pivot permutations (echelon pivots over the fixed basis order).
-    Results are cached on (n, frozenset(subset)).
+    Results are cached on (n, frozenset(subset)); each call gets its own
+    copy of the columns, so a caller cannot change what the cache holds.
     """
     _check_algebra_bound(n)
-    return _pim_module(n, frozenset(subset))
+    m = _pim_module(n, frozenset(subset))
+    return HModule._trusted(n, m.basis, [[dict(col) for col in g] for g in m.cols], m.name, m._index)
 
 
 def _pim_seed(n: int, subset: frozenset[int]) -> Vec:
@@ -150,8 +151,7 @@ def _pivot_positions(space: EchelonSpace) -> dict[int, int]:
     return {space.pivots[p]: k for k, p in enumerate(sorted(space.pivots))}
 
 
-@dataclass
-class ProjectivityCertificate:
+class ProjectivityCertificate(NamedTuple):
     top: dict
     cover_dim: int  # dim P(top M)
     dim: int
@@ -171,7 +171,7 @@ def is_projective(m: HModule) -> tuple[bool, ProjectivityCertificate]:
     """
     _check_algebra_bound(m.n)
     top = top_factors(m)
-    cover_dim = sum(mult * pim_module(m.n, set_of(beta)).dim for beta, mult in top.items())
+    cover_dim = sum(mult * _pim_module(m.n, set_of(beta)).dim for beta, mult in top.items())
     cert = ProjectivityCertificate(dict(top), cover_dim, m.dim)
     return cert.projective, cert
 

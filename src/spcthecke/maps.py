@@ -29,11 +29,10 @@ rows built: a caller checking the shape sees what was built.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .compositions import check_composition, complement_of, is_partition
-from .linalg import RatMat, span_equal, nullspace
+from .linalg import RatMat, nullspace, rank_of, span_equal
 from .modules import LinearMap, canonical_submodule, ribbon_module
 from . import permutations
 from .permutations import Permutation
@@ -173,8 +172,7 @@ def _omega_member(T: Srt, sigma: Permutation) -> bool:
 # the projected transpose as an exact module map
 
 
-@dataclass
-class PrcPhiResult:
+class PrcPhiResult(NamedTuple):
     linmap: LinearMap
     surjective: bool
     kernel_matches_omega: bool
@@ -221,8 +219,6 @@ def prc_phi_map(alpha: Sequence[int], sigma: Sequence[int]) -> PrcPhiResult:
     mat = RatMat(tgt.dim, src.dim, data)
     linmap = LinearMap(src, tgt, mat, name=f"prc_phi[{alpha},{sigma}]")
     linmap.check_intertwiner()
-    from .linalg import rank_of
-
     surjective = rank_of(mat.rows(), src.dim) == tgt.dim
     kernel = nullspace(mat.rows(), src.dim)
     omega = omega_set(alpha, sigma)

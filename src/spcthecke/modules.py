@@ -35,7 +35,9 @@ basis labels or the name, so they are memoized on a flat tuple of n, dim and eve
 with its coefficients (`_action_key`).  Equal keys give identical results
 by construction, with no isomorphism argument; class submodules of
 different pairs often share their action, so most calls are served from
-the memo.
+the memo.  The memo hands out an immutable certificate (the result
+records here are named tuples) as it is, and each factor count as a fresh
+`Counter`.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .compositions import Composition, check_composition, comp_of
 from .linalg import EchelonSpace, RatMat, Vec, nullspace, rank_of, vec_axpy
@@ -141,15 +142,14 @@ def _label_json(label):
     return str(label)
 
 
-@dataclass
 class LinearMap:
     """A linear map between modules of the same degree, with its matrix."""
 
-    source: HModule
-    target: HModule
-    matrix: RatMat
-    name: str = ""
-    intertwines: bool | None = None
+    __slots__ = ("source", "target", "matrix", "name", "intertwines")
+
+    def __init__(self, source: HModule, target: HModule, matrix: RatMat, name: str = ""):
+        self.source, self.target, self.matrix, self.name = source, target, matrix, name
+        self.intertwines: bool | None = None  # set by `check_intertwiner`
 
     def check_intertwiner(self) -> bool:
         """Whether ``F (pi_i e_b) == pi_i (F e_b)`` for every i and b."""
@@ -294,10 +294,9 @@ def ribbon_module(alpha: Sequence[int], variant: str = "opi") -> HModule:
 # relation checking
 
 
-@dataclass
-class RelationReport:
+class RelationReport(NamedTuple):
     ok: bool
-    violations: list[dict] = field(default_factory=list)
+    violations: list[dict]
 
     def to_json(self):
         return {"ok": self.ok, "violations": self.violations}
@@ -349,14 +348,15 @@ def _action_key(m: HModule) -> tuple:
     return tuple(key)
 
 
-def _once_per_action(fresh):
+def _once_per_action(fresh=None):
     """Memoize a function of a module on `_action_key`.
 
     The function must read only ``m.n``, ``m.dim`` and ``m.cols``, never
     the basis labels or the name, so a module with the same key gets the
-    same result by construction.  Every call hands out ``fresh(result)``, a new object,
-    so a caller cannot change what the memo holds; an exception is raised
-    again on every call and nothing is stored.
+    same result by construction.  A mutable result is handed out as
+    ``fresh(result)``, a new object, and an immutable one (`fresh` None) as
+    it is, so a caller cannot change what the memo holds; an exception is
+    raised again on every call and nothing is stored.
     """
 
     def decorate(fn):
@@ -368,7 +368,7 @@ def _once_per_action(fresh):
             result = memo.get(key)
             if result is None:
                 result = memo[key] = fn(m)
-            return fresh(result)
+            return result if fresh is None else fresh(result)
 
         once.cache_clear = memo.clear
         return once
@@ -498,8 +498,7 @@ def _impose_relation(
     return out
 
 
-@dataclass
-class IndecomposabilityCertificate:
+class IndecomposabilityCertificate(NamedTuple):
     end_dim: int
     semisimple_rank: int  # rank of the trace form == dim End/rad
 
@@ -511,7 +510,7 @@ class IndecomposabilityCertificate:
         return {"end_dim": self.end_dim, "semisimple_rank": self.semisimple_rank}
 
 
-@_once_per_action(lambda result: (result[0], replace(result[1])))
+@_once_per_action()
 def is_indecomposable(m: HModule) -> tuple[bool, IndecomposabilityCertificate]:
     """Locality of the endomorphism ring via the trace form.
 
@@ -523,8 +522,8 @@ def is_indecomposable(m: HModule) -> tuple[bool, IndecomposabilityCertificate]:
     two matrices without forming their product, and the form is symmetric,
     so only the entries with a <= b are computed.
 
-    Computed once per distinct action (`_once_per_action`); each call gets
-    a new certificate.
+    Computed once per distinct action (`_once_per_action`); every call
+    gets the same immutable certificate.
     """
     if m.dim == 0:
         raise ValueError("the zero module has no endomorphism ring")
@@ -578,8 +577,7 @@ def _generator_closure(m: HModule, seeds: Iterable[Vec]) -> EchelonSpace:
     return space
 
 
-@dataclass
-class Layer:
+class Layer(NamedTuple):
     """One semisimple layer of the radical filtration."""
 
     dim: int
@@ -797,8 +795,7 @@ def graph_dot(alpha, sigma, bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> str:
 # column-word transport and the filtration-side statistics
 
 
-@dataclass(frozen=True)
-class AppendixData:
+class AppendixData(NamedTuple):
     d: int
     rho: Permutation
     attack_min: dict  # descent i of the source -> min attacking partner > i

@@ -3,7 +3,7 @@
 Elements live in one homogeneous degree and are integer coefficient maps
 on compositions of that degree, tagged with a basis: "F" (fundamental) or
 "QS" (quasisymmetric Schur).  Only the additive structure is needed here,
-so an element is a thin wrapper over a Counter.
+so an element is a slotted wrapper over a dict of nonzero coefficients.
 
 The QS basis is defined through tableau enumeration (each quasisymmetric
 Schur function is the descent-composition generating sum over identity
@@ -18,10 +18,9 @@ unitriangular and reads the determinant off the diagonal.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .compositions import (
     BoundExceeded,
@@ -42,25 +41,22 @@ from . import tableaux
 DEFAULT_QSYM_BOUND = tableaux.DEFAULT_TABLEAU_BOUND
 
 
-@dataclass
 class QSymElt:
-    """A homogeneous quasisymmetric function in a declared basis."""
+    """A homogeneous quasisymmetric function in a declared basis, "F" or "QS"."""
 
-    degree: int
-    basis: str  # "F" or "QS"
-    terms: dict[Composition, int]
+    __slots__ = ("degree", "basis", "terms")
 
-    def __post_init__(self):
-        if self.basis not in ("F", "QS"):
-            raise ValueError(f"unknown basis {self.basis!r}")
+    def __init__(self, degree: int, basis: str, terms: dict[Composition, int]):
+        if basis not in ("F", "QS"):
+            raise ValueError(f"unknown basis {basis!r}")
         clean = {}
-        for alpha, c in self.terms.items():
+        for alpha, c in terms.items():
             alpha = check_composition(alpha)
-            if sum(alpha) != self.degree:
-                raise ValueError(f"index {alpha} is not a composition of {self.degree}")
+            if sum(alpha) != degree:
+                raise ValueError(f"index {alpha} is not a composition of {degree}")
             if c:
                 clean[alpha] = c
-        self.terms = clean
+        self.degree, self.basis, self.terms = degree, basis, clean
 
     def __add__(self, other: "QSymElt") -> "QSymElt":
         self._match(other)
@@ -206,9 +202,15 @@ def recursion_check(alpha: Sequence[int], sigma: Sequence[int], i: int) -> bool:
     the single-operator bubble fiber with the shortened type.
     """
     alpha, sigma = tableaux._check_pair(alpha, sigma)
-    shorter = permutations.times_s(sigma, i)
-    if permutations.length(shorter) >= permutations.length(sigma):
+    if not 1 <= i < len(sigma) or sigma[i - 1] < sigma[i]:
         raise ValueError(f"type does not descend at {i}")
+    return _recursion_holds(alpha, sigma, i)
+
+
+def _recursion_holds(alpha: Composition, sigma: Permutation, i: int) -> bool:
+    """`recursion_check` for a pair already validated whose type descends
+    at i, so the shorter type is sigma with entries i and i+1 swapped."""
+    shorter = sigma[: i - 1] + (sigma[i], sigma[i - 1]) + sigma[i + 1 :]
     rhs: Counter[Composition] = Counter()
     for beta in bubble_fiber_word(alpha, (i,)):
         rhs.update(_descent_counts(beta, shorter))
@@ -319,8 +321,7 @@ def f_to_qs(elt: QSymElt) -> QSymElt:
 # the degree-n basis built from partition shapes with coset-representative types
 
 
-@dataclass(frozen=True)
-class BnElement:
+class BnElement(NamedTuple):
     shape: Composition  # a partition
     type_: Permutation  # minimal coset representative
     expansion: QSymElt  # QS basis

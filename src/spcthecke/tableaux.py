@@ -63,7 +63,6 @@ share one rule with `pi_action`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -552,8 +551,7 @@ def col_word(t: Spct) -> Permutation:
     return permutations.check_perm(tuple(word))
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(NamedTuple):
     """Shape plus the per-column standardized words; equal iff equivalent."""
 
     shape: Composition
@@ -601,8 +599,7 @@ def classify(t: Spct) -> str:
     return "interior"
 
 
-@dataclass(frozen=True)
-class SpctClass:
+class SpctClass(NamedTuple):
     label: ClassLabel
     members: tuple[Spct, ...]
     source: Spct
@@ -667,12 +664,18 @@ def is_compatible(alpha: Sequence[int], sigma: Sequence[int]) -> bool:
 
 
 def _compatible(alpha: Composition, sigma: Permutation) -> bool:
-    """`is_compatible` for a pair already validated."""
-    return all(
-        alpha[i] >= alpha[j]
-        for i, j in itertools.combinations(range(len(alpha)), 2)
-        if sigma[i] > sigma[j]
-    )
+    """`is_compatible` for a pair already validated, read the other way
+    round: the type ascends wherever the parts ascend."""
+    for i, j in _part_ascents(alpha):
+        if sigma[i] > sigma[j]:
+            return False
+    return True
+
+
+@lru_cache(maxsize=50_000)
+def _part_ascents(alpha: Composition) -> tuple[tuple[int, int], ...]:
+    """The 0-based index pairs i < j with alpha_i < alpha_j."""
+    return tuple((i, j) for i, j in itertools.combinations(range(len(alpha)), 2) if alpha[i] < alpha[j])
 
 
 def _check_compatible_pair(alpha: Sequence[int], sigma: Sequence[int]) -> tuple[Composition, Permutation]:
@@ -683,8 +686,7 @@ def _check_compatible_pair(alpha: Sequence[int], sigma: Sequence[int]) -> tuple[
     return alpha, sigma
 
 
-@dataclass(frozen=True)
-class PacdPair:
+class PacdPair(NamedTuple):
     """An ascending-type, descending-shape pair with its witness lists.
 
     `c1` holds intermediate indices k (i < k < j) whose type value lies
@@ -805,8 +807,7 @@ def canonical_source_tableau(alpha: Sequence[int], sigma: Sequence[int]) -> Spct
     return Spct._trusted(_canonical_rows(alpha, sigma), alpha, sum(alpha))
 
 
-@dataclass(frozen=True)
-class HattedSource:
+class HattedSource(NamedTuple):
     """Result of the hatted source construction; not always a valid SPCT."""
 
     rows: tuple[tuple[int, ...], ...]

@@ -322,8 +322,9 @@ def _case_image_law(case) -> list:
 
 
 def _case_recursion(case) -> list:
+    # the case comes from `_descent_triples`, so the type descends at i
     alpha, sigma, i = case
-    if not qsym.recursion_check(alpha, sigma, i):
+    if not qsym._recursion_holds(alpha, sigma, i):
         return [{"alpha": alpha, "sigma": sigma, "i": i}]
     return []
 
@@ -530,7 +531,7 @@ def _case_pim(case) -> list:
     if dict(top) != {alpha: 1}:
         bad.append({"n": n, "subset": sorted(subset), "top": {str(k): v for k, v in top.items()}})
     if not sub:  # the degree's total, checked once
-        total = sum(hecke.pim_module(n, frozenset(s)).dim for _, s in _subsets(n))
+        total = sum(hecke._pim_module(n, frozenset(s)).dim for _, s in _subsets(n))
         if total != math.factorial(n):
             bad.append({"n": n, "total": total})
     return bad

@@ -135,5 +135,7 @@ def test_ribbon_geometry():
 
 
 def test_cell_kind_guard():
-    with pytest.raises(ValueError):
-        Cell(1, 1, "weird")
+    for row, col, kind in ((1, 1, "weird"), (0, 1, "cd"), (1, 0, "rd"), (-1, 2, "cd")):
+        with pytest.raises(ValueError):
+            Cell(row, col, kind)
+    assert Cell(2, 3) == (2, 3, "cd") and Cell(1, 1, "rd").kind == "rd"

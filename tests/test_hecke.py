@@ -136,8 +136,19 @@ def test_pim_seed_is_the_generator_element():
 def test_pim_module_caches_on_normalised_arguments():
     m = pim_module(4, frozenset({1, 3}))
     misses = pim_module.cache_info().misses
-    assert pim_module(4, [3, 1]) is m
+    again = pim_module(4, [3, 1])
+    assert (again.basis, again.cols, again.name) == (m.basis, m.cols, m.name)
     assert pim_module.cache_info().misses == misses
+
+
+def test_pim_module_hands_out_its_own_columns():
+    m = pim_module(3, {1})
+    assert check_relations(m).ok
+    m.cols[0][0][0] = 7
+    m.cols[1].clear()
+    again = pim_module(3, {1})
+    assert again.cols is not m.cols and check_relations(again).ok
+    assert all(g is not h and a is not b for g, h in zip(again.cols, m.cols) for a, b in zip(g, h))
     with pytest.raises(BoundExceeded):
         pim_module(8, {1, 3})
 

@@ -181,7 +181,7 @@ def test_act_leaves_a_cached_module_unchanged():
             for k in list(w):
                 w[k] = 7
             w[m.dim - 1] = 3
-    assert pim_module(4, [1]) is m and m.cols is cols
+    assert m.cols is cols and pim_module(4, [1]).cols == cols
     assert [[m.act(i, {b: 1}) for b in range(m.dim)] for i in range(1, m.n)] == before
     with pytest.raises(ValueError):
         m.act(m.n, {0: 1})
@@ -193,7 +193,7 @@ def test_gen_leaves_a_cached_module_unchanged():
     g = m.gen(1)
     g.data.clear()
     g.data[0, 0] = 9
-    assert pim_module(4, [1]) is m
+    assert pim_module(4, [1]).cols == m.cols
     assert [[m.act(i, {b: 1}) for b in range(m.dim)] for i in range(1, m.n)] == before
     assert m.gen(1).cols() == before[0]
 
@@ -470,7 +470,8 @@ def test_memoized_results_are_fresh_objects():
     for target in (m, sub):
         ok, cert = is_indecomposable(target)
         want_cert = (cert.end_dim, cert.semisimple_rank)
-        cert.end_dim, cert.semisimple_rank = 99, 99
+        with pytest.raises(AttributeError):
+            cert.end_dim = 99
         assert is_indecomposable(target) == (ok, type(cert)(*want_cert))
         for fn in (composition_factors, top_factors):
             got = fn(target)

@@ -27,6 +27,7 @@ KEEP = {
     "compositions.bubble_act_word": "the bubble-sorting right action along a word, inverse to the fibers",
     "maps.spct_to_ribbon": "the inverse of the ribbon-to-tableau transpose",
     "qsym.qs_to_f": "the QS -> F basis change, inverse to f_to_qs",
+    "qsym.recursion_check": "the one-step characteristic recursion; thm-4.8 calls its core for cases already validated",
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from dense_oracle import det, inverse
 from spcthecke import permutations as P
 from spcthecke import qsym, verify
-from spcthecke.compositions import BoundExceeded, compositions, partitions
+from spcthecke.compositions import BoundExceeded, bubble_fiber_word, compositions, partitions
 from spcthecke.qsym import (
     QSymElt,
     bn_basis,
@@ -66,6 +66,20 @@ def test_recursion_examples():
     assert recursion_check((3, 2, 2), (3, 2, 1), 1)
     with pytest.raises(ValueError):
         recursion_check((2, 1), (1, 2), 1)  # type does not descend
+
+
+def test_recursion_sums_the_fiber_at_the_shortened_type(monkeypatch):
+    # with the unshortened type the two sides agree trivially, so the
+    # verdicts alone cannot show which type the right side reads
+    read = []
+    descent_counts = qsym._descent_counts
+    monkeypatch.setattr(qsym, "_descent_counts", lambda a, s: read.append((a, s)) or descent_counts(a, s))
+    for n in range(2, 6):
+        for alpha, sigma, i in verify._descent_triples(n):
+            read.clear()
+            assert recursion_check(alpha, sigma, i)
+            fiber = bubble_fiber_word(alpha, (i,))
+            assert sorted(read) == sorted([(alpha, sigma)] + [(b, P.times_s(sigma, i)) for b in fiber])
 
 
 def test_schur_specialisation():

@@ -455,6 +455,19 @@ def test_is_compatible_examples():
                 assert is_compatible(lam, P.longest_element(len(lam)))
 
 
+def test_compatibility_matches_the_inversion_form():
+    # the definition: parts never increase across an inversion of the type
+    for n in range(1, 8):
+        for alpha in compositions(n):
+            for sigma in P.all_perms(len(alpha)):
+                want = all(
+                    alpha[i] >= alpha[j]
+                    for i, j in itertools.combinations(range(len(alpha)), 2)
+                    if sigma[i] > sigma[j]
+                )
+                assert is_compatible(alpha, sigma) is want, (alpha, sigma)
+
+
 def test_pacd_pairs_examples():
     pairs = pacd_pairs((3, 3, 1, 2), (2, 1, 3, 4))
     by_idx = {(p.i, p.j): p for p in pairs}
