@@ -175,7 +175,11 @@ def bubble_fiber_word(alpha: Sequence[int], word: Sequence[int]) -> set[Composit
     (when part i >= part i+1) and gamma with parts i, i+1 swapped (when
     part i > part i+1).
     """
-    alpha = check_composition(alpha)
+    return _bubble_fiber_word(check_composition(alpha), word)
+
+
+def _bubble_fiber_word(alpha: Composition, word: Sequence[int]) -> set[Composition]:
+    """`bubble_fiber_word` for a composition already validated."""
     fiber = {alpha}
     for i in reversed(list(word)):
         prev: set[Composition] = set()

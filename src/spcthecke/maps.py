@@ -23,7 +23,9 @@ Every map lists its tableaux at the enumerators' default size bound.
 Every public map validates its shape and type arguments; a tableau
 argument's rows already hold 1..n.  `rho` and `phi` only move those
 entries, so they build with `Spct._trusted`, reading the shape off the
-rows built: a caller checking the shape sees what was built.
+rows built: a caller checking the shape sees what was built.  The claim
+cases, whose types are already normalised, call the cores `_phi` and
+`_psi`, which check nothing.
 """
 
 from __future__ import annotations
@@ -66,9 +68,15 @@ def phi(tbar: Spct, sigma: Sequence[int]) -> Spct:
     sigma = permutations.check_perm(sigma)
     if not is_partition(tbar.shape):
         raise ValueError(f"shape {tbar.shape} is not a partition")
-    ell = len(tbar.shape)
-    if len(sigma) != ell:
+    if len(sigma) != len(tbar.shape):
         raise ValueError("type degree does not match shape length")
+    return _phi(tbar, sigma)
+
+
+def _phi(tbar: Spct, sigma: Permutation) -> Spct:
+    """`phi` for a partition-shaped tableau and a type of its length, both
+    already checked; an entry with no admissible row still raises."""
+    ell = len(tbar.shape)
     first = sorted(tbar.column(1))
     rows: list[list[int]] = [[first[sigma[r] - 1]] for r in range(ell)]
     for c in range(2, tbar.num_columns() + 1):
@@ -93,6 +101,11 @@ def psi(t: Spct, sigma2: Sequence[int]) -> Spct:
     (2, 2, 3)
     """
     return phi(rho(t), sigma2)
+
+
+def _psi(t: Spct, sigma2: Permutation) -> Spct:
+    """`psi` for a type already validated, of the length of t's shape."""
+    return _phi(rho(t), sigma2)
 
 
 # ---------------------------------------------------------------------------

@@ -745,39 +745,6 @@ def _moves(ts: Iterable[Spct]) -> Iterator[tuple[Spct, int, Spct]]:
                 yield t, i, t.swap_values(i)
 
 
-def action_components(ts: Sequence[Spct]) -> list[frozenset[Spct]]:
-    """Connected components of the (undirected) action graph on `ts`, the
-    listed tableaux of one pair, such as a tableau module's basis.
-
-    The graph is on indices into ts: a swap's target is the tableau whose
-    positions are the source's with i and i+1 exchanged, so no tableau is
-    built or hashed per edge.  Components come ordered by their first
-    member in ts.
-    """
-    index = {t._pos: j for j, t in enumerate(ts)}
-    adj: list[list[int]] = [[] for _ in ts]
-    for j, t in enumerate(ts):
-        pos = t._pos
-        for i, step in enumerate(tableaux._steps(t), 1):
-            if step == tableaux._SWAP:
-                k = index[pos[:i] + (pos[i + 1], pos[i]) + pos[i + 2 :]]
-                adj[j].append(k)
-                adj[k].append(j)
-    seen: set[int] = set()
-    comps = []
-    for j in range(len(ts)):
-        if j not in seen:
-            comp, stack = {j}, [j]
-            while stack:
-                for k in adj[stack.pop()]:
-                    if k not in comp:
-                        comp.add(k)
-                        stack.append(k)
-            seen |= comp
-            comps.append(frozenset(ts[k] for k in comp))
-    return comps
-
-
 def graph_dot(alpha, sigma, bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> str:
     """DOT rendering of the action graph, edges labeled by the generator."""
     ts = tableaux.enumerate_spct(alpha, sigma, bound)

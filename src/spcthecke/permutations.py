@@ -58,9 +58,12 @@ def times_s(p: Sequence[int], i: int) -> Permutation:
     p = check_perm(p)
     if not 1 <= i <= len(p) - 1:
         raise ValueError(f"generator index {i} out of range for degree {len(p)}")
-    w = list(p)
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
+    return _times_s(p, i)
+
+
+def _times_s(p: Permutation, i: int) -> Permutation:
+    """`times_s` for a permutation already validated and 1 <= i < len(p)."""
+    return p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]
 
 
 def s_times(i: int, p: Sequence[int]) -> Permutation:
@@ -108,7 +111,7 @@ def reduced_word(p: Sequence[int]) -> tuple[int, ...]:
             break
         i = descents[-1]
         suffix.append(i)
-        w = times_s(w, i)
+        w = _times_s(w, i)
     return tuple(reversed(suffix))
 
 

@@ -20,13 +20,14 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import prod
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .compositions import (
     BoundExceeded,
     Composition,
+    _bubble_fiber_word,
     bubble_fiber,
-    bubble_fiber_word,
     check_composition,
     comp_of,
     compositions,
@@ -46,7 +47,7 @@ class QSymElt:
 
     __slots__ = ("degree", "basis", "terms")
 
-    def __init__(self, degree: int, basis: str, terms: dict[Composition, int]):
+    def __init__(self, degree: int, basis: str, terms: Mapping[Composition, int]):
         if basis not in ("F", "QS"):
             raise ValueError(f"unknown basis {basis!r}")
         clean = {}
@@ -112,12 +113,18 @@ class QSymElt:
 def ch_spct(alpha: Sequence[int], sigma: Sequence[int], bound: int = DEFAULT_QSYM_BOUND) -> QSymElt:
     """Descent-composition generating sum of the tableau module, F basis."""
     alpha, sigma = tableaux._check_pair(alpha, sigma)
-    return QSymElt(sum(alpha), "F", dict(_descent_counts(alpha, sigma, bound)))
+    return QSymElt(sum(alpha), "F", _descent_counts(alpha, sigma, bound))
 
 
-def _descent_counts(alpha: Composition, sigma: Permutation, bound: int = DEFAULT_QSYM_BOUND) -> Counter:
-    """The terms of `ch_spct` for a pair already validated."""
-    return Counter(tableaux.comp_of_tableau(t) for t in tableaux._enumerate_spct(alpha, sigma, bound))
+@lru_cache(maxsize=8192)
+def _descent_counts(
+    alpha: Composition, sigma: Permutation, bound: int = DEFAULT_QSYM_BOUND
+) -> Mapping[Composition, int]:
+    """The terms of `ch_spct` for a pair already validated, counted once per
+    pair and handed out read-only; a `QSymElt` copies its terms."""
+    return MappingProxyType(
+        Counter(tableaux.comp_of_tableau(t) for t in tableaux._enumerate_spct(alpha, sigma, bound))
+    )
 
 
 def qschur(alpha: Sequence[int]) -> QSymElt:
@@ -129,7 +136,7 @@ def qschur(alpha: Sequence[int]) -> QSymElt:
     {(2, 1): 1}
     """
     alpha = check_composition(alpha)
-    return QSymElt(sum(alpha), "F", dict(_descent_counts(alpha, permutations.identity(len(alpha)))))
+    return QSymElt(sum(alpha), "F", _descent_counts(alpha, permutations.identity(len(alpha))))
 
 
 def _enumerate_syt(lam: Composition) -> list[tuple[tuple[int, ...], ...]]:
@@ -210,9 +217,9 @@ def recursion_check(alpha: Sequence[int], sigma: Sequence[int], i: int) -> bool:
 def _recursion_holds(alpha: Composition, sigma: Permutation, i: int) -> bool:
     """`recursion_check` for a pair already validated whose type descends
     at i, so the shorter type is sigma with entries i and i+1 swapped."""
-    shorter = sigma[: i - 1] + (sigma[i], sigma[i - 1]) + sigma[i + 1 :]
+    shorter = permutations._times_s(sigma, i)
     rhs: Counter[Composition] = Counter()
-    for beta in bubble_fiber_word(alpha, (i,)):
+    for beta in _bubble_fiber_word(alpha, (i,)):
         rhs.update(_descent_counts(beta, shorter))
     return _descent_counts(alpha, sigma) == rhs
 

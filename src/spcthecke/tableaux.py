@@ -24,7 +24,12 @@ boxes (the smaller pair shrinks part m, same type), or when alpha_m = 1
 and sigma_m = 1 (the smaller pair drops row m, and the type loses the
 value 1).  The same move rule decides existence without listing
 (`spct_exists`).  The recursion keeps the pairs it reads in a memo for
-the life of the process; a pair requested through `enumerate_spct` that
+the life of the process (`_SMALLER`), each pair's tableaux together with
+their rows raised by one, computed once per smaller tableau.  A new
+tableau is those raised rows with 1 appended to row m or (1,) inserted as
+row m, and its positions are the smaller tableau's, each cell moved down
+a row below an inserted row, with the cell of 1 in front: no position is
+read off the rows again.  A pair requested through `enumerate_spct` that
 the memo lacks is built from it and kept only in a small cache of recent
 requests.  So the largest degree a caller walks, which holds most of the
 tableaux and which no construction reads again, is never held in full.
@@ -40,7 +45,9 @@ inside the package (the enumerators, the canonical and ribbon sources,
 `swap_values`) goes through it.  Each kind adds its geometry: the cells
 of a composition shape, and a ribbon shape's row spans and the cells of
 each column, top down, are computed once per shape and shared as tuples
-by all its tableaux, positions included.
+by all its tableaux, positions included.  Composition cells come from one
+table shared by all shapes (`_cell`), so a cell the enumerator carries
+from a smaller shape is the tuple the public constructor uses.
 
 This module also hosts the structural predicates on shape/type pairs:
 compatibility, obstruction pairs with their witness conditions,
@@ -168,9 +175,20 @@ def _positions(
     return tuple(pos)
 
 
+#: Every (row, column) cell any composition shape has used, each its own
+#: key: all shapes, and the enumerator's carried positions, share these tuples.
+_CELLS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+def _cell(row: int, col: int) -> tuple[int, int]:
+    """The shared tuple (row, col)."""
+    cell = (row, col)
+    return _CELLS.setdefault(cell, cell)
+
+
 @lru_cache(maxsize=50_000)
 def _composition_cells(alpha: Composition) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i, part in enumerate(alpha, 1) for j in range(1, part + 1))
+    return tuple(_cell(i, j) for i, part in enumerate(alpha, 1) for j in range(1, part + 1))
 
 
 class Spct(_Filling):
@@ -310,7 +328,7 @@ def _entry_one_moves(alpha: Composition, sigma: Permutation):
             if part - 1 not in alpha[:m]:
                 yield m, alpha[:m] + (part - 1,) + alpha[m + 1 :], sigma
         elif sigma[m] == 1:
-            yield m, alpha[:m] + alpha[m + 1 :], tuple(v - 1 for v in sigma if v != 1)
+            yield m, alpha[:m] + alpha[m + 1 :], tuple([v - 1 for v in sigma if v != 1])
 
 
 def spct_exists(alpha: Sequence[int], sigma: Sequence[int]) -> bool:
@@ -361,20 +379,26 @@ def _enumerate_spct(alpha: Composition, sigma: Permutation, bound: int = DEFAULT
     if sum(alpha) > bound:
         raise BoundExceeded(f"n = {sum(alpha)} exceeds tableau enumeration bound {bound}")
     listed = _SMALLER.get((alpha, sigma))
-    return _requested_spct(alpha, sigma) if listed is None else listed
+    return _requested_spct(alpha, sigma) if listed is None else listed[0]
 
 
-#: The tableaux of every pair the one-size-down recursion has read.  Only
-#: the recursion fills it, so it holds pairs below the largest degree
-#: requested, never the top-degree pairs no later construction reads.
-_SMALLER: dict[tuple[Composition, Permutation], tuple[Spct, ...]] = {}
+_Rows = tuple[tuple[int, ...], ...]
+
+#: The tableaux of every pair the one-size-down recursion has read, with
+#: each tableau's rows raised by one (every entry v as v + 1), which is
+#: what the next size up extends.  Only the recursion fills it, so it
+#: holds pairs below the largest degree requested, never the top-degree
+#: pairs no later construction reads.
+_SMALLER: dict[tuple[Composition, Permutation], tuple[tuple[Spct, ...], tuple[_Rows, ...]]] = {}
 
 
-def _smaller_spct(alpha: Composition, sigma: Permutation) -> tuple[Spct, ...]:
-    """A smaller pair's tableaux, through the recursion's memo."""
+def _smaller_spct(alpha: Composition, sigma: Permutation) -> tuple[tuple[Spct, ...], tuple[_Rows, ...]]:
+    """A smaller pair's tableaux and their raised rows, through the recursion's memo."""
     listed = _SMALLER.get((alpha, sigma))
     if listed is None:
-        listed = _SMALLER[alpha, sigma] = _build_spct(alpha, sigma)
+        ts = _build_spct(alpha, sigma)
+        raised = tuple([tuple([tuple([v + 1 for v in row]) for row in t.rows]) for t in ts])
+        listed = _SMALLER[alpha, sigma] = (ts, raised)
     return listed
 
 
@@ -385,25 +409,70 @@ def _smaller_spct(alpha: Composition, sigma: Permutation) -> tuple[Spct, ...]:
 _REQUESTED_PAIRS = 1024
 
 
+class _RowInserted(dict):
+    """A filling's cells once a row is inserted at 0-based index m: the
+    cells in rows m + 1 and below (1-based) move down one row, the rest
+    stay.  Filled on demand with the shared cells (`_cell`)."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def __missing__(self, cell: tuple[int, int]) -> tuple[int, int]:
+        row, col = cell
+        moved = self[cell] = _cell(row + 1, col) if row > self.m else cell
+        return moved
+
+
+_ROW_INSERTED: dict[int, _RowInserted] = {}
+
+
 def _build_spct(alpha: Composition, sigma: Permutation) -> tuple[Spct, ...]:
+    """The tableaux of a pair, from the raised rows and the positions of
+    the smaller pairs' tableaux: the entry 1 is appended to row m, or
+    inserted as the row (1,) at m; every other value keeps its smaller
+    value's cell, moved down a row below an inserted row.
+
+    For one row m, 1 enters every tableau's column reading word at the
+    same place and the other entries only rise by one, so each row's run
+    keeps the smaller pair's order; only when several rows can hold 1 are
+    the runs sorted together."""
     if not alpha:
         return (Spct._trusted((), (), 0),)
-    out: list[tuple[tuple[int, ...], ...]] = []
+    n = sum(alpha)
+    new = object.__new__
+    runs: list[list[Spct]] = []
     for m, beta, tau in _entry_one_moves(alpha, sigma):
         if not _spct_exists(beta, tau):  # keeps empty smaller pairs out of the memo
             continue
-        new_row = len(beta) < len(alpha)
-        for t in _smaller_spct(beta, tau):
-            rows = [tuple([v + 1 for v in row]) for row in t.rows]
-            if new_row:
-                rows.insert(m, (1,))
-            else:
-                rows[m] += (1,)
-            out.append(tuple(rows))
-    width = max(alpha)
-    out.sort(key=lambda t: [row[c] for c in range(width) for row in t if c < len(row)])
-    n = sum(alpha)
-    return tuple(Spct._trusted(rows, alpha, n) for rows in out)
+        ts, raised = _smaller_spct(beta, tau)
+        run = []
+        if len(beta) < len(alpha):
+            one = (None, _cell(m + 1, 1))
+            moved = _ROW_INSERTED.get(m)
+            if moved is None:
+                moved = _ROW_INSERTED[m] = _RowInserted(m)
+            for t, rows in zip(ts, raised):
+                u = new(Spct)
+                u.rows, u.shape, u.n = rows[:m] + ((1,),) + rows[m:], alpha, n
+                u._pos = one + tuple(map(moved.__getitem__, t._pos[1:]))
+                run.append(u)
+        else:
+            one = (None, _cell(m + 1, alpha[m]))
+            for t, rows in zip(ts, raised):
+                u = new(Spct)
+                u.rows, u.shape, u.n = rows[:m] + (rows[m] + (1,),) + rows[m + 1 :], alpha, n
+                u._pos = one + t._pos[1:]
+                run.append(u)
+        runs.append(run)
+    if len(runs) == 1:
+        return tuple(runs[0])
+    # the None pads of a shape's short columns fall alike in every tableau,
+    # so this orders by column reading word
+    chain, zip_longest = itertools.chain.from_iterable, itertools.zip_longest
+    keyed = sorted((tuple(chain(zip_longest(*t.rows))), t) for run in runs for t in run)
+    return tuple([t for _, t in keyed])
 
 
 _requested_spct = lru_cache(maxsize=_REQUESTED_PAIRS)(_build_spct)

@@ -16,7 +16,14 @@ cases, in a process pool when asked, and returns a JSON-friendly report::
 Checkers are module-level and take picklable arguments, and failures are
 sorted by case key, so the report is identical for any worker count.
 Cases hold normalised shapes and types, so checkers call the cores behind
-the validating public functions (`tableaux._enumerate_spct` and others).
+the validating public functions (`tableaux._enumerate_spct`, `maps._psi`
+and others).
+
+lem-2.7 reads each tableau once (`tableaux._read_classes`): each class
+has one source and one sink, every swap from a member lands on a member,
+looked up by its swapped positions, and the swaps join the class.  So no
+component leaves a class and no class holds two components: the classes
+are the components of the action graph.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Callable, Sequence
 from .compositions import (
     BoundExceeded,
     Composition,
-    bubble_fiber_word,
+    _bubble_fiber_word,
     comp_of,
     compositions,
     is_partition,
@@ -163,17 +170,44 @@ def _case_compat(case) -> list:
 
 def _case_classes(case) -> list:
     alpha, sigma = case
-    bad = []
-    ts = tableaux._enumerate_spct(alpha, sigma)
     try:
-        classes = tableaux.equivalence_classes(ts)
+        read = tableaux._read_classes(tableaux._grouped(tableaux._enumerate_spct(alpha, sigma)))
     except RuntimeError as exc:  # source/sink uniqueness violated
         return [{"alpha": alpha, "sigma": sigma, "error": str(exc)}]
-    comp_sets = {frozenset(c) for c in modules.action_components(ts)}
-    label_sets = {frozenset(cl.members) for cl in classes}
-    if comp_sets != label_sets:
-        bad.append({"alpha": alpha, "sigma": sigma, "error": "classes != components"})
-    return bad
+    if not all(_is_component(cls.members, steps) for cls, steps in read):
+        return [{"alpha": alpha, "sigma": sigma, "error": "classes != components"}]
+    return []
+
+
+def _is_component(members: Sequence[tableaux.Spct], steps: Sequence[Sequence[int]]) -> bool:
+    """Whether a class of a pair's tableaux is a component of its action
+    graph, from each member's `tableaux._steps`.
+
+    Every swap must land in the class, so no component leaves it, and the
+    swaps must join its members, so no class holds two components.  A
+    swap's target is the member whose positions are the source's with i
+    and i+1 exchanged, so no tableau is built or hashed per edge.
+    """
+    if len(members) == 1:
+        return tableaux._SWAP not in steps[0]
+    index = {t._pos: j for j, t in enumerate(members)}
+    adj: list[list[int]] = [[] for _ in members]
+    for j, (t, t_steps) in enumerate(zip(members, steps)):
+        pos = t._pos
+        for i, step in enumerate(t_steps, 1):
+            if step == tableaux._SWAP:
+                k = index.get(pos[:i] + (pos[i + 1], pos[i]) + pos[i + 2 :])
+                if k is None:
+                    return False
+                adj[j].append(k)
+                adj[k].append(j)
+    seen, stack = {0}, [0]
+    while stack:
+        for k in adj[stack.pop()]:
+            if k not in seen:
+                seen.add(k)
+                stack.append(k)
+    return len(seen) == len(members)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +317,7 @@ def _case_column_sort(case) -> list:
             continue
         if tableaux.descent_set(rt) != tableaux.descent_set(t):
             bad.append({"lambda": lam, "sigma": sigma, "error": "descents moved"})
-        if maps.phi(rt, sigma) != t:
+        if maps._phi(rt, sigma) != t:
             bad.append({"lambda": lam, "sigma": sigma, "error": "round trip failed"})
         images.add(rt)
     if len(images) != len(union) or images != target:
@@ -294,15 +328,15 @@ def _case_column_sort(case) -> list:
 def _case_image_law(case) -> list:
     alpha, sigma, i = case
     bad = []
-    shorter = perms.times_s(sigma, i)
+    shorter = perms._times_s(sigma, i)
     image = set()
     for t in tableaux._enumerate_spct(alpha, sigma):
-        u = maps.psi(t, shorter)
+        u = maps._psi(t, shorter)
         image.add(u)
         if tableaux.descent_set(u) != tableaux.descent_set(t):
             bad.append({"alpha": alpha, "sigma": sigma, "i": i, "error": "descents moved"})
     expected = set()
-    for beta in bubble_fiber_word(alpha, (i,)):
+    for beta in _bubble_fiber_word(alpha, (i,)):
         expected.update(tableaux._enumerate_spct(beta, shorter))
     if image != expected:
         bad.append(
@@ -469,7 +503,9 @@ def _case_factors(case) -> list:
     got = modules.composition_factors(mod)
     want = Counter(tableaux.comp_of_tableau(t) for t in mod.basis)
     if got != want:
-        return [{"alpha": alpha, "sigma": sigma, "got": dict(got), "want": dict(want)}]
+        # composition keys as strings, so the report is JSON
+        got, want = ({str(beta): k for beta, k in c.items()} for c in (got, want))
+        return [{"alpha": alpha, "sigma": sigma, "got": got, "want": want}]
     return []
 
 

@@ -8,13 +8,14 @@ class's source and sink from `descent_set`, positions and `is_attacking`,
 and restricts the whole module to each class, checking that no generator
 leaves it.  Action components are found by a search over sets of
 tableaux, each edge a new tableau from `pi_action`.  It shares none of the
-one-pass reading.
+one-pass reading.  `indexed_action_components`, a search over indices
+into the listing with swapped positions as edges, is checked against it.
 """
 
 from spcthecke import permutations as P
 from spcthecke.compositions import check_composition
 from spcthecke.modules import HModule
-from spcthecke.tableaux import class_label, descent_set, enumerate_spct, is_attacking, pi_action
+from spcthecke.tableaux import _SWAP, _steps, class_label, descent_set, enumerate_spct, is_attacking, pi_action
 
 
 def tableau_module(alpha, sigma):
@@ -103,4 +104,32 @@ def action_components(ts):
             stack.extend(adj[u] - comp)
         seen |= comp
         comps.append(frozenset(comp))
+    return comps
+
+
+def indexed_action_components(ts):
+    """`action_components` on indices into ts: a swap's target is the
+    tableau whose positions are the source's with i and i+1 exchanged.
+    Components come ordered by their first member in ts."""
+    index = {t._pos: j for j, t in enumerate(ts)}
+    adj = [[] for _ in ts]
+    for j, t in enumerate(ts):
+        pos = t._pos
+        for i, step in enumerate(_steps(t), 1):
+            if step == _SWAP:
+                k = index[pos[:i] + (pos[i + 1], pos[i]) + pos[i + 2 :]]
+                adj[j].append(k)
+                adj[k].append(j)
+    seen = set()
+    comps = []
+    for j in range(len(ts)):
+        if j not in seen:
+            comp, stack = {j}, [j]
+            while stack:
+                for k in adj[stack.pop()]:
+                    if k not in comp:
+                        comp.add(k)
+                        stack.append(k)
+            seen |= comp
+            comps.append(frozenset(ts[k] for k in comp))
     return comps

@@ -163,6 +163,19 @@ def test_exception_inside_a_case(exc, code, line, jobs, monkeypatch, capsys):
     assert captured.out == "" and captured.err == line + "\n"
 
 
+def test_failing_factors_case_reports_json(monkeypatch, capsys):
+    from collections import Counter
+
+    from spcthecke import modules
+
+    monkeypatch.setattr(modules, "composition_factors", lambda m: Counter({(9,): 1}))
+    assert cli.main(["verify", "factors-vs-descents", "--max-n", "2"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["status"] == "fail" and captured.err == ""
+    assert report["witness"][0]["got"] == {"(9,)": 1}
+
+
 def test_verify_list():
     res = run_cli("verify", "--list")
     assert res.returncode == 0

@@ -39,6 +39,18 @@ def _as_constructed(u):
     return (u.rows, u.shape, u.n, u._pos) == (v.rows, v.shape, v.n, v._pos)
 
 
+def test_trusted_psi_matches_the_public_one():
+    # each tableau toward its own type and every type one swap away
+    for n in range(1, 7):
+        for alpha in compositions(n):
+            for sigma in P.all_perms(len(alpha)):
+                types = [sigma] + [P.times_s(sigma, i) for i in range(1, len(alpha))]
+                for t in enumerate_spct(alpha, sigma):
+                    for s2 in types:
+                        u, v = maps._psi(t, s2), psi(t, s2)
+                        assert (u.rows, u.shape, u._pos) == (v.rows, v.shape, v._pos), (t, s2)
+
+
 def test_trusted_map_output_is_what_the_constructor_builds():
     # rho and phi skip the constructor.  rho is checked on every tableau
     # with n <= 6, psi on each sent to the identity type, and phi on every

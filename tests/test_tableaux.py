@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import class_oracle
 from spcthecke import maps, modules, qsym
 from spcthecke import permutations as P
 from spcthecke import tableaux
@@ -125,7 +126,8 @@ def test_existence_matches_enumeration():
 def _assert_same_as_public(t):
     public = type(t)(t.rows)
     assert (t.rows, t.shape, t.n) == (public.rows, public.shape, public.n)
-    assert all(t.pos(v) == public.pos(v) for v in range(1, t.n + 1))
+    # every built tableau carries the very cells its shape's geometry holds
+    assert all(t.pos(v) is public.pos(v) for v in range(1, t.n + 1))
     # column oracle from the public positions: the values in column c, from
     # the top row down (composition rows count down, ribbon rows count up)
     down = 1 if isinstance(t, Spct) else -1
@@ -417,7 +419,7 @@ def test_equivalence_classes_examples():
     assert len(cls) == 1 and len(cls[0].members) == 1
     # class count equals component count for ((2,2), id)
     ts = enumerate_spct((2, 2), (1, 2))
-    assert len(equivalence_classes(ts)) == len(modules.action_components(ts))
+    assert len(equivalence_classes(ts)) == len(class_oracle.action_components(ts))
 
 
 def test_classify_examples():
