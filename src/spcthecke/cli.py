@@ -2,19 +2,22 @@
 
 Exit codes: 0 on success, 1 when a verified property fails (the report
 with its witness is printed as JSON), 2 for usage errors (including a
-`verify --max-n` or `--jobs` below 1) and exceeded size bounds, and 3 for
-an internal error: a `RuntimeError` raised when a computation finds its
-own invariant broken (say, a radical layer that is not semisimple), or
-any other exception a claim's case raises, is printed as one
-``error: internal: ...`` line, with no traceback.  When the reader of
-stdout goes away first (say, ``spcthecke verify thm-3.1 | head -1``), the
-command stops quietly and exits 141, the code a shell gives a process
-ended by SIGPIPE, so the cut output is not read as a failed claim.
+`verify --max-n` or `--jobs` below 1, and a `--out` or `--dot` path that
+cannot be written, which is opened before any work is done) and exceeded
+size bounds, and 3 for an internal error: a `RuntimeError` raised when a
+computation finds its own invariant broken (say, a radical layer that is
+not semisimple), or any other exception a claim's case raises, is
+printed as one ``error: internal: ...`` line, with no traceback.  When
+the reader of stdout goes away first (say, ``spcthecke verify thm-3.1 |
+head -1``), the command stops quietly and exits 141, the code a shell
+gives a process ended by SIGPIPE, so the cut output is not read as a
+failed claim.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -83,12 +86,11 @@ def _cmd_char(args) -> int:
 def _cmd_graph(args) -> int:
     shape = _parse_ints(args.shape, "--shape")
     sigma = _parse_ints(args.sigma, "--sigma")
-    dot = modules.graph_dot(shape, sigma, args.bound)
     if args.dot and args.dot != "-":
         with open(args.dot, "w") as fh:
-            fh.write(dot + "\n")
+            fh.write(modules.graph_dot(shape, sigma, args.bound) + "\n")
     else:
-        print(dot)
+        print(modules.graph_dot(shape, sigma, args.bound))
     return 0
 
 
@@ -103,11 +105,12 @@ def _cmd_verify(args) -> int:
     if args.claim not in CLAIMS:
         print(f"error: unknown claim id {args.claim!r}; try --list", file=sys.stderr)
         return USAGE_ERROR
-    report = run_claim(args.claim, max_n=args.max_n, jobs=args.jobs)
-    text = json.dumps(report, default=str, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    # opened first, so an unwritable path fails before the claim runs
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
+        report = run_claim(args.claim, max_n=args.max_n, jobs=args.jobs)
+        text = json.dumps(report, default=str, indent=2)
+        if out:
+            out.write(text + "\n")
     print(text)
     return 0 if report["status"] == "pass" else PROPERTY_FAILURE
 
@@ -180,6 +183,9 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(null.fileno(), sys.stdout.fileno())
         return BROKEN_PIPE
     except BoundExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except OSError as exc:  # an --out or --dot path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, KeyError) as exc:

@@ -5,11 +5,13 @@ j of generator i is the image of the j-th basis vector, an exact sparse
 vector.  The public constructor validates every column entry; the
 package's own constructors write valid columns by construction and skip
 that check (`HModule._trusted`).  The tableau module and its class
-submodules read each tableau once (`tableaux._steps`, the rule
-`tableaux.pi_action` applies one generator at a time).  A class submodule
-is built from its class alone, never restricted from the whole module:
-the same reading finds the class's source and sink and writes its
-columns, and a swap that leaves the class raises.
+submodules read each tableau's steps once (`tableaux._steps`, the rule
+`tableaux.pi_action` applies one generator at a time, carried by the
+enumerator), and find each swap's image by its swapped positions
+(`tableaux._swap_targets`).  A class submodule is built from its class
+alone, never restricted from the whole module: the same reading finds
+the class's source and sink and writes its columns, and a swap that
+leaves the class raises.
 Everything downstream is linear algebra over Q: the relation checker,
 intertwiner (hom) spaces, endomorphism rings with the trace-form radical,
 and radical filtrations with their semisimple-layer eigensplit.
@@ -169,16 +171,16 @@ class LinearMap:
 
 def spct_module(alpha: Sequence[int], sigma: Sequence[int]) -> HModule:
     """The tableau module: each generator acts as `tableaux.pi_action`,
-    read once per tableau (`tableaux._steps`).
+    read once per tableau (`tableaux._steps`, `tableaux._swap_targets`).
 
     An incompatible pair yields the zero module.
     """
     alpha, sigma = tableaux._check_pair(alpha, sigma)
     taus = tableaux._enumerate_spct(alpha, sigma)
     n = sum(alpha)
-    index = {t: j for j, t in enumerate(taus)}
-    cols = _tableau_columns(n, taus, [tableaux._steps(t) for t in taus], index)
-    return HModule._trusted(n, taus, cols, f"S^{sigma}_{alpha}", index)
+    sids = [tableaux._step_id(t) for t in taus]
+    cols = _tableau_columns(n, sids, tableaux._swap_targets(taus, sids))
+    return HModule._trusted(n, taus, cols, f"S^{sigma}_{alpha}")
 
 
 def class_submodules(alpha: Sequence[int], sigma: Sequence[int]) -> list[tuple[SpctClass, HModule]]:
@@ -216,29 +218,31 @@ def _class_submodules(
     """Each group of tableaux (`tableaux._grouped`) as a class with its submodule."""
     n = sum(alpha)
     out = []
-    for cls, steps in tableaux._read_classes(groups):
-        index = {t: j for j, t in enumerate(cls.members)}
-        cols = _tableau_columns(n, cls.members, steps, index)
-        out.append((cls, HModule._trusted(n, cls.members, cols, f"S^{sigma}_{alpha}|{cls.label}", index)))
+    for cls, sids in tableaux._read_classes(groups):
+        cols = _tableau_columns(n, sids, tableaux._swap_targets(cls.members, sids))
+        out.append((cls, HModule._trusted(n, cls.members, cols, f"S^{sigma}_{alpha}|{cls.label}")))
     return out
 
 
-def _tableau_columns(n: int, ts: Sequence[Spct], steps: Sequence[list[int]], index: dict) -> list[list[Vec]]:
-    """The generator columns on the tableaux ts, from each one's `tableaux._steps`.
+def _tableau_columns(n: int, sids: Sequence[int], targets: Sequence[int | None]) -> list[list[Vec]]:
+    """The generator columns on some tableaux of degree n, from their step
+    ids and their swap targets (`tableaux._swap_targets`).
 
-    `index` places each of ts; a swap that leaves it raises `ValueError`,
-    so a set of tableaux that is not a submodule is never built as one.
+    A swap with no target leaves the tableaux and raises `ValueError`, so
+    a set of tableaux that is not a submodule is never built as one.
     """
     cols: list[list[Vec]] = [[] for _ in range(n - 1)]
-    for j, (t, t_steps) in enumerate(zip(ts, steps)):
-        for i, step in enumerate(t_steps, 1):
-            if step == tableaux._SWAP:
-                k = index.get(t.swap_values(i))
+    swap, kill, steps = tableaux._SWAP, tableaux._KILL, tableaux._STEPS
+    targets = iter(targets)
+    for j, sid in enumerate(sids):
+        for g, step in zip(cols, steps[sid]):
+            if step == swap:
+                k = next(targets)
                 if k is None:
                     raise ValueError("label subset is not generator-stable")
-                cols[i - 1].append({k: 1})
+                g.append({k: 1})
             else:
-                cols[i - 1].append({} if step == tableaux._KILL else {j: 1})
+                g.append({} if step == kill else {j: 1})
     return cols
 
 

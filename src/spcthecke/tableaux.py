@@ -23,9 +23,10 @@ So row m can hold 1 when alpha_m >= 2 and no row above it has alpha_m - 1
 boxes (the smaller pair shrinks part m, same type), or when alpha_m = 1
 and sigma_m = 1 (the smaller pair drops row m, and the type loses the
 value 1).  The same move rule decides existence without listing
-(`spct_exists`).  The recursion keeps the pairs it reads in a memo for
-the life of the process (`_SMALLER`), each pair's tableaux together with
-their rows raised by one, computed once per smaller tableau.  A new
+(`spct_exists`).  The recursion walks each pair's moves once and keeps
+the pairs it reads in a memo for the life of the process (`_SMALLER`),
+each pair's tableaux together with their rows raised by one, computed
+once per smaller tableau; a smaller pair with no tableau is kept empty.  A new
 tableau is those raised rows with 1 appended to row m or (1,) inserted as
 row m, and its positions are the smaller tableau's, each cell moved down
 a row below an inserted row, with the cell of 1 in front: no position is
@@ -65,6 +66,21 @@ comparison of the cells of i and i+1 per i gives the image of pi_i,
 whether i is a descent, and whether the tableau is a source or a sink,
 so descent sets, classification, the module columns and the action graph
 share one rule with `pi_action`.
+
+The enumerator carries the steps instead of reading them.  In a tableau
+T built from the smaller T', the value v + 1 sits in the cell of v in
+T', moved down one row when a row was inserted at or above it.  The step
+rule reads only whether two cells share a row, which of two rows is
+lower, and the columns, and moving every row from the inserted one down
+by one keeps all three.  So the steps of pi_2, ..., pi_{n-1} on T are
+those of pi_1, ..., pi_{n-2} on T', ``_steps(T)[1:] == _steps(T')``, and
+only the step of pi_1, the cell of 1 against the cell of 2, is new.
+Each step sequence is stored once, as a tuple with its source and sink
+flags (`_STEPS`, `_SOURCE`, `_SINK`), and an enumerated tableau holds its
+id, found from the smaller tableau's id and that one step.  A tableau
+built any other way walks its cells; swaps are found among a class's
+members by their swapped positions (`_swap_targets`), with no tableau
+built or hashed.
 """
 
 from __future__ import annotations
@@ -95,12 +111,13 @@ class _Filling:
     `_cells`, the shape's cells in the order the rows list them, `column`
     and `num_columns`.  Positions are a tuple indexed by value (index 0
     unused) whose cells are the shape's own tuples, built once per shape
-    and shared by all its tableaux.  The public constructor checks only
-    that the rows are nonempty and hold exactly 1..n; `_trusted` checks
-    nothing.
+    and shared by all its tableaux.  `_sid` is the id of the tableau's
+    generator steps when the enumerator carried them (`_steps`), and None
+    otherwise.  The public constructor checks only that the rows are
+    nonempty and hold exactly 1..n; `_trusted` checks nothing.
     """
 
-    __slots__ = ("rows", "shape", "n", "_pos")
+    __slots__ = ("rows", "shape", "n", "_pos", "_sid")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rows)
@@ -110,6 +127,7 @@ class _Filling:
         if sorted(values) != list(range(1, self.n + 1)):
             raise ValueError(f"entries must be exactly 1..{self.n}: {self.rows}")
         self._pos: tuple[tuple[int, int] | None, ...] = _positions(values, self._cells(self.shape), self.n)
+        self._sid: int | None = None
 
     @classmethod
     def _trusted(
@@ -118,12 +136,17 @@ class _Filling:
         shape: Composition,
         n: int,
         pos: tuple[tuple[int, int] | None, ...] | None = None,
+        sid: int | None = None,
     ):
         """A tableau from rows known to fill `shape` with 1..n; nothing is checked."""
         t = object.__new__(cls)
-        t.rows, t.shape, t.n = rows, shape, n
+        t.rows, t.shape, t.n, t._sid = rows, shape, n, sid
         t._pos = _positions(itertools.chain.from_iterable(rows), cls._cells(shape), n) if pos is None else pos
         return t
+
+    def __reduce__(self):
+        # a step id means something only in the process that interned it
+        return type(self), (self.rows,)
 
     @staticmethod
     def _cells(shape: Composition) -> tuple[tuple[int, int], ...]:
@@ -388,7 +411,10 @@ _Rows = tuple[tuple[int, ...], ...]
 #: each tableau's rows raised by one (every entry v as v + 1), which is
 #: what the next size up extends.  Only the recursion fills it, so it
 #: holds pairs below the largest degree requested, never the top-degree
-#: pairs no later construction reads.
+#: pairs no later construction reads.  A smaller pair a move reaches that
+#: has no tableau is kept too, empty, so no move is walked twice to test
+#: existence first: listing every pair with n <= 8 keeps 1,348 empty pairs
+#: beside the 9,115 with tableaux.
 _SMALLER: dict[tuple[Composition, Permutation], tuple[tuple[Spct, ...], tuple[_Rows, ...]]] = {}
 
 
@@ -432,38 +458,48 @@ def _build_spct(alpha: Composition, sigma: Permutation) -> tuple[Spct, ...]:
     """The tableaux of a pair, from the raised rows and the positions of
     the smaller pairs' tableaux: the entry 1 is appended to row m, or
     inserted as the row (1,) at m; every other value keeps its smaller
-    value's cell, moved down a row below an inserted row.
+    value's cell, moved down a row below an inserted row.  Each tableau's
+    step id is the smaller tableau's with the step of pi_1 in front
+    (`_steps`).
 
-    For one row m, 1 enters every tableau's column reading word at the
-    same place and the other entries only rise by one, so each row's run
-    keeps the smaller pair's order; only when several rows can hold 1 are
-    the runs sorted together."""
+    The moves are walked once: a smaller pair with no tableau is built
+    too, as empty, and skipped.  For one row m, 1 enters every tableau's
+    column reading word at the same place and the other entries only rise
+    by one, so each row's run keeps the smaller pair's order; only when
+    several rows can hold 1 are the runs sorted together."""
     if not alpha:
-        return (Spct._trusted((), (), 0),)
+        return (Spct._trusted((), (), 0, (None,), 0),)
+    if alpha == (1,):  # one box: no generator, so no step of pi_1 to put in front
+        return (Spct._trusted(((1,),), alpha, 1, (None, _cell(1, 1)), 0),)
     n = sum(alpha)
     new = object.__new__
     runs: list[list[Spct]] = []
     for m, beta, tau in _entry_one_moves(alpha, sigma):
-        if not _spct_exists(beta, tau):  # keeps empty smaller pairs out of the memo
-            continue
         ts, raised = _smaller_spct(beta, tau)
+        if not ts:
+            continue
         run = []
         if len(beta) < len(alpha):
             one = (None, _cell(m + 1, 1))
             moved = _ROW_INSERTED.get(m)
             if moved is None:
                 moved = _ROW_INSERTED[m] = _RowInserted(m)
+            extend = _first_steps(one[1])
             for t, rows in zip(ts, raised):
                 u = new(Spct)
                 u.rows, u.shape, u.n = rows[:m] + ((1,),) + rows[m:], alpha, n
-                u._pos = one + tuple(map(moved.__getitem__, t._pos[1:]))
+                u._pos = pos = one + tuple(map(moved.__getitem__, t._pos[1:]))
+                u._sid = extend[pos[2]][t._sid]
                 run.append(u)
         else:
             one = (None, _cell(m + 1, alpha[m]))
+            extend = _first_steps(one[1])
             for t, rows in zip(ts, raised):
                 u = new(Spct)
                 u.rows, u.shape, u.n = rows[:m] + (rows[m] + (1,),) + rows[m + 1 :], alpha, n
-                u._pos = one + t._pos[1:]
+                pos = t._pos
+                u._pos = one + pos[1:]
+                u._sid = extend[pos[1]][t._sid]
                 run.append(u)
         runs.append(run)
     if len(runs) == 1:
@@ -582,21 +618,124 @@ def pi_action(t: Spct, i: int) -> Spct | None:
 _STAY, _FIX, _KILL, _SWAP = range(4)
 
 
-def _steps(t: Spct) -> list[int]:
+def _walk(cells: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """How each pi_i meets a filling whose values 1, 2, ... sit in `cells`,
+    in value order: one comparison of the cells of i and i+1 per i."""
+    return tuple(
+        [
+            (_STAY if rj == ri and cj == ci - 1 else _FIX)
+            if cj < ci
+            else _KILL if cj == ci or (cj == ci + 1 and rj > ri) else _SWAP
+            for (ri, ci), (rj, cj) in zip(cells, cells[1:])
+        ]
+    )
+
+
+#: Every step sequence read so far, each under one id: `_STEPS[id]` is the
+#: sequence, `_SOURCE[id]` whether it has no _FIX step and `_SINK[id]`
+#: whether it has no _SWAP step.  Id 0 is the empty sequence.  The tables
+#: are shared, so they hold tuples.
+_STEP_IDS: dict[tuple[int, ...], int] = {}
+_STEPS: list[tuple[int, ...]] = []
+_SOURCE: list[bool] = []
+_SINK: list[bool] = []
+
+
+def _intern_steps(steps: tuple[int, ...]) -> int:
+    """The id of a step sequence, given one when first seen."""
+    sid = _STEP_IDS.get(steps)
+    if sid is None:
+        sid = _STEP_IDS[steps] = len(_STEPS)
+        _STEPS.append(steps)
+        _SOURCE.append(_FIX not in steps)
+        _SINK.append(_SWAP not in steps)
+    return sid
+
+
+_intern_steps(())
+
+
+class _Extended(dict):
+    """The id of the steps (step,) + _STEPS[sid], keyed by sid; filled on demand."""
+
+    __slots__ = ("step",)
+
+    def __init__(self, step: int):
+        self.step = step
+
+    def __missing__(self, sid: int) -> int:
+        out = self[sid] = _intern_steps((self.step,) + _STEPS[sid])
+        return out
+
+
+_EXTENDED = tuple(_Extended(step) for step in range(4))  # indexed by step
+
+
+class _FirstSteps(dict):
+    """For the entry 1 in cell `one`: by the cell of 2, the `_Extended`
+    table of the step of pi_1 there (`_walk` on the two cells)."""
+
+    __slots__ = ("one",)
+
+    def __init__(self, one: tuple[int, int]):
+        self.one = one
+
+    def __missing__(self, two: tuple[int, int]) -> _Extended:
+        out = self[two] = _EXTENDED[_walk((self.one, two))[0]]
+        return out
+
+
+_FIRST_STEPS: dict[tuple[int, int], _FirstSteps] = {}
+
+
+def _first_steps(one: tuple[int, int]) -> _FirstSteps:
+    steps = _FIRST_STEPS.get(one)
+    if steps is None:
+        steps = _FIRST_STEPS[one] = _FirstSteps(one)
+    return steps
+
+
+def _step_id(t: Spct) -> int:
+    """The id of `_steps(t)`: carried by a tableau the enumerator built,
+    otherwise read off its cells."""
+    sid = t._sid
+    return _intern_steps(_walk(t._pos[1:])) if sid is None else sid
+
+
+def _steps(t: Spct) -> tuple[int, ...]:
     """How each pi_i, i = 1..n-1, meets t: one comparison of the cells of
-    i and i+1 per i.
+    i and i+1 per i (`_walk`).
 
     A source has no _FIX step and a sink no _SWAP step; pi_i sends t to
     itself (_STAY, _FIX), to zero (_KILL) or to ``t.swap_values(i)``
-    (_SWAP).
+    (_SWAP).  The enumerator carries each tableau's steps from the smaller
+    tableau, as an id (see the module docstring); any other tableau, such
+    as one from the public constructor, `swap_values` or the maps, walks
+    its cells.
     """
-    pos = t._pos
-    return [
-        (_STAY if rj == ri and cj == ci - 1 else _FIX)
-        if cj < ci
-        else _KILL if cj == ci or (cj == ci + 1 and rj > ri) else _SWAP
-        for (ri, ci), (rj, cj) in zip(pos[1:], pos[2:])
-    ]
+    return _STEPS[_step_id(t)]
+
+
+def _swap_targets(members: Sequence[Spct], sids: Sequence[int]) -> tuple[int | None, ...]:
+    """For each member in turn and each i where pi_i swaps it, in order of
+    i, the index of the member whose positions are its own with i and i+1
+    exchanged, or None when no member is.
+
+    `sids` are the members' step ids.  No tableau is built or hashed: a
+    lone member's swaps all leave it, and otherwise the members are
+    indexed by their positions.
+    """
+    if len(members) == 1:
+        return (None,) * _STEPS[sids[0]].count(_SWAP)
+    index = {t._pos: j for j, t in enumerate(members)}
+    out = []
+    for t, sid in zip(members, sids):
+        if not _SINK[sid]:
+            pos = t._pos
+            for i, step in enumerate(_STEPS[sid], 1):
+                if step == _SWAP:
+                    out.append(index.get(pos[:i] + (pos[i + 1], pos[i]) + pos[i + 2 :]))
+    return tuple(out)
 
 
 def is_attacking(t: Spct, i: int, j: int) -> bool:
@@ -657,8 +796,8 @@ def classify(t: Spct) -> str:
     its left; a sink requires every descent to attack.  Both are read in
     one walk over i (`_steps`).
     """
-    steps = _steps(t)
-    src, snk = _FIX not in steps, _SWAP not in steps
+    sid = _step_id(t)
+    src, snk = _SOURCE[sid], _SINK[sid]
     if src and snk:
         return "both"
     if src:
@@ -695,8 +834,9 @@ def _grouped(ts: Iterable[Spct]) -> dict[ClassLabel, list[Spct]]:
     return {ClassLabel(*key): members for key, members in groups.items()}
 
 
-def _read_classes(groups: dict[ClassLabel, list[Spct]]) -> list[tuple[SpctClass, list[list[int]]]]:
-    """Each group as a class, with its members' `_steps` in member order.
+def _read_classes(groups: dict[ClassLabel, list[Spct]]) -> list[tuple[SpctClass, tuple[int, ...]]]:
+    """Each group as a class, with its members' step ids (`_step_id`) in
+    member order.
 
     Every member is read once.  Raises `RuntimeError` when a group has
     other than one source and one sink.  The classes come ordered by
@@ -704,15 +844,15 @@ def _read_classes(groups: dict[ClassLabel, list[Spct]]) -> list[tuple[SpctClass,
     """
     out = []
     for label, members in groups.items():
-        steps = [_steps(t) for t in members]
-        sources = [t for t, s in zip(members, steps) if _FIX not in s]
-        sinks = [t for t, s in zip(members, steps) if _SWAP not in s]
+        sids = tuple(map(_step_id, members))
+        sources = [t for t, s in zip(members, sids) if _SOURCE[s]]
+        sinks = [t for t, s in zip(members, sids) if _SINK[s]]
         if len(sources) != 1 or len(sinks) != 1:
             raise RuntimeError(
                 f"class {label} of ({label.shape}, {members[0].sigma}) has {len(sources)} sources "
                 f"and {len(sinks)} sinks"
             )
-        out.append((SpctClass(label, tuple(members), sources[0], sinks[0]), steps))
+        out.append((SpctClass(label, tuple(members), sources[0], sinks[0]), sids))
     out.sort(key=lambda read: read[0].members[0].rows)
     return out
 

@@ -24,6 +24,13 @@ has one source and one sink, every swap from a member lands on a member,
 looked up by its swapped positions, and the swaps join the class.  So no
 component leaves a class and no class holds two components: the classes
 are the components of the action graph.
+
+thm-3.1 reads each class the same way and keys it on n, its members'
+step ids and their swap targets (`_class_key`).  The key fixes the class
+submodule's columns exactly, so equal keys have one certificate.  A
+class submodule is built, and `modules.is_indecomposable` called, only
+for a key the process has not seen (`_CLASS_CERTS`); most classes share
+the key of one seen before.  No module leaves the claim.
 """
 
 from __future__ import annotations
@@ -174,33 +181,32 @@ def _case_classes(case) -> list:
         read = tableaux._read_classes(tableaux._grouped(tableaux._enumerate_spct(alpha, sigma)))
     except RuntimeError as exc:  # source/sink uniqueness violated
         return [{"alpha": alpha, "sigma": sigma, "error": str(exc)}]
-    if not all(_is_component(cls.members, steps) for cls, steps in read):
+    if not all(_is_component(cls.members, sids) for cls, sids in read):
         return [{"alpha": alpha, "sigma": sigma, "error": "classes != components"}]
     return []
 
 
-def _is_component(members: Sequence[tableaux.Spct], steps: Sequence[Sequence[int]]) -> bool:
+def _is_component(members: Sequence[tableaux.Spct], sids: Sequence[int]) -> bool:
     """Whether a class of a pair's tableaux is a component of its action
-    graph, from each member's `tableaux._steps`.
+    graph, from its members' step ids (`tableaux._step_id`).
 
     Every swap must land in the class, so no component leaves it, and the
-    swaps must join its members, so no class holds two components.  A
-    swap's target is the member whose positions are the source's with i
-    and i+1 exchanged, so no tableau is built or hashed per edge.
+    swaps must join its members, so no class holds two components.  Each
+    swap's target is found by its swapped positions
+    (`tableaux._swap_targets`), so no tableau is built or hashed per edge.
+    A lone member is a component exactly when it is a sink: it has no swap.
     """
     if len(members) == 1:
-        return tableaux._SWAP not in steps[0]
-    index = {t._pos: j for j, t in enumerate(members)}
+        return tableaux._SINK[sids[0]]
+    targets = iter(tableaux._swap_targets(members, sids))
     adj: list[list[int]] = [[] for _ in members]
-    for j, (t, t_steps) in enumerate(zip(members, steps)):
-        pos = t._pos
-        for i, step in enumerate(t_steps, 1):
-            if step == tableaux._SWAP:
-                k = index.get(pos[:i] + (pos[i + 1], pos[i]) + pos[i + 2 :])
-                if k is None:
-                    return False
-                adj[j].append(k)
-                adj[k].append(j)
+    for j, sid in enumerate(sids):
+        for _ in range(tableaux._STEPS[sid].count(tableaux._SWAP)):
+            k = next(targets)
+            if k is None:
+                return False
+            adj[j].append(k)
+            adj[k].append(j)
     seen, stack = {0}, [0]
     while stack:
         for k in adj[stack.pop()]:
@@ -265,12 +271,39 @@ def _case_w0_classification(alpha) -> list:
 # criterion 5: local endomorphism rings of class submodules
 
 
+#: thm-3.1's certificate of each class submodule it has built, by `_class_key`.
+_CLASS_CERTS: dict[tuple, modules.IndecomposabilityCertificate] = {}
+
+
+def _class_key(n: int, members: Sequence[tableaux.Spct], sids: tuple[int, ...]) -> tuple:
+    """n, a class's step ids and its swap targets (`tableaux._swap_targets`).
+
+    They fix the class submodule's columns exactly: member j's column
+    under pi_i is itself, zero or its next swap target, as its i-th step
+    says.
+    """
+    return n, sids, tableaux._swap_targets(members, sids)
+
+
+def _class_certificate(n: int, members: Sequence[tableaux.Spct], sids: tuple[int, ...]):
+    """`modules.is_indecomposable` of a class's submodule, built only for
+    a key (`_class_key`) not seen before.  A swap that leaves the class
+    raises `ValueError`, and nothing is stored."""
+    key = _class_key(n, members, sids)
+    cert = _CLASS_CERTS.get(key)
+    if cert is None:
+        cols = modules._tableau_columns(n, sids, key[2])
+        cert = _CLASS_CERTS[key] = modules.is_indecomposable(modules.HModule._trusted(n, members, cols, ""))[1]
+    return cert
+
+
 def _case_indecomposable(case) -> list:
     alpha, sigma = case
+    n = sum(alpha)
     bad = []
-    for cls, sub in modules.class_submodules(alpha, sigma):
-        ok, cert = modules.is_indecomposable(sub)
-        if not ok:
+    for cls, sids in tableaux._read_classes(tableaux._grouped(tableaux._enumerate_spct(alpha, sigma))):
+        cert = _class_certificate(n, cls.members, sids)
+        if not cert.indecomposable:
             bad.append(
                 {
                     "alpha": alpha,

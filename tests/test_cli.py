@@ -152,12 +152,11 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
     ],
 )
 def test_exception_inside_a_case(exc, code, line, jobs, monkeypatch, capsys):
-    from spcthecke import modules
-
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(modules, "class_submodules", broken)
+    # thm-3.1's case asks for each class's certificate
+    monkeypatch.setattr(verify, "_class_certificate", broken)
     assert cli.main(["verify", "thm-3.1", "--max-n", "3", "--jobs", jobs]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == line + "\n"
@@ -199,6 +198,26 @@ def test_verify_zero_case_run_is_usage_error(claim):
     res = run_cli("verify", claim, "--max-n", "1")
     assert res.returncode == 2
     assert res.stdout == "" and "no case" in res.stderr
+
+
+def test_unwritable_out_fails_before_the_claim_runs(tmp_path, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the claim ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_claim", unreachable)
+    path = tmp_path / "missing" / "r.json"
+    assert cli.main(["verify", "thm-3.1", "--max-n", "2", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and str(path) in captured.err
+
+
+def test_unwritable_dot_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.dot"
+    assert cli.main(["graph", "--shape", "2,1", "--sigma", "2,1", "--dot", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and str(path) in captured.err
 
 
 def test_bound_exceeded_is_usage_error():

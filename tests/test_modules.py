@@ -222,7 +222,8 @@ def test_submodule_guard():
     # not stable: pi_1 moves the source of (2,1)/(2,1) to the sink
     t = Spct([[3, 2], [1]])
     with pytest.raises(ValueError, match="not generator-stable"):
-        modules._tableau_columns(3, [t], [tableaux._steps(t)], {t: 0})
+        sids = [tableaux._step_id(t)]
+        modules._tableau_columns(3, sids, tableaux._swap_targets([t], sids))
     # a hand-made class with one source and one sink, from two classes of
     # one pair: the source's swap lands in its own class, outside this one
     pair = (2, 2, 1), (2, 3, 1)

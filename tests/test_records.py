@@ -41,6 +41,11 @@ def test_every_record_survives_pickling():
     for record in records:
         assert _round_trip(record) == record, record
     assert str(_round_trip(cls.label)) == str(cls.label)
+    # a step id is local to its process, so an unpickled tableau walks its cells
+    for t in cls.members:
+        back = _round_trip(t)
+        assert t._sid is not None and back._sid is None
+        assert tableaux._steps(back) == tableaux._steps(t) and back.pos(1) is t.pos(1)
 
     elt = qsym.QSymElt(3, "F", {(1, 2): 1, (3,): 2})
     assert _round_trip(elt) == elt

@@ -400,6 +400,49 @@ def test_steps_read_pi_action_and_the_source_sink_rule():
                 assert classify(t) == kind.get((source, sink), "interior"), t
 
 
+def _steps_from_pi_action(t):
+    """The oracle for `_steps`: one `pi_action` per i, a fixed tableau told
+    apart by whether i+1 sits immediately left of i."""
+    out = []
+    for i in range(1, t.n):
+        u = pi_action(t, i)
+        if u is t:
+            (r, c), left = t.pos(i), t.pos(i + 1)
+            out.append(tableaux._STAY if left == (r, c - 1) else tableaux._FIX)
+        else:
+            out.append(tableaux._KILL if u is None else tableaux._SWAP)
+    return tuple(out)
+
+
+def test_carried_steps_are_the_walk():
+    # the enumerator carries each tableau's steps from the smaller tableau;
+    # the walk over its cells stays the reference
+    for n in range(1, 8):
+        for alpha, sigma in all_pairs(n):
+            for t in enumerate_spct(alpha, sigma):
+                walked = tableaux._walk(t._pos[1:])
+                assert t._sid is not None and tableaux._STEPS[t._sid] == walked, t
+                assert tableaux._SOURCE[t._sid] is (tableaux._FIX not in walked)
+                assert tableaux._SINK[t._sid] is (tableaux._SWAP not in walked)
+    assert all(type(steps) is tuple for steps in tableaux._STEPS)
+
+
+def test_tableaux_built_elsewhere_walk_their_cells():
+    for n in range(1, 7):
+        for alpha, sigma in all_pairs(n):
+            ts = enumerate_spct(alpha, sigma)
+            built = [Spct(t.rows) for t in ts]
+            built += [t.swap_values(i) for t in ts[:3] for i in range(1, n)]
+            built += [maps.rho(t) for t in ts[:3]]
+            built += [maps.phi(maps.rho(t), sigma) for t in ts[:3]]
+            if ts:
+                built.append(canonical_source_tableau(alpha, sigma))  # from `_canonical_rows`
+            for u in built:
+                assert u._sid is None
+                assert tableaux._steps(u) == _steps_from_pi_action(u), u
+    assert tableaux._steps(Spct([[1]])) == () and classify(Spct([[1]])) == "both"
+
+
 def test_class_label_examples():
     t = Spct([[4, 1], [6, 5, 3], [2]])
     assert str(class_label(t)) == "231 12 1"

@@ -1,8 +1,11 @@
+import itertools
 import json
 from pathlib import Path
 
+import pytest
+
 import class_oracle
-from spcthecke import tableaux, verify
+from spcthecke import modules, tableaux, verify
 from spcthecke.verify import CLAIMS, _run_cases
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.json"
@@ -25,7 +28,7 @@ def test_benchmark_case_counts():
 
 def _reported(groups):
     """Whether the one-pass lem-2.7 check reports a grouping of tableaux."""
-    return not all(verify._is_component(g, [tableaux._steps(t) for t in g]) for g in groups)
+    return not all(verify._is_component(g, [tableaux._step_id(t) for t in g]) for g in groups)
 
 
 def test_one_pass_class_check_matches_the_component_search():
@@ -52,3 +55,72 @@ def test_split_or_merged_components_are_reported():
                 assert _reported([comps[0] + comps[k]] + comps[1:k] + comps[k + 1 :]), (alpha, sigma)
                 merges += 1
     assert splits and merges
+
+
+def _read_submodules(n):
+    """Each class of degree n with its step ids and its submodule, from
+    the public builder."""
+    for alpha, sigma in verify._compatible_pairs(n):
+        read = tableaux._read_classes(tableaux._grouped(tableaux._enumerate_spct(alpha, sigma)))
+        subs = modules.class_submodules(alpha, sigma)
+        assert [cls for cls, _ in read] == [cls for cls, _ in subs]
+        for (cls, sids), (_, sub) in zip(read, subs):
+            yield cls, sids, sub
+
+
+def test_equal_class_keys_mean_equal_actions():
+    actions, classes = {}, 0
+    for n in range(1, 7):
+        for cls, sids, sub in _read_submodules(n):
+            key = verify._class_key(n, cls.members, sids)
+            assert actions.setdefault(key, modules._action_key(sub)) == modules._action_key(sub), cls.label
+            classes += 1
+    assert len(actions) < classes
+
+
+def test_class_keys_see_the_swap_targets():
+    # no two classes with n <= 8 share step ids but not swap targets, so
+    # the targets are tried on classes listed in another order: two
+    # members with one step id trade places, so the step ids stay and the
+    # columns change
+    reordered = 0
+    for alpha, sigma in verify._compatible_pairs(7):
+        for cls, sids in tableaux._read_classes(tableaux._grouped(tableaux._enumerate_spct(alpha, sigma))):
+            pairs = [(j, k) for j, k in itertools.combinations(range(len(sids)), 2) if sids[j] == sids[k]]
+            if not pairs:
+                continue
+            j, k = pairs[0]
+            members = list(cls.members)
+            members[j], members[k] = members[k], members[j]
+            keys, actions = [], []
+            for ms in (cls.members, members):
+                cols = modules._tableau_columns(7, sids, tableaux._swap_targets(ms, sids))
+                keys.append(verify._class_key(7, ms, sids))
+                actions.append(modules._action_key(modules.HModule._trusted(7, ms, cols, "")))
+            assert actions[0] != actions[1] and keys[0] != keys[1]
+            reordered += 1
+    assert reordered == 6
+
+
+def test_class_certificate_is_the_submodules_own():
+    verify._CLASS_CERTS.clear()
+    for n in range(1, 7):
+        for cls, sids, sub in _read_submodules(n):
+            # once built, once from the memo; the oracle bypasses every memo
+            want = modules.is_indecomposable.__wrapped__(sub)[1]
+            assert verify._class_certificate(n, cls.members, sids) == want
+            assert verify._class_certificate(n, cls.members, sids) == want
+
+
+def test_a_class_that_leaks_raises_and_stores_nothing():
+    pair = (2, 2, 1), (2, 3, 1)
+    cls_a, cls_b = tableaux.equivalence_classes(tableaux._enumerate_spct(*pair))
+    stored = dict(verify._CLASS_CERTS)
+    # the sources' swaps land in their own classes, outside these groupings
+    for members in ([cls_a.source], [cls_a.source, cls_b.sink], [cls_b.source, cls_a.sink]):
+        sids = tuple(map(tableaux._step_id, members))
+        assert None in verify._class_key(5, members, sids)[2]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not generator-stable"):
+                verify._class_certificate(5, members, sids)
+    assert verify._CLASS_CERTS == stored
