@@ -30,16 +30,17 @@ in the generators holds when both words send every basis vector to the
 same image, and a map f with matrix F intertwines when
 ``F (pi_i e_b) == pi_i (F e_b)`` for every generator i and basis vector b.
 
-Invariants are computed once per distinct action.  `is_indecomposable`,
+A submodule generated by vectors, such as a projective indecomposable of
+`hecke`, is the closure of the vectors under the generators on its reduced
+echelon basis, labeled by the pivots (`_generated_submodule`).
+
 `composition_factors` and `top_factors` (and so `hecke.is_projective`)
 read only the degree, the dimension and the generator columns, never the
-basis labels or the name, so they are memoized on a flat tuple of n, dim and every column
-with its coefficients (`_action_key`).  Equal keys give identical results
-by construction, with no isomorphism argument; class submodules of
-different pairs often share their action, so most calls are served from
-the memo.  The memo hands out an immutable certificate (the result
-records here are named tuples) as it is, and each factor count as a fresh
-`Counter`.
+basis labels or the name, so they are memoized on a flat tuple of n, dim
+and every column with its coefficients (`_action_key`).  Equal keys give
+identical results by construction; class submodules of different pairs
+often share their action, so most calls are served from the memo, and
+each call gets a fresh `Counter`.
 """
 
 from __future__ import annotations
@@ -352,32 +353,27 @@ def _action_key(m: HModule) -> tuple:
     return tuple(key)
 
 
-def _once_per_action(fresh=None):
-    """Memoize a function of a module on `_action_key`.
+def _once_per_action(fn):
+    """Memoize a function of a module that returns a `Counter`, on `_action_key`.
 
     The function must read only ``m.n``, ``m.dim`` and ``m.cols``, never
     the basis labels or the name, so a module with the same key gets the
-    same result by construction.  A mutable result is handed out as
-    ``fresh(result)``, a new object, and an immutable one (`fresh` None) as
-    it is, so a caller cannot change what the memo holds; an exception is
-    raised again on every call and nothing is stored.
+    same result by construction.  Each call gets a new `Counter`, so a
+    caller cannot change what the memo holds; an exception is raised again
+    on every call and nothing is stored.
     """
+    memo: dict[tuple, Counter] = {}
 
-    def decorate(fn):
-        memo: dict[tuple, object] = {}
+    @functools.wraps(fn)
+    def once(m: HModule) -> Counter:
+        key = _action_key(m)
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = fn(m)
+        return Counter(result)
 
-        @functools.wraps(fn)
-        def once(m: HModule):
-            key = _action_key(m)
-            result = memo.get(key)
-            if result is None:
-                result = memo[key] = fn(m)
-            return result if fresh is None else fresh(result)
-
-        once.cache_clear = memo.clear
-        return once
-
-    return decorate
+    once.cache_clear = memo.clear
+    return once
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +461,15 @@ def hom_space(m: HModule, n_: HModule) -> list[RatMat]:
 
 
 def _apply_cols(cols: Sequence[Vec], v: Vec) -> Vec:
-    """Matrix times v, for a matrix given by its columns."""
+    """Matrix times v, for a matrix given by its columns; entries that cancel are dropped."""
     out: Vec = {}
     for c, x in v.items():
-        vec_axpy(out, x, cols[c])
+        for k, y in cols[c].items():
+            s = out.get(k, 0) + x * y
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
     return out
 
 
@@ -514,7 +515,6 @@ class IndecomposabilityCertificate(NamedTuple):
         return {"end_dim": self.end_dim, "semisimple_rank": self.semisimple_rank}
 
 
-@_once_per_action()
 def is_indecomposable(m: HModule) -> tuple[bool, IndecomposabilityCertificate]:
     """Locality of the endomorphism ring via the trace form.
 
@@ -525,9 +525,6 @@ def is_indecomposable(m: HModule) -> tuple[bool, IndecomposabilityCertificate]:
     tr(f_a f_b) = sum over (r, c) of f_a[r, c] * f_b[c, r] is read off the
     two matrices without forming their product, and the form is symmetric,
     so only the entries with a <= b are computed.
-
-    Computed once per distinct action (`_once_per_action`); every call
-    gets the same immutable certificate.
     """
     if m.dim == 0:
         raise ValueError("the zero module has no endomorphism ring")
@@ -579,6 +576,25 @@ def _generator_closure(m: HModule, seeds: Iterable[Vec]) -> EchelonSpace:
             if w and space.add(w):
                 frontier.append(w)
     return space
+
+
+def _generated_submodule(m: HModule, seeds: Iterable[Vec], name: str) -> HModule:
+    """The submodule of m the seeds generate, on the reduced echelon basis
+    of their closure, labeled by m's labels at the pivots."""
+    space = _generator_closure(m, seeds)
+    rows = space.basis()
+    pivots = sorted(space.pivots)
+    position = {space.pivots[p]: k for k, p in enumerate(pivots)}
+    cols = []
+    for g in m.cols:
+        sub = []
+        for row in rows:
+            coords = space.coords(_apply_cols(g, row))
+            if coords is None:
+                raise RuntimeError("generated span not closed under the action")
+            sub.append({position[r]: x for r, x in coords.items()})
+        cols.append(sub)
+    return HModule._trusted(m.n, tuple(m.basis[p] for p in pivots), cols, name)
 
 
 class Layer(NamedTuple):
@@ -696,7 +712,7 @@ def _layer_factors(layer: Layer, n: int) -> Counter[Composition]:
     return out
 
 
-@_once_per_action(Counter)
+@_once_per_action
 def composition_factors(m: HModule) -> Counter[Composition]:
     """Multiset of simple factors via the radical filtration.
 
@@ -709,7 +725,7 @@ def composition_factors(m: HModule) -> Counter[Composition]:
     return out
 
 
-@_once_per_action(Counter)
+@_once_per_action
 def top_factors(m: HModule) -> Counter[Composition]:
     """Simple multiplicities of M / rad M; only the top layer is computed.
 

@@ -12,6 +12,12 @@ so an ideal's generator is a product of elements (`pim_generator`) and
 its dimension is a count of permutations by descent set
 (`descent_class_size`).  The barred elements (gen_i - 1) and the
 sign-flip automorphism (gen_i -> 1 - gen_i) are expanded the same way.
+
+`pim_ideal` is the reference for the ideals themselves: it left-applies
+each generator through an index map read off the lengths, closes the
+generator's vector under them with its own frontier, and solves each
+column in the reduced echelon basis, sharing only the `EchelonSpace`
+kernel with the package.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from spcthecke import permutations as P
-from spcthecke.linalg import Scalar, Vec
+from spcthecke.linalg import EchelonSpace, Scalar, Vec
 from spcthecke.permutations import Permutation
 
 
@@ -160,3 +166,59 @@ def descent_class_size(n: int, subset: Iterable[int]) -> int:
     """#{p in S_n : descent set of p == subset}; the expected ideal dimension."""
     subset = frozenset(subset)
     return sum(1 for p in P.all_perms(n) if P.descent_set(p) == subset)
+
+
+def left_mult_images(n: int, i: int) -> list[int]:
+    """index -> index map of left multiplication by gen_i, from lengths."""
+    order = P.perms_by_length_lex(n)
+    index = {p: k for k, p in enumerate(order)}
+    out = []
+    for p in order:
+        q = P.s_times(i, p)
+        out.append(index[q] if P.length(q) > P.length(p) else index[p])
+    return out
+
+
+def apply_left_gen(images: Sequence[int], v: Vec) -> Vec:
+    out: Vec = {}
+    for j, c in v.items():
+        k = images[j]
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def pim_ideal(n: int, subset: Iterable[int]) -> tuple[tuple, list[list[Vec]], str]:
+    """(basis labels, generator columns, name) of the ideal of `pim_generator`.
+
+    The generator's vector is closed under left multiplication by a
+    frontier of the vectors that enlarged the span; the basis is the
+    reduced echelon basis, labeled by the permutations at its pivots.
+    """
+    subset = frozenset(subset)
+    order = P.perms_by_length_lex(n)
+    images = [left_mult_images(n, i) for i in range(1, n)]
+    seed = element_vector(pim_generator(n, subset))
+    space = EchelonSpace(len(order))
+    space.add(seed)
+    frontier = [seed]
+    while frontier:
+        v = frontier.pop()
+        for im in images:
+            w = apply_left_gen(im, v)
+            if w and space.add(w):
+                frontier.append(w)
+    pivots = sorted(space.pivots)
+    remap = {space.pivots[p]: k for k, p in enumerate(pivots)}
+    cols = []
+    for im in images:
+        g = []
+        for row in space.basis():
+            coords = space.coords(apply_left_gen(im, row))
+            assert coords is not None, "ideal not closed under the action"
+            g.append({remap[r]: x for r, x in coords.items()})
+        cols.append(g)
+    return tuple(order[p] for p in pivots), cols, f"P_{sorted(subset)}"

@@ -9,8 +9,10 @@ from hecke_oracle import (
     element_vector,
     opi_element,
     pim_generator,
+    pim_ideal,
     theta,
 )
+from spcthecke import hecke
 from spcthecke import permutations as P
 from spcthecke.compositions import BoundExceeded, comp_of
 from spcthecke.hecke import pim_module, regular_module
@@ -77,10 +79,10 @@ def test_theta_is_an_algebra_map():
 
 def test_left_mult_images_against_lengths():
     # the position rule against the definition: s_i p replaces p when longer
-    from spcthecke.hecke import _basis_order, _left_mult_images
+    from spcthecke.hecke import _left_mult_images
 
     for n in range(1, 7):
-        order = _basis_order(n)
+        order = P.perms_by_length_lex(n)
         index = {p: k for k, p in enumerate(order)}
         for i in range(1, n):
             expected = []
@@ -151,6 +153,54 @@ def test_pim_module_hands_out_its_own_columns():
     assert all(g is not h and a is not b for g, h in zip(again.cols, m.cols) for a, b in zip(g, h))
     with pytest.raises(BoundExceeded):
         pim_module(8, {1, 3})
+
+
+def test_ideals_equal_the_frontier_oracle():
+    cases = [(n, s) for n in range(1, 7) for r in range(n) for s in itertools.combinations(range(1, n), r)]
+    cases += [(7, ()), (7, (1, 2, 3, 4, 5, 6)), (7, (1, 3, 5))]
+    for n, subset in cases:
+        m = pim_module(n, subset)
+        assert (m.basis, list(m.cols), m.name) == pim_ideal(n, subset), (n, subset)
+
+
+def test_regular_module_hands_out_its_own_columns():
+    n = 4
+    want = regular_module(n).cols
+    # the cache keeps one unit column per basis vector, shared by the generators
+    cached = [col for g in hecke._regular_module(n).cols for col in g]
+    assert len({id(col) for col in cached}) == len({tuple(col.items()) for col in cached})
+    m = regular_module(n)
+    assert all(a is not b for a, b in zip(m.cols[0], m.cols[1]))
+    for g in m.cols:
+        for col in g:
+            col.clear()
+            col[0] = 7
+        g.pop()
+    hecke._pim_module.cache_clear()  # the next ideal is built from the cached regular module
+    again = pim_module(n, {1, 3})
+    assert (again.basis, list(again.cols), again.name) == pim_ideal(n, {1, 3})
+    assert regular_module(n).cols == want and check_relations(regular_module(n)).ok
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: regular_module(-1), id="negative-degree"),
+        pytest.param(lambda: regular_module(3.0), id="float-degree"),
+        pytest.param(lambda: pim_module(True, []), id="bool-degree"),
+        pytest.param(lambda: pim_module(3, [1.5]), id="float-entry"),
+    ],
+)
+def test_malformed_input_is_a_value_error(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_bool_entry_is_refused_and_names_stay_put():
+    hecke._pim_module.cache_clear()
+    with pytest.raises(ValueError):
+        pim_module(3, [True])
+    assert pim_module(3, [1]).name == "P_[1]"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

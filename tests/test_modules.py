@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -165,6 +166,27 @@ def test_eigensplit_rejects_a_layer_that_is_not_semisimple():
     for cols in ([{}, {0: 1}], [{0: 2}, {1: 1}]):
         with pytest.raises(RuntimeError, match="not semisimple"):
             _eigensplit(Layer(2, [cols]))
+
+
+def test_apply_cols_matches_the_matrix_oracle():
+    h = Fraction(1, 2)
+    cols = [{0: 1, 2: -1}, {0: 1, 2: -1}, {1: h}, {1: -h, 3: Fraction(2, 3)}]
+    mat = RatMat(4, 4, {(r, c): x for c, col in enumerate(cols) for r, x in col.items()})
+    vectors = [
+        {0: 1, 1: -1},  # cancels to {}
+        {2: 1, 3: 1},  # one entry cancels
+        {2: 2, 0: 0},  # a zero coefficient after entries it would meet
+        {0: 0},  # a zero coefficient alone
+        {2: Fraction(1, 3), 3: Fraction(-3, 2), 1: 4},
+    ]
+    m = ribbon_module((2, 1, 2), "theta")
+    mixed = {b: (1, -1, 0, h)[b % 4] for b in range(m.dim)}
+    cases = [(cols, mat, v) for v in vectors]
+    cases += [(m.cols[i - 1], m.gen(i), v) for i in range(1, m.n) for v in [mixed, {0: 1, 1: -1}]]
+    for c, a, v in cases:
+        got = modules._apply_cols(c, v)
+        assert got == action_oracle.apply(a, v) and all(got.values()), (c, v)
+    assert modules._apply_cols(cols, vectors[0]) == {}
 
 
 def test_act_leaves_a_cached_module_unchanged():
@@ -405,7 +427,7 @@ def test_is_projective_against_invertible_homs():
 # ---------------------------------------------------------------------------
 # invariants computed once per distinct action
 
-MEMOIZED = (is_indecomposable, composition_factors, top_factors)
+MEMOIZED = (composition_factors, top_factors)
 
 
 def test_memoized_invariants_match_the_unmemoized_functions():

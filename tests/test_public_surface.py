@@ -1,9 +1,13 @@
-"""Every public top-level function or class of the package has a caller in it.
+"""Every public top-level function or class of the package, and every
+public method of a package class, has a caller in it.
 
 A name is called when the package's code refers to it, as a name or an
 attribute, outside the name's own definition.  Docstrings and doctests are
 strings, so a mention there does not count, and neither does an import.
-The keep-list holds the paper constructions that only their tests check.
+A method is matched by its name alone, so a method that shares its name
+with another attribute the package reads passes.  The keep-list holds the
+paper constructions that only their tests check, and the methods that
+serve only the tests and their oracles.
 """
 
 import ast
@@ -29,6 +33,14 @@ KEEP = {
     "maps.psi": "the type change through the partition pivot; prop-4.6 calls its core for types already validated",
     "qsym.qs_to_f": "the QS -> F basis change, inverse to f_to_qs",
     "qsym.recursion_check": "the one-step characteristic recursion; thm-4.8 calls its core for cases already validated",
+    "linalg.RatMat.from_dense": "hand-written matrices in the tests",
+    "linalg.RatMat.to_dense": "dense entries for the tests' comparisons",
+    "linalg.RatMat.is_zero": "the zero test of the matrix-product oracles",
+    "linalg.RatMat.trace": "the trace form of the endomorphism oracle, from matrix products",
+    "linalg.RatMat.from_quadruples": "the inverse of to_quadruples, for the JSON round trip",
+    "qsym.QSymElt.is_zero": "the zero test on a characteristic",
+    "tableaux.PacdPair.witnessed": "whether an obstruction pair has a witness, read on the paper's examples",
+    "tableaux.HattedSource.spct": "the hatted source as a tableau when its filling is valid",
 }
 
 
@@ -71,7 +83,34 @@ def test_every_public_name_has_a_caller(module):
     assert not dead, f"{module}: no caller in the package for {dead}"
 
 
+def _public_methods(tree):
+    """(class name, method node) for every public method of a top-level class."""
+    return [
+        (cls.name, node)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_public_method_has_a_caller(module):
+    elsewhere = set().union(*(_references(t) for name, t in TREES.items() if name != module))
+    dead = []
+    for cls, node in _public_methods(TREES[module]):
+        if f"{module}.{cls}.{node.name}" in KEEP:
+            continue
+        if node.name not in elsewhere | _references(TREES[module], skip=node):
+            dead.append(f"{cls}.{node.name}")
+    assert not dead, f"{module}: no caller in the package for {dead}"
+
+
 def test_keep_list_names_are_defined():
     for key in KEEP:
-        module, name = key.split(".")
-        assert name in {node.name for node in _public_defs(TREES[module])}, key
+        module, *owner, name = key.split(".")
+        if owner:
+            defined = {node.name for cls, node in _public_methods(TREES[module]) if cls == owner[0]}
+        else:
+            defined = {node.name for node in _public_defs(TREES[module])}
+        assert name in defined, key
