@@ -35,8 +35,15 @@ BROKEN_PIPE = 141
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of a flag's value.
+
+    A blank value is the empty tuple, the composition and the type of
+    degree 0; an empty field (``2,,1``, ``2,1,``, ``,``) is refused.
+    """
+    if not text.strip():
+        return ()
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse {what} {text!r}; expected comma-separated integers")
 

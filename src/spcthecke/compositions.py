@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple, Sequence
 
+from . import permutations
+
 Composition = tuple[int, ...]
 
 class BoundExceeded(ValueError):
@@ -208,8 +210,6 @@ def bubble_fiber(alpha: Sequence[int], sigma: Sequence[int]) -> set[Composition]
     >>> bubble_fiber((2, 2), (2, 1))
     {(2, 2)}
     """
-    from . import permutations
-
     sigma = permutations.check_perm(sigma)
     if len(sigma) != len(alpha):
         raise ValueError(

@@ -14,8 +14,10 @@ the closure of its generator vector, built by `modules`; the vector comes
 from left-applying the barred factors (gen_i - 1) to a basis vector in the
 regular module, with no product of algebra elements.  A module is
 projective exactly when it has the dimension of the projective cover of
-its top (`is_projective`).  Every entry point takes a non-negative `int`
-degree and refuses one above `modules.DEFAULT_ALGEBRA_BOUND`.
+its top (`is_projective`); the top is computed on every call, and the
+ideals once per degree and subset.  Every entry point takes a
+non-negative `int` degree and refuses one above
+`modules.DEFAULT_ALGEBRA_BOUND`.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@
 * `omega_set` is the combinatorial kernel of the projected transpose map,
   and `prc_phi_map` builds that map as an exact matrix and verifies it,
   onto the canonical class submodule built from that class alone
-  (`modules.canonical_submodule`).
+  (`modules.canonical_submodule`).  Each transpose is looked up among
+  the class's members, which are valid, so it is not checked itself.
 * `iota_map` is the diagonal sign isomorphism from the sign-twisted ribbon
   module onto its sign-free version; a tableau's sign is the parity of its
   `star_distances` distance from the source.
@@ -226,8 +227,10 @@ def prc_phi_map(alpha: Sequence[int], sigma: Sequence[int]) -> PrcPhiResult:
     _, tgt = canonical_submodule(beta, sigma)
     data = {}
     for j, T in enumerate(src.basis):
-        t = ribbon_to_spct(T, sigma)
-        if t is not None and t in tgt:
+        # only a member counts, and members are valid: no check of its own
+        rows = tau_of_ribbon(T, sigma)
+        t = Spct._trusted(rows, tuple(map(len, rows)), T.n)
+        if t in tgt:
             data[tgt.index(t), j] = 1
     mat = RatMat(tgt.dim, src.dim, data)
     linmap = LinearMap(src, tgt, mat, name=f"prc_phi[{alpha},{sigma}]")

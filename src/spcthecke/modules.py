@@ -36,16 +36,13 @@ echelon basis, labeled by the pivots (`_generated_submodule`).
 
 `composition_factors` and `top_factors` (and so `hecke.is_projective`)
 read only the degree, the dimension and the generator columns, never the
-basis labels or the name, so they are memoized on a flat tuple of n, dim
-and every column with its coefficients (`_action_key`).  Equal keys give
-identical results by construction; class submodules of different pairs
-often share their action, so most calls are served from the memo, and
-each call gets a fresh `Counter`.
+basis labels or the name, and compute afresh on every call.  The claims
+that meet one tableau module many times keep their own memo, keyed on
+the tableaux before any module is built (`verify._invariant`).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -201,16 +198,22 @@ def class_submodules(alpha: Sequence[int], sigma: Sequence[int]) -> list[tuple[S
 def canonical_submodule(alpha: Sequence[int], sigma: Sequence[int]) -> tuple[SpctClass, HModule]:
     """The class of the canonical source tableau, with its submodule.
 
-    The tableaux are grouped by label, and only the canonical source's
-    group is read and built, as in `class_submodules`.  The label comes
-    from the canonical source's rows, with no tableau built.
+    Only the canonical source's group is read and built
+    (`_canonical_group`), as in `class_submodules`.
     """
     alpha, sigma = tableaux._check_compatible_pair(alpha, sigma)
+    return _class_submodules(alpha, sigma, _canonical_group(alpha, sigma))[0]
+
+
+def _canonical_group(alpha: Composition, sigma: Permutation) -> dict[tableaux.ClassLabel, list[Spct]]:
+    """The canonical source's group of a compatible pair's tableaux, keyed
+    by its label as in `tableaux._grouped`.  The label comes from the
+    canonical source's rows, with no tableau built."""
     label = tableaux.ClassLabel(alpha, tableaux._column_words(tableaux._canonical_rows(alpha, sigma)))
     members = tableaux._grouped(tableaux._enumerate_spct(alpha, sigma)).get(label)
     if members is None:
         raise RuntimeError(f"canonical class not found for ({alpha}, {sigma})")
-    return _class_submodules(alpha, sigma, {label: members})[0]
+    return {label: members}
 
 
 def _class_submodules(
@@ -330,50 +333,6 @@ def check_relations(m: HModule) -> RelationReport:
         if j - i >= 2 and word(i, j) != word(j, i):
             violations.append({"relation": "commute", "i": i, "j": j})
     return RelationReport(not violations, violations)
-
-
-# ---------------------------------------------------------------------------
-# invariants computed once per distinct action
-
-
-def _action_key(m: HModule) -> tuple:
-    """n, dim and every generator column with its coefficients, in basis
-    order, as one flat tuple.
-
-    Each column is its entry count followed by its (row, coefficient)
-    pairs in the column's own order, so the tuple spells out `m.cols`
-    exactly and equal keys mean equal columns iterated alike.
-    """
-    key = [m.n, m.dim]
-    for g in m.cols:
-        for col in g:
-            key.append(len(col))
-            for item in col.items():
-                key += item
-    return tuple(key)
-
-
-def _once_per_action(fn):
-    """Memoize a function of a module that returns a `Counter`, on `_action_key`.
-
-    The function must read only ``m.n``, ``m.dim`` and ``m.cols``, never
-    the basis labels or the name, so a module with the same key gets the
-    same result by construction.  Each call gets a new `Counter`, so a
-    caller cannot change what the memo holds; an exception is raised again
-    on every call and nothing is stored.
-    """
-    memo: dict[tuple, Counter] = {}
-
-    @functools.wraps(fn)
-    def once(m: HModule) -> Counter:
-        key = _action_key(m)
-        result = memo.get(key)
-        if result is None:
-            result = memo[key] = fn(m)
-        return Counter(result)
-
-    once.cache_clear = memo.clear
-    return once
 
 
 # ---------------------------------------------------------------------------
@@ -712,26 +671,16 @@ def _layer_factors(layer: Layer, n: int) -> Counter[Composition]:
     return out
 
 
-@_once_per_action
 def composition_factors(m: HModule) -> Counter[Composition]:
-    """Multiset of simple factors via the radical filtration.
-
-    Computed once per distinct action (`_once_per_action`); each call gets
-    a new `Counter`.
-    """
+    """Multiset of simple factors via the radical filtration."""
     out: Counter[Composition] = Counter()
     for layer in radical_filtration(m):
         out += _layer_factors(layer, m.n)
     return out
 
 
-@_once_per_action
 def top_factors(m: HModule) -> Counter[Composition]:
-    """Simple multiplicities of M / rad M; only the top layer is computed.
-
-    Computed once per distinct action (`_once_per_action`); each call gets
-    a new `Counter`.
-    """
+    """Simple multiplicities of M / rad M; only the top layer is computed."""
     top = next(radical_filtration(m), None)
     return Counter() if top is None else _layer_factors(top, m.n)
 

@@ -25,12 +25,16 @@ looked up by its swapped positions, and the swaps join the class.  So no
 component leaves a class and no class holds two components: the classes
 are the components of the action graph.
 
-thm-3.1 reads each class the same way and keys it on n, its members'
-step ids and their swap targets (`_class_key`).  The key fixes the class
-submodule's columns exactly, so equal keys have one certificate.  A
-class submodule is built, and `modules.is_indecomposable` called, only
-for a key the process has not seen (`_CLASS_CERTS`); most classes share
-the key of one seen before.  No module leaves the claim.
+Three claims read one invariant of a module on tableaux: thm-3.1
+`modules.is_indecomposable` of each class submodule, factors-vs-descents
+`modules.composition_factors` of each whole tableau module, and cor-5.6
+`hecke.is_projective` of each canonical class submodule.  Each keys its
+tableaux on n, their step ids and their swap targets (`_tableau_key`),
+read before any module is built.  The key fixes the module's columns
+exactly, so equal keys have one value, and a module is built and the
+invariant computed only for an (invariant, key) the process has not seen
+(`_invariant`); most pairs share the key of one seen before.  No module
+leaves the claim.
 """
 
 from __future__ import annotations
@@ -131,6 +135,43 @@ def _report(claim: str, params: dict, failures: list, cases: int) -> dict:
         "cases": cases,
         "witness": failures[:10],
     }
+
+
+# ---------------------------------------------------------------------------
+# invariants of tableau modules, once per key
+
+
+#: each invariant a claim has computed, by the invariant and `_tableau_key`
+_INVARIANTS: dict[tuple, object] = {}
+
+
+def _tableau_key(n: int, members: Sequence[tableaux.Spct], sids: tuple[int, ...]) -> tuple:
+    """n, some tableaux's step ids and their swap targets (`tableaux._swap_targets`).
+
+    They fix the columns of the module on those tableaux exactly: member
+    j's column under pi_i is itself, zero or its next swap target, as its
+    i-th step says.
+    """
+    return n, sids, tableaux._swap_targets(members, sids)
+
+
+def _invariant(fn: Callable, n: int, members: Sequence[tableaux.Spct], sids: tuple[int, ...]):
+    """fn of the module on some tableaux of degree n (a class or a pair's
+    whole set), with their step ids, built only for an fn and a key
+    (`_tableau_key`) not seen before.
+
+    fn must read only the module's degree and columns, and the caller
+    passes it as it is found at call time, so a replaced function gets its
+    own entries.  The stored value is handed out as it is, and callers
+    only read it.  A swap that leaves the tableaux raises `ValueError`,
+    and nothing is stored.
+    """
+    key = (fn, *_tableau_key(n, members, sids))
+    out = _INVARIANTS.get(key)
+    if out is None:
+        cols = modules._tableau_columns(n, sids, key[-1])
+        out = _INVARIANTS[key] = fn(modules.HModule._trusted(n, members, cols, ""))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -271,38 +312,12 @@ def _case_w0_classification(alpha) -> list:
 # criterion 5: local endomorphism rings of class submodules
 
 
-#: thm-3.1's certificate of each class submodule it has built, by `_class_key`.
-_CLASS_CERTS: dict[tuple, modules.IndecomposabilityCertificate] = {}
-
-
-def _class_key(n: int, members: Sequence[tableaux.Spct], sids: tuple[int, ...]) -> tuple:
-    """n, a class's step ids and its swap targets (`tableaux._swap_targets`).
-
-    They fix the class submodule's columns exactly: member j's column
-    under pi_i is itself, zero or its next swap target, as its i-th step
-    says.
-    """
-    return n, sids, tableaux._swap_targets(members, sids)
-
-
-def _class_certificate(n: int, members: Sequence[tableaux.Spct], sids: tuple[int, ...]):
-    """`modules.is_indecomposable` of a class's submodule, built only for
-    a key (`_class_key`) not seen before.  A swap that leaves the class
-    raises `ValueError`, and nothing is stored."""
-    key = _class_key(n, members, sids)
-    cert = _CLASS_CERTS.get(key)
-    if cert is None:
-        cols = modules._tableau_columns(n, sids, key[2])
-        cert = _CLASS_CERTS[key] = modules.is_indecomposable(modules.HModule._trusted(n, members, cols, ""))[1]
-    return cert
-
-
 def _case_indecomposable(case) -> list:
     alpha, sigma = case
     n = sum(alpha)
     bad = []
     for cls, sids in tableaux._read_classes(tableaux._grouped(tableaux._enumerate_spct(alpha, sigma))):
-        cert = _class_certificate(n, cls.members, sids)
+        cert = _invariant(modules.is_indecomposable, n, cls.members, sids)[1]
         if not cert.indecomposable:
             bad.append(
                 {
@@ -469,8 +484,8 @@ def _case_projectivity(case) -> list:
         return [counter] if counter else []
     alpha, sigma = payload
     bad = []
-    _, sub = modules.canonical_submodule(alpha, sigma)
-    got, cert = hecke.is_projective(sub)
+    [(cls, sids)] = tableaux._read_classes(modules._canonical_group(alpha, sigma))
+    got, cert = _invariant(hecke.is_projective, sum(alpha), cls.members, sids)
     want = _canonical_projectivity_expected(alpha, sigma)
     if got != want:
         bad.append(
@@ -532,9 +547,9 @@ def _noncanonical_counterexample() -> dict | None:
 
 def _case_factors(case) -> list:
     alpha, sigma = case
-    mod = modules.spct_module(alpha, sigma)
-    got = modules.composition_factors(mod)
-    want = Counter(tableaux.comp_of_tableau(t) for t in mod.basis)
+    taus = tableaux._enumerate_spct(alpha, sigma)
+    got = _invariant(modules.composition_factors, sum(alpha), taus, tuple(map(tableaux._step_id, taus)))
+    want = Counter(map(tableaux.comp_of_tableau, taus))
     if got != want:
         # composition keys as strings, so the report is JSON
         got, want = ({str(beta): k for beta, k in c.items()} for c in (got, want))

@@ -130,8 +130,8 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
         raise RuntimeError("layer is not semisimple: eigensplit lost dimensions")
 
     monkeypatch.setattr(modules, "_eigensplit", broken)
-    # factors computed by an earlier test would be served from the memo
-    modules.composition_factors.cache_clear()
+    # factors computed by an earlier test would be served from the claims' memo
+    verify._INVARIANTS.clear()
     assert cli.main(["verify", "factors-vs-descents", "--max-n", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -155,8 +155,8 @@ def test_exception_inside_a_case(exc, code, line, jobs, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise exc
 
-    # thm-3.1's case asks for each class's certificate
-    monkeypatch.setattr(verify, "_class_certificate", broken)
+    # thm-3.1's case asks the claims' memo for each class's certificate
+    monkeypatch.setattr(verify, "_invariant", broken)
     assert cli.main(["verify", "thm-3.1", "--max-n", "3", "--jobs", jobs]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == line + "\n"
@@ -235,6 +235,19 @@ def test_enumerate_malformed_pair_is_usage_error():
     for shape, sigma in (("2,1", "1,1"), ("2,0", "1,2"), ("2,-1", "1,2"), ("2,1", "1")):
         res = run_cli("enumerate", "spct", "--shape", shape, "--sigma", sigma)
         assert res.returncode == 2 and res.stdout == "", (shape, sigma)
+    # an empty field is refused, not dropped, with one line naming the flag
+    for shape, sigma, flag in (
+        ("2,,1", "2,1", "--shape"),
+        ("2,1,", "2,1", "--shape"),
+        (",", "", "--shape"),
+        ("2,1", "2,,1", "--sigma"),
+    ):
+        res = run_cli("enumerate", "spct", "--shape", shape, "--sigma", sigma)
+        assert res.returncode == 2 and res.stdout == "", (shape, sigma)
+        assert res.stderr.startswith(f"error: cannot parse {flag} ") and res.stderr.count("\n") == 1, res.stderr
+    # a blank value is the degree-0 composition, with its one empty tableau
+    res = run_cli("enumerate", "spct", "--shape", "", "--sigma", "")
+    assert res.returncode == 0 and json.loads(res.stdout) == [[]]
 
 
 def test_basis_cert():

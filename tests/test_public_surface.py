@@ -2,10 +2,12 @@
 public method of a package class, has a caller in it.
 
 A name is called when the package's code refers to it, as a name or an
-attribute, outside the name's own definition.  Docstrings and doctests are
-strings, so a mention there does not count, and neither does an import.
-A method is matched by its name alone, so a method that shares its name
-with another attribute the package reads passes.  The keep-list holds the
+attribute, outside the name's own definition.  A method is called only
+through an attribute (``x.method``), matched by name, so a local variable
+of the same name does not count; a method that shares its name with
+another attribute the package reads still passes.  Docstrings and
+doctests are strings, so a mention there does not count, and neither does
+an import.  The keep-list holds the
 paper constructions that only their tests check, and the methods that
 serve only the tests and their oracles.
 """
@@ -29,10 +31,12 @@ KEEP = {
     "modules.reachable_pairs": "the pairs of class members joined by moving steps, where word transport applies",
     "permutations.weak_leq": "the weak order on the symmetric group",
     "compositions.bubble_act_word": "the bubble-sorting right action along a word, inverse to the fibers",
+    "maps.ribbon_to_spct": "the ribbon-to-tableau transpose kept only when valid; the projected transpose reads members instead",
     "maps.spct_to_ribbon": "the inverse of the ribbon-to-tableau transpose",
     "maps.psi": "the type change through the partition pivot; prop-4.6 calls its core for types already validated",
     "qsym.qs_to_f": "the QS -> F basis change, inverse to f_to_qs",
     "qsym.recursion_check": "the one-step characteristic recursion; thm-4.8 calls its core for cases already validated",
+    "linalg.RatMat.col": "one column of a matrix, which the tests read",
     "linalg.RatMat.from_dense": "hand-written matrices in the tests",
     "linalg.RatMat.to_dense": "dense entries for the tests' comparisons",
     "linalg.RatMat.is_zero": "the zero test of the matrix-product oracles",
@@ -55,18 +59,17 @@ def _public_defs(tree):
     ]
 
 
-def _references(tree, skip=None):
-    """Names and attributes the code refers to, outside the `skip` node."""
+def _references(tree, skip=None, kinds=(ast.Name, ast.Attribute)):
+    """Names and attributes the code refers to, outside the `skip` node;
+    `kinds` picks which of the two count."""
     out = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+        if isinstance(node, kinds):
+            out.add(node.id if isinstance(node, ast.Name) else node.attr)
         stack.extend(ast.iter_child_nodes(node))
     return out
 
@@ -96,12 +99,13 @@ def _public_methods(tree):
 
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_every_public_method_has_a_caller(module):
-    elsewhere = set().union(*(_references(t) for name, t in TREES.items() if name != module))
+    attrs = (ast.Attribute,)
+    elsewhere = set().union(*(_references(t, kinds=attrs) for name, t in TREES.items() if name != module))
     dead = []
     for cls, node in _public_methods(TREES[module]):
         if f"{module}.{cls}.{node.name}" in KEEP:
             continue
-        if node.name not in elsewhere | _references(TREES[module], skip=node):
+        if node.name not in elsewhere | _references(TREES[module], skip=node, kinds=attrs):
             dead.append(f"{cls}.{node.name}")
     assert not dead, f"{module}: no caller in the package for {dead}"
 

@@ -1,11 +1,12 @@
 import itertools
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import class_oracle
-from spcthecke import modules, tableaux, verify
+from spcthecke import hecke, modules, tableaux, verify
 from spcthecke.verify import CLAIMS, _run_cases
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.json"
@@ -68,14 +69,37 @@ def _read_submodules(n):
             yield cls, sids, sub
 
 
+def _tableau_modules(n):
+    """("whole", ...) for each tableau module of degree n and ("canonical",
+    ...) for each canonical class submodule, with its tableaux and their
+    step ids, from the public builders."""
+    for alpha, sigma in verify._compatible_pairs(n):
+        whole = modules.spct_module(alpha, sigma)
+        yield "whole", whole.basis, tuple(map(tableaux._step_id, whole.basis)), whole
+        cls, sub = modules.canonical_submodule(alpha, sigma)
+        yield "canonical", cls.members, tuple(map(tableaux._step_id, cls.members)), sub
+
+
+def _action(m):
+    """n, dim and the columns of m, hashable."""
+    return m.n, m.dim, tuple(tuple(tuple(col.items()) for col in g) for g in m.cols)
+
+
 def test_equal_class_keys_mean_equal_actions():
-    actions, classes = {}, 0
+    # equal keys mean equal columns, and the keys tell apart as many
+    # modules as the columns do
+    keys, actions, built = {}, {}, Counter()
     for n in range(1, 7):
-        for cls, sids, sub in _read_submodules(n):
-            key = verify._class_key(n, cls.members, sids)
-            assert actions.setdefault(key, modules._action_key(sub)) == modules._action_key(sub), cls.label
-            classes += 1
-    assert len(actions) < classes
+        mods = [("class", cls.members, sids, sub) for cls, sids, sub in _read_submodules(n)]
+        for kind, members, sids, m in mods + list(_tableau_modules(n)):
+            key = verify._tableau_key(n, members, sids)
+            assert keys.setdefault((kind, key), m.cols) == m.cols, (kind, m)
+            actions.setdefault(kind, set()).add(_action(m))
+            built[kind] += 1
+    distinct = Counter(kind for kind, _ in keys)
+    assert distinct == {kind: len(a) for kind, a in actions.items()}
+    assert distinct["whole"] == 162 and distinct["canonical"] == 152
+    assert all(distinct[kind] < built[kind] for kind in built)
 
 
 def test_class_keys_see_the_swap_targets():
@@ -92,35 +116,51 @@ def test_class_keys_see_the_swap_targets():
             j, k = pairs[0]
             members = list(cls.members)
             members[j], members[k] = members[k], members[j]
-            keys, actions = [], []
+            keys, cols = [], []
             for ms in (cls.members, members):
-                cols = modules._tableau_columns(7, sids, tableaux._swap_targets(ms, sids))
-                keys.append(verify._class_key(7, ms, sids))
-                actions.append(modules._action_key(modules.HModule._trusted(7, ms, cols, "")))
-            assert actions[0] != actions[1] and keys[0] != keys[1]
+                cols.append(modules._tableau_columns(7, sids, tableaux._swap_targets(ms, sids)))
+                keys.append(verify._tableau_key(7, ms, sids))
+            assert cols[0] != cols[1] and keys[0] != keys[1]
             reordered += 1
     assert reordered == 6
 
 
 def test_class_certificate_is_the_submodules_own():
-    verify._CLASS_CERTS.clear()
+    verify._INVARIANTS.clear()
     for n in range(1, 7):
         for cls, sids, sub in _read_submodules(n):
             # once built, once from the memo; `is_indecomposable` keeps no memo
-            want = modules.is_indecomposable(sub)[1]
-            assert verify._class_certificate(n, cls.members, sids) == want
-            assert verify._class_certificate(n, cls.members, sids) == want
+            want = modules.is_indecomposable(sub)
+            assert verify._invariant(modules.is_indecomposable, n, cls.members, sids) == want
+            assert verify._invariant(modules.is_indecomposable, n, cls.members, sids) == want
+
+
+def test_one_memo_keeps_each_invariant_apart():
+    # the three claims' invariants on one memo: each entry equals a fresh
+    # call of its own invariant, once built and once served
+    verify._INVARIANTS.clear()
+    for n in range(1, 7):
+        for cls, sids, sub in _read_submodules(n):
+            verify._invariant(modules.is_indecomposable, n, cls.members, sids)
+        for kind, members, sids, m in _tableau_modules(n):
+            fn = modules.composition_factors if kind == "whole" else hecke.is_projective
+            want = fn(m)
+            assert verify._invariant(fn, n, members, sids) == want, (kind, m)
+            assert verify._invariant(fn, n, members, sids) == want, (kind, m)
+    # a pair with one class is its canonical class and its whole module,
+    # so one key holds all three invariants
+    assert max(Counter(key[1:] for key in verify._INVARIANTS).values()) == 3
 
 
 def test_a_class_that_leaks_raises_and_stores_nothing():
     pair = (2, 2, 1), (2, 3, 1)
     cls_a, cls_b = tableaux.equivalence_classes(tableaux._enumerate_spct(*pair))
-    stored = dict(verify._CLASS_CERTS)
+    stored = dict(verify._INVARIANTS)
     # the sources' swaps land in their own classes, outside these groupings
     for members in ([cls_a.source], [cls_a.source, cls_b.sink], [cls_b.source, cls_a.sink]):
         sids = tuple(map(tableaux._step_id, members))
-        assert None in verify._class_key(5, members, sids)[2]
-        for _ in range(2):
+        assert None in verify._tableau_key(5, members, sids)[2]
+        for fn in (modules.is_indecomposable, modules.composition_factors, hecke.is_projective):
             with pytest.raises(ValueError, match="not generator-stable"):
-                verify._class_certificate(5, members, sids)
-    assert verify._CLASS_CERTS == stored
+                verify._invariant(fn, 5, members, sids)
+    assert verify._INVARIANTS == stored
