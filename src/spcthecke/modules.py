@@ -11,7 +11,8 @@ enumerator), and find each swap's image by its swapped positions
 (`tableaux._swap_targets`).  A class submodule is built from its class
 alone, never restricted from the whole module: the same reading finds
 the class's source and sink and writes its columns, and a swap that
-leaves the class raises.
+leaves the class raises.  Tableau-cyclicity, the DOT graph and a class's
+reachable pairs walk the same swaps (`tableaux._swap_graph`), building no module.
 Everything downstream is linear algebra over Q: the relation checker,
 intertwiner (hom) spaces, endomorphism rings with the trace-form radical,
 and radical filtrations with their semisimple-layer eigensplit.
@@ -686,43 +687,41 @@ def top_factors(m: HModule) -> Counter[Composition]:
 
 
 # ---------------------------------------------------------------------------
-# cyclicity and the action graph
-
-
-def cyclic_span(m: HModule, seed: Vec) -> int:
-    """Dimension of the submodule generated by one vector."""
-    return len(_generator_closure(m, [seed]))
-
-
-def generates(m: HModule, label) -> bool:
-    return cyclic_span(m, {m.index(label): 1}) == m.dim
+# tableau generators and the action graph
 
 
 def is_spct_cyclic(alpha: Sequence[int], sigma: Sequence[int]) -> bool:
-    """Whether one tableau generates the whole tableau module."""
-    m = spct_module(alpha, sigma)
-    if m.dim == 0:
-        return False
-    return any(generates(m, t) for t in m.basis)
+    """Whether one tableau generates the whole tableau module, which is
+    narrower than the module being cyclic.  pi_i sends a tableau to zero,
+    to itself or to one other tableau, so a tableau generates the span of
+    the tableaux it reaches in the swap graph (`tableaux._swap_graph`)."""
+    alpha, sigma = tableaux._check_pair(alpha, sigma)
+    ts = tableaux._enumerate_spct(alpha, sigma)
+    return bool(ts) and _one_reaches_all(tableaux._swap_graph(ts, [tableaux._step_id(t) for t in ts]))
 
 
-def _moves(ts: Iterable[Spct]) -> Iterator[tuple[Spct, int, Spct]]:
-    """Moving edges (t, i, t') of the tableaux ts, generator i sending t to t' != t."""
-    for t in ts:
-        for i, step in enumerate(tableaux._steps(t), 1):
-            if step == tableaux._SWAP:
-                yield t, i, t.swap_values(i)
+def _one_reaches_all(graph: Sequence[Sequence[tuple[int, int | None]]]) -> bool:
+    """Whether some vertex of a nonempty directed graph reaches all of it.
+
+    Walks from each vertex not yet seen share one seen-list.  A vertex that
+    reaches all is first seen in a walk whose root then reaches all, so no
+    walk follows: the last root decides, by one more walk."""
+    seen = [False] * len(graph)
+    for j in range(len(graph)):
+        if not seen[j]:
+            root = j
+            tableaux._reach(graph, j, seen)
+    seen = [False] * len(graph)
+    return tableaux._reach(graph, root, seen) and all(seen)
 
 
 def graph_dot(alpha, sigma, bound: int = tableaux.DEFAULT_TABLEAU_BOUND) -> str:
     """DOT rendering of the action graph, edges labeled by the generator."""
     ts = tableaux.enumerate_spct(alpha, sigma, bound)
-    names = {t: f"t{k}" for k, t in enumerate(ts)}
     lines = ["digraph spct {"]
-    for t in ts:
-        lines.append(f'  {names[t]} [label="{t.to_json()}"];')
-    for t, i, u in _moves(ts):
-        lines.append(f'  {names[t]} -> {names[u]} [label="{i}"];')
+    lines += [f'  t{j} [label="{t.to_json()}"];' for j, t in enumerate(ts)]
+    graph = tableaux._swap_graph(ts, [tableaux._step_id(t) for t in ts])
+    lines += [f'  t{j} -> t{k} [label="{i}"];' for j, edges in enumerate(graph) for i, k in edges]
     lines.append("}")
     return "\n".join(lines)
 
@@ -788,18 +787,11 @@ def word_transport_holds(cls: SpctClass, t: Spct, u: Spct, max_words: int = 24) 
 
 def reachable_pairs(cls: SpctClass) -> list[tuple[Spct, Spct]]:
     """Ordered pairs (t, u), t != u, with u reachable from t by moving steps."""
-    succ: dict[Spct, set[Spct]] = {t: set() for t in cls.members}
-    for t, _, u in _moves(cls.members):
-        succ[t].add(u)
+    members = cls.members
+    graph = tableaux._swap_graph(members, [tableaux._step_id(t) for t in members])
     out = []
-    for t in cls.members:
-        seen: set[Spct] = set()
-        stack = list(succ[t])
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(succ[u] - seen)
-        out.extend((t, u) for u in seen)
+    for j, t in enumerate(members):
+        seen = [False] * len(members)
+        tableaux._reach(graph, j, seen)
+        out.extend((t, u) for k, u in enumerate(members) if seen[k] and k != j)
     return out

@@ -80,7 +80,8 @@ flags (`_STEPS`, `_SOURCE`, `_SINK`), and an enumerated tableau holds its
 id, found from the smaller tableau's id and that one step.  A tableau
 built any other way walks its cells; swaps are found among a class's
 members by their swapped positions (`_swap_targets`), with no tableau
-built or hashed.
+built or hashed.  They form the one swap graph (`_swap_graph`, walked by
+`_reach`) that every reader of the action graph uses.
 """
 
 from __future__ import annotations
@@ -736,6 +737,28 @@ def _swap_targets(members: Sequence[Spct], sids: Sequence[int]) -> tuple[int | N
                 if step == _SWAP:
                     out.append(index.get(pos[:i] + (pos[i + 1], pos[i]) + pos[i + 2 :]))
     return tuple(out)
+
+
+def _swap_graph(members: Sequence[Spct], sids: Sequence[int]) -> list[list[tuple[int, int | None]]]:
+    """For each member, (i, k) for each i where pi_i swaps it, in order of
+    i: k indexes the member it swaps to, None when none is (`_swap_targets`)."""
+    targets = iter(_swap_targets(members, sids))
+    return [[(i, next(targets)) for i, step in enumerate(_STEPS[sid], 1) if step == _SWAP] for sid in sids]
+
+
+def _reach(graph: Sequence[Sequence[tuple[int, int | None]]], root: int, seen: list[bool]) -> bool:
+    """Mark in `seen` each member `root` reaches in a `_swap_graph`; False,
+    stopping there, at a swap that leaves the members."""
+    seen[root] = True
+    stack = [root]
+    while stack:
+        for _, k in graph[stack.pop()]:
+            if k is None:
+                return False
+            if not seen[k]:
+                seen[k] = True
+                stack.append(k)
+    return True
 
 
 def is_attacking(t: Spct, i: int, j: int) -> bool:

@@ -20,10 +20,10 @@ the validating public functions (`tableaux._enumerate_spct`, `maps._psi`
 and others).
 
 lem-2.7 reads each tableau once (`tableaux._read_classes`): each class
-has one source and one sink, every swap from a member lands on a member,
-looked up by its swapped positions, and the swaps join the class.  So no
-component leaves a class and no class holds two components: the classes
-are the components of the action graph.
+has one source and one sink, and a directed walk from the source along
+the swaps lands only on members and reaches them all.  So the classes are
+the components of the action graph, and each is generated by its source.
+thm-3.15 and cor-3.18 read tableau-cyclicity off the same swap graph.
 
 Three claims read one invariant of a module on tableaux: thm-3.1
 `modules.is_indecomposable` of each class submodule, factors-vs-descents
@@ -228,33 +228,14 @@ def _case_classes(case) -> list:
 
 
 def _is_component(members: Sequence[tableaux.Spct], sids: Sequence[int]) -> bool:
-    """Whether a class of a pair's tableaux is a component of its action
-    graph, from its members' step ids (`tableaux._step_id`).
-
-    Every swap must land in the class, so no component leaves it, and the
-    swaps must join its members, so no class holds two components.  Each
-    swap's target is found by its swapped positions
-    (`tableaux._swap_targets`), so no tableau is built or hashed per edge.
-    A lone member is a component exactly when it is a sink: it has no swap.
-    """
-    if len(members) == 1:
-        return tableaux._SINK[sids[0]]
-    targets = iter(tableaux._swap_targets(members, sids))
-    adj: list[list[int]] = [[] for _ in members]
-    for j, sid in enumerate(sids):
-        for _ in range(tableaux._STEPS[sid].count(tableaux._SWAP)):
-            k = next(targets)
-            if k is None:
-                return False
-            adj[j].append(k)
-            adj[k].append(j)
-    seen, stack = {0}, [0]
-    while stack:
-        for k in adj[stack.pop()]:
-            if k not in seen:
-                seen.add(k)
-                stack.append(k)
-    return len(seen) == len(members)
+    """Whether a class of a pair's tableaux, with its members' step ids, is
+    a component of its action graph generated by its source: the directed
+    walk from its first source (`tableaux._reach`) must stay in the class,
+    so no component leaves it, and reach every member, so no class holds
+    two components.  A group with no source fails."""
+    roots = [j for j, sid in enumerate(sids) if tableaux._SOURCE[sid]]
+    seen = [False] * len(members)
+    return bool(roots) and tableaux._reach(tableaux._swap_graph(members, sids), roots[0], seen) and all(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -635,11 +616,11 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
         8, lambda m: _upto(m, _all_pairs), _case_compat,
     ),
     "lem-2.7": (
-        "each class has one source, one sink, and is a component",
+        "each class has one source, one sink, and is a component generated by its source",
         8, lambda m: _upto(m, _compatible_pairs), _case_classes,
     ),
     "thm-3.15": (
-        "unique source and cyclicity both characterised by simplicity",
+        "unique source and tableau-cyclicity both characterised by simplicity",
         8, _simplicity_cases, _case_simplicity,
     ),
     "cor-3.18": (
@@ -698,9 +679,10 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
 def run_claim(claim: str, max_n: int | None = None, jobs: int = 1) -> dict:
     """Check one claim on every case up to max_n (the claim's default if None).
 
-    Bad arguments raise `KeyError` or `ValueError`, as does a max_n at
-    which the claim has no case, and a max_n over a size bound raises
-    `BoundExceeded`, also from inside a case.  Any other
+    Bad arguments raise `KeyError` or `ValueError` before any case is
+    listed (a max_n or jobs that is not an int, or is a bool, included),
+    as does a max_n at which the claim has no case, and a max_n over a
+    size bound raises `BoundExceeded`, also from inside a case.  Any other
     exception a case raises is an internal error and is raised again as
     `RuntimeError`, so that a case's own `ValueError` is not taken for bad
     arguments.
@@ -710,10 +692,11 @@ def run_claim(claim: str, max_n: int | None = None, jobs: int = 1) -> dict:
     _, default_max_n, cases_of, check = CLAIMS[claim]
     if max_n is None:
         max_n = default_max_n
-    if max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    for name, value in (("max_n", max_n), ("jobs", jobs)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     cases = cases_of(max_n)
     if not cases:
         raise ValueError(f"{claim} has no case at max_n = {max_n}")

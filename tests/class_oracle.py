@@ -10,10 +10,16 @@ leaves it.  Action components are found by a search over sets of
 tableaux, each edge a new tableau from `pi_action`.  It shares none of the
 one-pass reading.  `indexed_action_components`, a search over indices
 into the listing with swapped positions as edges, is checked against it.
+
+Whether one tableau generates the whole tableau module is decided here by
+linear algebra: the closure of each basis vector in turn under the
+generators, by elimination (`cyclic_span`, `is_tableau_cyclic`).  The
+package decides it by reachability in its swap graph, with no module.
 """
 
 from spcthecke import permutations as P
 from spcthecke.compositions import check_composition
+from spcthecke.linalg import EchelonSpace
 from spcthecke.modules import HModule
 from spcthecke.tableaux import _SWAP, _steps, class_label, descent_set, enumerate_spct, is_attacking, pi_action
 
@@ -133,3 +139,55 @@ def indexed_action_components(ts):
             seen |= comp
             comps.append(frozenset(ts[k] for k in comp))
     return comps
+
+
+def cyclic_span(m, seed):
+    """Dimension of the submodule one vector generates: its closure under
+    the generators, by elimination."""
+    space = EchelonSpace(m.dim)
+    frontier = [dict(seed)] if space.add(seed) else []
+    while frontier:
+        v = frontier.pop()
+        for i in range(1, m.n):
+            w = m.act(i, v)
+            if w and space.add(w):
+                frontier.append(w)
+    return len(space)
+
+
+def is_tableau_cyclic(alpha, sigma):
+    """Whether some basis tableau generates the whole tableau module: the
+    closure of every basis vector in turn."""
+    m = tableau_module(alpha, sigma)
+    return m.dim > 0 and any(cyclic_span(m, {j: 1}) == m.dim for j in range(m.dim))
+
+
+def action_edges(ts):
+    """(j, i, k) for each tableau ts[j] and each i in order where
+    `pi_action` sends it to another tableau, ts[k]."""
+    index = {t: j for j, t in enumerate(ts)}
+    out = []
+    for j, t in enumerate(ts):
+        for i in range(1, t.n):
+            u = pi_action(t, i)
+            if u is not None and u != t:
+                out.append((j, i, index[u]))
+    return out
+
+
+def reachable_pairs(ts):
+    """The set of (t, u), t != u, with u reached from t by one or more
+    `pi_action` moves within ts, searched over sets of tableaux."""
+    succ = {t: set() for t in ts}
+    for j, _, k in action_edges(ts):
+        succ[ts[j]].add(ts[k])
+    out = set()
+    for t in ts:
+        seen, stack = set(), list(succ[t])
+        while stack:
+            u = stack.pop()
+            if u not in seen:
+                seen.add(u)
+                stack.extend(succ[u])
+        out |= {(t, u) for u in seen if u != t}
+    return out

@@ -18,8 +18,6 @@ from spcthecke.modules import (
     check_relations,
     class_submodules,
     composition_factors,
-    cyclic_span,
-    generates,
     graph_dot,
     hom_space,
     is_indecomposable,
@@ -110,7 +108,7 @@ def test_ribbon_module_variants():
         assert check_relations(ribbon_module((2, 2), variant)).ok
     star = ribbon_module((2, 1), "star")
     t0 = source_ribbon_tableau((2, 1))
-    assert generates(star, t0)
+    assert class_oracle.cyclic_span(star, {star.index(t0): 1}) == star.dim
 
 
 def test_check_relations_negative_control():
@@ -485,7 +483,7 @@ def test_action_components_match_the_set_search():
 
 
 def test_spct_cyclic_iff_one_source():
-    for n in range(1, 6):
+    for n in range(1, 8):
         for alpha, sigma in compatible_pairs(n):
             sources = [
                 t for t in enumerate_spct(alpha, sigma) if classify(t) in ("source", "both")
@@ -493,18 +491,61 @@ def test_spct_cyclic_iff_one_source():
             assert is_spct_cyclic(alpha, sigma) == (len(sources) == 1)
 
 
+def test_spct_cyclic_matches_the_all_basis_search():
+    # reachability in the swap graph against the closure of every basis
+    # vector by elimination; incompatible pairs have no tableau
+    for n in range(1, 7):
+        for alpha, sigma in compatible_pairs(n):
+            assert is_spct_cyclic(alpha, sigma) == class_oracle.is_tableau_cyclic(alpha, sigma), (alpha, sigma)
+    assert not is_spct_cyclic((1, 2), (2, 1))
+
+
+def _reach_oracle(graph):
+    """Whether some vertex reaches all, by a set search from every vertex."""
+    for root in range(len(graph)):
+        seen, stack = {root}, [root]
+        while stack:
+            for _, k in graph[stack.pop()]:
+                if k not in seen:
+                    seen.add(k)
+                    stack.append(k)
+        if len(seen) == len(graph):
+            return True
+    return False
+
+
+def test_one_reaches_all_on_every_small_digraph():
+    # every directed graph on at most 4 vertices, loops left out: the last
+    # walk root, and only a directed walk, decides (0 -> 1 <- 2 is
+    # connected, but no vertex reaches all)
+    for v in range(1, 5):
+        arcs = [(j, k) for j in range(v) for k in range(v) if j != k]
+        for bits in range(1 << len(arcs)):
+            graph = [[] for _ in range(v)]
+            for b, (j, k) in enumerate(arcs):
+                if bits >> b & 1:
+                    graph[j].append((b, k))
+            assert modules._one_reaches_all(graph) == _reach_oracle(graph), graph
+
+
 def test_cyclic_span_from_source_covers_class():
-    for alpha, sigma in [((2, 2), (1, 2)), ((2, 1, 1), (2, 3, 1)), ((3, 2), (2, 1))]:
-        m = spct_module(alpha, sigma)
-        for cl in equivalence_classes(m.basis):
-            assert cyclic_span(m, {m.index(cl.source): 1}) == len(cl.members)
+    # the closure of each class's source, by elimination in the whole
+    # module, has the class's dimension
+    for n in range(1, 7):
+        for alpha, sigma in compatible_pairs(n):
+            m = class_oracle.tableau_module(alpha, sigma)
+            for cl in equivalence_classes(m.basis):
+                assert class_oracle.cyclic_span(m, {m.index(cl.source): 1}) == len(cl.members)
 
 
 def test_word_transport_on_reachable_pairs():
     for n in range(1, 7):
         for alpha, sigma in compatible_pairs(n):
             for cl in equivalence_classes(enumerate_spct(alpha, sigma)):
-                for t, u in reachable_pairs(cl):
+                pairs = reachable_pairs(cl)
+                assert len(pairs) == len(set(pairs))
+                assert set(pairs) == class_oracle.reachable_pairs(cl.members), (alpha, sigma)
+                for t, u in pairs:
                     assert word_transport_holds(cl, t, u), (alpha, sigma, t.rows, u.rows)
 
 
@@ -546,3 +587,12 @@ def test_graph_dot_smoke():
     dot = graph_dot((2, 1), (2, 1))
     assert dot.startswith("digraph") and 'label="1"' in dot
     assert dot.count("->") == 1
+
+
+def test_graph_dot_edges_are_the_pi_action_moves():
+    for n in range(1, 6):
+        for alpha, sigma in compatible_pairs(n):
+            ts = enumerate_spct(alpha, sigma)
+            lines = ["digraph spct {"] + [f'  t{j} [label="{t.to_json()}"];' for j, t in enumerate(ts)]
+            lines += [f'  t{j} -> t{k} [label="{i}"];' for j, i, k in class_oracle.action_edges(ts)]
+            assert graph_dot(alpha, sigma) == "\n".join(lines + ["}"]), (alpha, sigma)

@@ -4,8 +4,9 @@ public method of a package class, has a caller in it.
 A name is called when the package's code refers to it, as a name or an
 attribute, outside the name's own definition.  A method is called only
 through an attribute (``x.method``), matched by name, so a local variable
-of the same name does not count; a method that shares its name with
-another attribute the package reads still passes.  Docstrings and
+of the same name does not count, and neither does a function read off a
+package module (``permutations.identity``); a method that shares its name
+with another attribute the package reads still passes.  Docstrings and
 doctests are strings, so a mention there does not count, and neither does
 an import.  The keep-list holds the
 paper constructions that only their tests check, and the methods that
@@ -37,6 +38,7 @@ KEEP = {
     "qsym.qs_to_f": "the QS -> F basis change, inverse to f_to_qs",
     "qsym.recursion_check": "the one-step characteristic recursion; thm-4.8 calls its core for cases already validated",
     "linalg.RatMat.col": "one column of a matrix, which the tests read",
+    "linalg.RatMat.identity": "identity matrices for the tests and their action oracle",
     "linalg.RatMat.from_dense": "hand-written matrices in the tests",
     "linalg.RatMat.to_dense": "dense entries for the tests' comparisons",
     "linalg.RatMat.is_zero": "the zero test of the matrix-product oracles",
@@ -59,9 +61,22 @@ def _public_defs(tree):
     ]
 
 
+def _package_modules(tree):
+    """The names a module binds to package modules (``from . import x as y``)."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+
+
 def _references(tree, skip=None, kinds=(ast.Name, ast.Attribute)):
     """Names and attributes the code refers to, outside the `skip` node;
-    `kinds` picks which of the two count."""
+    `kinds` picks which of the two count.  When only attributes count, an
+    attribute read off a package module (``permutations.identity``) is a
+    function, not a method, and does not count."""
+    modules = _package_modules(tree) if ast.Name not in kinds else set()
     out = set()
     stack = [tree]
     while stack:
@@ -69,7 +84,10 @@ def _references(tree, skip=None, kinds=(ast.Name, ast.Attribute)):
         if node is skip:
             continue
         if isinstance(node, kinds):
-            out.add(node.id if isinstance(node, ast.Name) else node.attr)
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                out.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
     return out
 

@@ -145,9 +145,12 @@ def test_trusted_tableaux_match_the_public_constructor():
                 assert is_valid_spct_rows(t.rows, sigma)
     for n in range(1, 7):
         for alpha, sigma in all_pairs(n):
-            for _, _, u in modules._moves(enumerate_spct(alpha, sigma)):
-                _assert_same_as_public(u)
-                assert is_valid_spct_rows(u.rows, sigma)
+            for t in enumerate_spct(alpha, sigma):
+                for i, step in enumerate(tableaux._steps(t), 1):
+                    if step == tableaux._SWAP:
+                        u = t.swap_values(i)
+                        _assert_same_as_public(u)
+                        assert is_valid_spct_rows(u.rows, sigma)
     for n in range(1, 8):
         for alpha in compositions(n):
             _assert_same_as_public(source_ribbon_tableau(alpha))

@@ -85,6 +85,40 @@ def _action(m):
     return m.n, m.dim, tuple(tuple(tuple(col.items()) for col in g) for g in m.cols)
 
 
+def test_each_class_is_reached_from_its_source_in_any_order():
+    # the walk starts at the flagged source wherever it is listed, so the
+    # members listed in reverse pass too
+    walked = 0
+    for n in range(1, 7):
+        for alpha, sigma in verify._compatible_pairs(n):
+            for cls, sids in tableaux._read_classes(tableaux._grouped(tableaux._enumerate_spct(alpha, sigma))):
+                assert verify._is_component(cls.members, sids)
+                assert verify._is_component(cls.members[::-1], sids[::-1]), (alpha, sigma, str(cls.label))
+                walked += len(cls.members) > 1
+    assert walked
+
+
+def test_a_group_without_its_source_is_reported():
+    for n in range(2, 7):
+        for alpha, sigma in verify._compatible_pairs(n):
+            for cls, sids in tableaux._read_classes(tableaux._grouped(tableaux._enumerate_spct(alpha, sigma))):
+                rest = [(t, s) for t, s in zip(cls.members, sids) if t is not cls.source]
+                if rest:
+                    assert not verify._is_component([t for t, _ in rest], [s for _, s in rest])
+
+
+@pytest.mark.parametrize("kwargs", [{"max_n": True}, {"max_n": 2.5}, {"max_n": "3"}, {"jobs": 1.5}, {"jobs": True}])
+def test_run_claim_refuses_a_size_that_is_not_an_int(kwargs, monkeypatch):
+    def unreachable(max_n):
+        raise AssertionError("cases were listed")
+
+    description, default, _, check = verify.CLAIMS["prop-3.4"]
+    monkeypatch.setitem(verify.CLAIMS, "prop-3.4", (description, default, unreachable, check))
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        verify.run_claim("prop-3.4", **kwargs)
+
+
 def test_equal_class_keys_mean_equal_actions():
     # equal keys mean equal columns, and the keys tell apart as many
     # modules as the columns do
