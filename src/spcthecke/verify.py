@@ -8,13 +8,15 @@ of `CLAIMS`, keyed by a stable claim id::
 `cases` lists every case up to the size cap and `check` returns the
 failures of one case.  Checks that run once per degree or once per claim
 are tagged cases like the rest.  `run_claim` maps the checker over the
-cases, in a process pool when asked, and returns a JSON-friendly report::
+cases, with `jobs` > 1 in this process and forked workers (`_run_cases`),
+and returns a JSON-friendly report::
 
     {"claim": ..., "parameters": {...}, "status": "pass"|"fail",
      "cases": <int>, "witness": <first failures, if any>}
 
-Checkers are module-level and take picklable arguments, and failures are
-sorted by case key, so the report is identical for any worker count.
+Cases and checkers reach the workers through fork, and only results and
+exceptions come back pickled.  Failures are sorted by case key, so the
+report is identical for any worker count.
 Cases hold normalised shapes and types, so checkers call the cores behind
 the validating public functions (`tableaux._enumerate_spct`, `maps._psi`
 and others).
@@ -42,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from collections import Counter
 from typing import Callable, Sequence
 
@@ -108,22 +111,111 @@ def _descent_triples(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int
     ]
 
 
+#: most chunks one fork-join hands out; their 4-byte tokens fill at most
+#: one page, which any pipe holds, so writing them all never blocks
+_MAX_CHUNKS = 1024
+
+
 def _run_cases(cases: Sequence, fn: Callable, jobs: int) -> list:
-    """Map fn over cases, in a pool of `jobs` processes when jobs > 1.
+    """Map fn over cases, in up to `jobs` processes when jobs > 1.
 
-    Case lists come smaller degree first, and a case costs more the larger
-    its degree, so the pool walks them backwards: a free worker takes the
-    next chunk of about len(cases) / (16 * jobs) cases, largest degree
-    first, and the small chunks at the end even out the finish.  Results
-    come back in case order.
+    With jobs > 1 the process forks workers and works as the last of them
+    itself: min(jobs, usable CPUs, chunks) processes in all, so the count
+    never exceeds what can run at once.  Case lists come smaller degree
+    first, and a case costs more the larger its degree, so the chunks walk
+    them backwards: each process takes the next chunk as it becomes free,
+    about len(cases) / (16 * workers) cases, largest degree first, and the
+    small chunks at the end even out the finish.  Results come back in
+    case order, so the worker count never changes them.  Where `os.fork`
+    does not exist, the cases run in this process.
     """
-    if jobs > 1 and len(cases) > 1:
-        import multiprocessing
+    workers = 1
+    if jobs > 1 and hasattr(os, "fork"):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(jobs, cpus, len(cases))
+    if workers < 2:
+        return [fn(c) for c in cases]
+    return _fork_join(cases[::-1], fn, workers)[::-1]
 
-        with multiprocessing.Pool(jobs) as pool:
-            out = pool.map(fn, cases[::-1], chunksize=max(1, len(cases) // (16 * jobs)))
-        return out[::-1]
-    return [fn(c) for c in cases]
+
+def _fork_join(cases: Sequence, fn: Callable, workers: int) -> list:
+    """Map fn over cases in this process and up to workers - 1 forked children.
+
+    The chunks' indices are written to one pipe as 4-byte tokens before
+    any fork; a pipe read takes a whole token, so each process reads the
+    next chunk whenever it is free, and stops at the end of the pipe.
+    Cases and fn reach the children through fork, so nothing is pickled on
+    the way out.  Each child sends back its chunks' results, or the
+    exception it raised, pickled through its own pipe, and ends with
+    `os._exit`.  A child that ends without sending (killed, say, or with
+    a result that does not pickle) is an internal error (`RuntimeError`).
+    On every exit path the children are reaped; when this process raises,
+    it kills them first.
+    """
+    import pickle
+    import signal
+
+    size = max(1, len(cases) // (16 * workers), -(-len(cases) // _MAX_CHUNKS))
+    starts = range(0, len(cases), size)
+
+    def take_chunks() -> dict[int, list]:
+        done = {}
+        while token := os.read(queue, 4):
+            k = int.from_bytes(token, "little")
+            done[k] = [fn(c) for c in cases[starts[k] : starts[k] + size]]
+        return done
+
+    queue, tokens = os.pipe()
+    children: dict[int, int] = {}  # pid -> read end of its result pipe
+    try:
+        with open(tokens, "wb") as fh:
+            fh.write(b"".join(k.to_bytes(4, "little") for k in range(len(starts))))
+        for _ in range(min(workers, len(starts)) - 1):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: the workers started so far do it all
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_end)
+                    try:
+                        message = (True, take_chunks())
+                    except BaseException as exc:  # raised again in the parent
+                        message = (False, exc)
+                    with open(write_end, "wb") as fh:
+                        fh.write(pickle.dumps(message))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            children[pid] = read_end
+        done = take_chunks()
+        for pid, read_end in list(children.items()):
+            data = b"".join(iter(functools.partial(os.read, read_end, 1 << 16), b""))
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            os.close(read_end)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"a worker process ended with status {code} before sending its results")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            done.update(value)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(queue)
+        for pid, read_end in children.items():
+            os.close(read_end)
+            os.waitpid(pid, 0)
+    return [result for k in range(len(starts)) for result in done[k]]
 
 
 def _report(claim: str, params: dict, failures: list, cases: int) -> dict:

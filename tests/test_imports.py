@@ -1,11 +1,14 @@
 """The package's modules import each other only at module level, and
 those imports form no cycle, so the layers in the package docstring are a
-real order.  Standard-library imports inside functions (such as
-`multiprocessing` in the process pool) are not the package's and are
-allowed.
+real order.  Standard-library imports inside functions (such as `pickle`
+in `verify --jobs`) are not the package's and are allowed; start-up
+loads neither `pickle` nor `multiprocessing`.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spcthecke"
@@ -72,3 +75,19 @@ def test_no_function_imports_a_package_module():
                     if _package_modules(node):
                         local.append(f"{name}.{fn.name}: {ast.unparse(node)}")
     assert not local, local
+
+
+def test_startup_loads_no_worker_machinery():
+    # `verify --jobs` imports pickle only when it forks; nothing imports multiprocessing
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import spcthecke.cli\n"
+        "seen = [sorted({'pickle', 'multiprocessing'} & set(sys.modules))]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    spcthecke.cli.main(['verify', '--list'])\n"
+        "seen.append(sorted({'pickle', 'multiprocessing'} & set(sys.modules)))\n"
+        "print(json.dumps(seen))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [[], []]

@@ -1,4 +1,4 @@
-"""The result records: cheap to import, picklable for the verify process pool."""
+"""The result records: cheap to import, and picklable, so `verify --jobs` workers can send them back."""
 
 import pickle
 import subprocess

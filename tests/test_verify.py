@@ -1,20 +1,140 @@
+import contextlib
 import itertools
 import json
+import os
+import signal
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import class_oracle
-from spcthecke import hecke, modules, tableaux, verify
+from spcthecke import cli, hecke, modules, tableaux, verify
+from spcthecke.compositions import BoundExceeded
 from spcthecke.verify import CLAIMS, _run_cases
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.json"
 
 
 def test_pool_keeps_case_order():
-    cases = list(range(-300, 300))
-    assert _run_cases(cases, abs, 2) == _run_cases(cases, abs, 1) == [abs(c) for c in cases]
+    # three cases at jobs=2 are fewer than the chunks of even one worker
+    for cases, jobs in ((list(range(-300, 300)), 2), (list(range(-300, 300)), 3), ([4, -5, 6], 2)):
+        assert _run_cases(cases, abs, jobs) == _run_cases(cases, abs, 1) == [abs(c) for c in cases]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block runs past seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def _in_a_worker(action):
+    """Yield a case function that calls action in a forked worker, and
+    that in this process waits at its first case until a worker has
+    started one, so a worker's case runs whatever the scheduling."""
+    parent = os.getpid()
+    ready_r, ready_w = os.pipe()
+    waited = []
+
+    def check(case):
+        if os.getpid() != parent:
+            os.write(ready_w, b"x")
+            action()
+        elif not waited:
+            waited.append(os.read(ready_r, 1))
+        return []
+
+    try:
+        yield check
+    finally:
+        os.close(ready_r)
+        os.close(ready_w)
+
+
+def test_jobs_run_no_more_processes_than_cpus(monkeypatch):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert _run_cases(list(range(50)), abs, 10**6) == list(range(50))
+    # this process works as the last worker
+    assert len(forks) == min(cpus, 50) - 1
+    _no_child_left()
+
+
+def test_a_failed_fork_leaves_the_work_to_this_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _run_cases(list(range(-50, 50)), abs, 2) == [abs(c) for c in range(-50, 50)]
+
+
+def test_a_dead_worker_is_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    desc, default, cases_of, _ = CLAIMS["thm-3.1"]
+    with _in_a_worker(lambda: os.kill(os.getpid(), signal.SIGKILL)) as check, _deadline(20):
+        monkeypatch.setitem(CLAIMS, "thm-3.1", (desc, default, cases_of, check))
+        assert cli.main(["verify", "thm-3.1", "--max-n", "4", "--jobs", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: internal: a worker process ended with status {-signal.SIGKILL} before sending its results\n"
+    )
+    _no_child_left()
+
+
+def test_a_workers_exception_keeps_its_type_and_message(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def exceed():
+        raise BoundExceeded("n = 9 exceeds bound 8")
+
+    with _in_a_worker(exceed) as check, _deadline(20):
+        with pytest.raises(BoundExceeded, match="^n = 9 exceeds bound 8$"):
+            _run_cases(list(range(40)), check, 2)
+    _no_child_left()
+
+
+def test_a_failing_parent_stops_its_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parent = os.getpid()
+
+    def check(case):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(0.2)  # 40 one-case chunks: 8 s for a worker left running
+        return []
+
+    start = time.monotonic()
+    with _deadline(20), pytest.raises(KeyboardInterrupt):
+        _run_cases(list(range(40)), check, 2)
+    assert time.monotonic() - start < 3
+    _no_child_left()
 
 
 def test_benchmark_case_counts():
