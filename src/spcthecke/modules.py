@@ -695,8 +695,11 @@ def is_spct_cyclic(alpha: Sequence[int], sigma: Sequence[int]) -> bool:
     narrower than the module being cyclic.  pi_i sends a tableau to zero,
     to itself or to one other tableau, so a tableau generates the span of
     the tableaux it reaches in the swap graph (`tableaux._swap_graph`)."""
-    alpha, sigma = tableaux._check_pair(alpha, sigma)
-    ts = tableaux._enumerate_spct(alpha, sigma)
+    return _spct_cyclic(tableaux._enumerate_spct(*tableaux._check_pair(alpha, sigma)))
+
+
+def _spct_cyclic(ts: Sequence[tableaux.Spct]) -> bool:
+    """`is_spct_cyclic` of the pair whose listed tableaux are ts."""
     return bool(ts) and _one_reaches_all(tableaux._swap_graph(ts, [tableaux._step_id(t) for t in ts]))
 
 

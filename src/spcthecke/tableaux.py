@@ -30,10 +30,12 @@ once per smaller tableau; a smaller pair with no tableau is kept empty.  A new
 tableau is those raised rows with 1 appended to row m or (1,) inserted as
 row m, and its positions are the smaller tableau's, each cell moved down
 a row below an inserted row, with the cell of 1 in front: no position is
-read off the rows again.  A pair requested through `enumerate_spct` that
-the memo lacks is built from it and kept only in a small cache of recent
-requests.  So the largest degree a caller walks, which holds most of the
-tableaux and which no construction reads again, is never held in full.
+read off the rows again.  A pair the memo lacks is built from it and
+not kept.  So the largest degree a caller walks, which holds most of the tableaux and which no construction reads
+again, is never held in full; a caller that walks the larger degrees
+first finds each smaller pair in the memo, built once.  Existence is
+memoised the same way: `_has_spct` stores only the answers of the
+smaller pairs its moves reach.
 An `Srt` is enumerated by column-major backtracking.  The two
 enumerators are the only size-guarded entry points here: each refuses an
 n above `DEFAULT_TABLEAU_BOUND` unless given a larger `bound`.
@@ -368,9 +370,14 @@ def spct_exists(alpha: Sequence[int], sigma: Sequence[int]) -> bool:
     return _spct_exists(*_check_pair(alpha, sigma))
 
 
-@lru_cache(maxsize=200_000)
-def _spct_exists(alpha: Composition, sigma: Permutation) -> bool:
+def _has_spct(alpha: Composition, sigma: Permutation) -> bool:
+    """`spct_exists` for a pair already validated, storing the answers of
+    the smaller pairs its moves reach (`_spct_exists`) and not its own, so
+    a walk over every pair of a degree keeps none of them."""
     return not alpha or any(_spct_exists(b, s) for _, b, s in _entry_one_moves(alpha, sigma))
+
+
+_spct_exists = lru_cache(maxsize=200_000)(_has_spct)
 
 
 def enumerate_spct(
@@ -386,9 +393,8 @@ def enumerate_spct(
     out sorted by column reading word.  Returns () exactly when the pair
     is incompatible, which is verified against `is_compatible` rather than
     assumed.  A pair the recursion has read comes from its memo; any other
-    is built from the memo and kept, on the normalised (alpha, sigma), in
-    a cache of the last `_REQUESTED_PAIRS` requests only, which is what
-    `enumerate_spct.cache_info()` reports.  `bound` only guards the size.
+    is built from the memo and not kept, so a caller that asks for a pair
+    again keeps it itself.  `bound` only guards the size.
 
     >>> [t.rows for t in enumerate_spct((2, 1), (2, 1))]
     [((3, 2), (1,)), ((3, 1), (2,))]
@@ -403,7 +409,7 @@ def _enumerate_spct(alpha: Composition, sigma: Permutation, bound: int = DEFAULT
     if sum(alpha) > bound:
         raise BoundExceeded(f"n = {sum(alpha)} exceeds tableau enumeration bound {bound}")
     listed = _SMALLER.get((alpha, sigma))
-    return _requested_spct(alpha, sigma) if listed is None else listed[0]
+    return _build_spct(alpha, sigma) if listed is None else listed[0]
 
 
 _Rows = tuple[tuple[int, ...], ...]
@@ -412,7 +418,8 @@ _Rows = tuple[tuple[int, ...], ...]
 #: each tableau's rows raised by one (every entry v as v + 1), which is
 #: what the next size up extends.  Only the recursion fills it, so it
 #: holds pairs below the largest degree requested, never the top-degree
-#: pairs no later construction reads.  A smaller pair a move reaches that
+#: pairs no later construction reads; a caller reading a smaller pair
+#: after a larger one reads it from here.  A smaller pair a move reaches that
 #: has no tableau is kept too, empty, so no move is walked twice to test
 #: existence first: listing every pair with n <= 8 keeps 1,348 empty pairs
 #: beside the 9,115 with tableaux.
@@ -427,13 +434,6 @@ def _smaller_spct(alpha: Composition, sigma: Permutation) -> tuple[tuple[Spct, .
         raised = tuple([tuple([tuple([v + 1 for v in row]) for row in t.rows]) for t in ts])
         listed = _SMALLER[alpha, sigma] = (ts, raised)
     return listed
-
-
-#: Every claim requests each pair once, except thm-3.15, whose cyclicity
-#: check repeats pairs with n <= 6, and prop-4.6 and thm-4.8, whose 7,830
-#: requests for 1,950 pairs at n <= 6 come back within this many other
-#: requests: at this size they miss once per pair, as with no limit.
-_REQUESTED_PAIRS = 1024
 
 
 class _RowInserted(dict):
@@ -510,10 +510,6 @@ def _build_spct(alpha: Composition, sigma: Permutation) -> tuple[Spct, ...]:
     chain, zip_longest = itertools.chain.from_iterable, itertools.zip_longest
     keyed = sorted((tuple(chain(zip_longest(*t.rows))), t) for run in runs for t in run)
     return tuple([t for _, t in keyed])
-
-
-_requested_spct = lru_cache(maxsize=_REQUESTED_PAIRS)(_build_spct)
-enumerate_spct.cache_info = _requested_spct.cache_info
 
 
 def enumerate_srt(alpha: Sequence[int], bound: int = DEFAULT_TABLEAU_BOUND) -> tuple[Srt, ...]:

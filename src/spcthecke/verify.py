@@ -5,21 +5,32 @@ of `CLAIMS`, keyed by a stable claim id::
 
     claim id -> (description, default max_n, cases(max_n), check(case))
 
-`cases` lists every case up to the size cap and `check` returns the
-failures of one case.  Checks that run once per degree or once per claim
-are tagged cases like the rest.  `run_claim` maps the checker over the
-cases, with `jobs` > 1 in this process and forked workers (`_run_cases`),
-and returns a JSON-friendly report::
+`cases` returns every case up to the size cap as a short list of lazy
+chunks (`_stream`), built before any case runs, so a size bound is
+refused first; each chunk lists its cases (`_expand`) only in the
+process that takes it, and the chunks go largest degree first.  `check`
+returns the failures of one case.  Checks that run once per degree or
+once per claim are tagged cases like the rest.  `run_claim` runs the
+checker over the chunks, with `jobs` > 1 in this process and forked
+workers (`_run_cases`), counts the cases as they run, keeps of the
+failures only their count and the first 10 by repr, and returns a
+JSON-friendly report::
 
     {"claim": ..., "parameters": {...}, "status": "pass"|"fail",
      "cases": <int>, "witness": <first failures, if any>}
 
-Cases and checkers reach the workers through fork, and only results and
-exceptions come back pickled.  Failures are sorted by case key, so the
-report is identical for any worker count.
+Chunks and checkers reach the workers through fork, and only each
+chunk's counts and witnesses, or an exception, come back pickled.  The
+witnesses are the first failures by repr, so the report is identical for
+any worker count and chunk order.
 Cases hold normalised shapes and types, so checkers call the cores behind
 the validating public functions (`tableaux._enumerate_spct`, `maps._psi`
-and others).
+and others), which keep nothing of a case's pair.  What is read again is
+kept where it is read: the smaller pairs a larger one is built from, in
+the recursion's memo (`tableaux._SMALLER`), which the largest-first order
+fills before the smaller degrees' cases read it; a case's own tableaux,
+handed on within the case; and, for prop-4.6 and thm-4.2, the pairs with
+one multiset of parts (`_same_parts_spct`).
 
 lem-2.7 reads each tableau once (`tableaux._read_classes`): each class
 has one source and one sink, and a directed walk from the source along
@@ -41,12 +52,15 @@ leaves the claim.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import heapq
 import itertools
 import math
 import os
 from collections import Counter
-from typing import Callable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .compositions import (
     BoundExceeded,
@@ -70,30 +84,111 @@ from . import tableaux
 #: largest n for the module-level checks of thm-3.15 and cor-3.18
 _MODULE_MAX_N = 6
 
+#: failures a report shows, the smallest by repr
+_WITNESSES = 10
 
-def _upto(max_n: int, per_degree: Callable[[int], Sequence]) -> list:
-    """The cases of every degree from 1 through max_n, smaller first."""
-    return [case for n in range(1, max_n + 1) for case in per_degree(n)]
+#: most chunks a claim's cases come in: enough for the workers to even
+#: out their finish, few enough that listing a chunk costs little beside
+#: its cases; their 4-byte tokens fill less than one page, which any pipe
+#: holds, so writing them all never blocks
+_MAX_CHUNKS = 128
 
 
-def _upto_algebra(max_n: int, per_degree: Callable[[int], Sequence]) -> list:
-    """`_upto` for claims that build algebra modules, refusing a max_n
+class _Types(NamedTuple):
+    """The cases fn(shape, types) for the types of the shape's length that
+    begin with prefix, in lexicographic order: (len(shape) - len(prefix))!
+    of them, split by longer prefixes."""
+
+    fn: Callable[[Composition, Iterator[tuple[int, ...]]], Iterable]
+    shape: Composition
+    prefix: tuple[int, ...] = ()
+
+    @property
+    def weight(self) -> int:
+        return math.factorial(len(self.shape) - len(self.prefix))
+
+    def _rest(self) -> list[int]:
+        return [v for v in range(1, len(self.shape) + 1) if v not in self.prefix]
+
+    def split(self, size: int) -> list[_Types]:
+        """The pieces of weight at most size whose prefixes extend this one."""
+        free = left = len(self.shape) - len(self.prefix)
+        while math.factorial(left) > size:
+            left -= 1
+        return [_Types(self.fn, self.shape, self.prefix + p) for p in itertools.permutations(self._rest(), free - left)]
+
+    def cases(self) -> Iterable:
+        return self.fn(self.shape, map(self.prefix.__add__, itertools.permutations(self._rest())))
+
+
+class _Cases(tuple):
+    """Cases listed ahead, for a family with few cases in a degree."""
+
+    @property
+    def weight(self) -> int:
+        return len(self)
+
+    def split(self, size: int) -> list[_Cases]:
+        return [_Cases(self[k : k + size]) for k in range(0, len(self), size)]
+
+    def cases(self) -> Iterable:
+        return self
+
+
+def _shapes(fn: Callable) -> Callable[[int], list[_Types]]:
+    """The family of fn over each composition of n with all its types, the
+    compositions grouped by their sorted parts."""
+    return lambda n: [_Types(fn, alpha) for group in _compositions_by_sorted_parts(n).values() for alpha in group]
+
+
+def _listed(per_degree: Callable[[int], Sequence]) -> Callable[[int], list[_Cases]]:
+    """The family of the cases per_degree(n) lists."""
+    return lambda n: [_Cases(per_degree(n))]
+
+
+def _stream(max_n: int, *families: Callable[[int], list], last: Sequence = ()) -> list[tuple]:
+    """A claim's cases as at most `_MAX_CHUNKS` chunks, listing none of them.
+
+    The pieces are each family's in each degree, largest degree first, and
+    then `last`.  A piece weighs its cases, or its types before they are
+    filtered; with size the total weight over half of `_MAX_CHUNKS`, a
+    piece heavier than size is split into pieces of at most size, and
+    consecutive pieces share a chunk while their weights sum to at most
+    size.  Two chunks in a row then weigh more than size, which bounds
+    their count.  A chunk is a tuple of pieces, and `_expand` lists its
+    cases.
+    """
+    pieces = [piece for n in range(max_n, 0, -1) for family in families for piece in family(n)]
+    if last:
+        pieces.append(_Cases(last))
+    size = -(-sum(piece.weight for piece in pieces) // (_MAX_CHUNKS // 2))
+    chunks, chunk, weight = [], [], 0
+    pieces.reverse()
+    while pieces:
+        piece = pieces.pop()
+        if piece.weight > size:
+            pieces += reversed(piece.split(size))
+            continue
+        if chunk and weight + piece.weight > size:
+            chunks.append(tuple(chunk))
+            chunk, weight = [], 0
+        chunk.append(piece)
+        weight += piece.weight
+    if chunk:
+        chunks.append(tuple(chunk))
+    return chunks
+
+
+def _algebra_stream(max_n: int, *families: Callable[[int], list], last: Sequence = ()) -> list[tuple]:
+    """`_stream` for claims that build algebra modules, refusing a max_n
     above the algebra bound before any case is listed or run."""
     hecke._check_algebra_bound(max_n)
-    return _upto(max_n, per_degree)
+    return _stream(max_n, *families, last=last)
 
 
-def _all_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every (shape, type) pair in one degree."""
-    out = []
-    for alpha in compositions(n):
-        for sigma in perms.all_perms(len(alpha)):
-            out.append((alpha, sigma))
-    return out
-
-
-def _compatible_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    return [(a, s) for a, s in _all_pairs(n) if tableaux._compatible(a, s)]
+def _expand(chunk: Sequence) -> Iterator:
+    """The cases of a chunk, listed as they are taken."""
+    return itertools.chain.from_iterable(piece.cases() for piece in chunk)
 
 
 def _subsets(n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -101,76 +196,102 @@ def _subsets(n: int) -> list[tuple[int, tuple[int, ...]]]:
     return [(n, sub) for r in range(n) for sub in itertools.combinations(range(1, n), r)]
 
 
-def _descent_triples(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """(shape, type, i) for every descent i of the type, over all pairs."""
-    return [
-        (alpha, sigma, i)
-        for alpha, sigma in _all_pairs(n)
-        for i in range(1, len(alpha))
-        if sigma[i - 1] > sigma[i]
-    ]
+def _all_types(alpha: Composition, types: Iterable[tuple[int, ...]]) -> Iterator:
+    return zip(itertools.repeat(alpha), types)
 
 
-#: most chunks one fork-join hands out; their 4-byte tokens fill at most
-#: one page, which any pipe holds, so writing them all never blocks
-_MAX_CHUNKS = 1024
+def _compatible_types(alpha: Composition, types: Iterable[tuple[int, ...]]) -> Iterator:
+    return ((alpha, sigma) for sigma in types if tableaux._compatible(alpha, sigma))
 
 
-def _run_cases(cases: Sequence, fn: Callable, jobs: int) -> list:
-    """Map fn over cases, in up to `jobs` processes when jobs > 1.
+def _tagged(tag: str, alpha: Composition, types: Iterable[tuple[int, ...]]) -> Iterator:
+    return ((tag, pair) for pair in _compatible_types(alpha, types))
 
-    With jobs > 1 the process forks workers and works as the last of them
-    itself: min(jobs, usable CPUs, chunks) processes in all, so the count
-    never exceeds what can run at once.  Case lists come smaller degree
-    first, and a case costs more the larger its degree, so the chunks walk
-    them backwards: each process takes the next chunk as it becomes free,
-    about len(cases) / (16 * workers) cases, largest degree first, and the
-    small chunks at the end even out the finish.  Results come back in
-    case order, so the worker count never changes them.  Where `os.fork`
-    does not exist, the cases run in this process.
+
+def _descent_types(alpha: Composition, types: Iterable[tuple[int, ...]]) -> Iterator:
+    """(shape, type, i) for every descent i of each type."""
+    return ((alpha, sigma, i) for sigma in types for i in range(1, len(alpha)) if sigma[i - 1] > sigma[i])
+
+
+def _run_chunk(chunk: Sequence, check: Callable) -> tuple[int, int, list]:
+    """check over a chunk's cases: the cases, the failures, and the first
+    `_WITNESSES` failures by repr, which are all a report can show.
+
+    Each failure's repr is taken once; one no smaller than the last kept
+    is dropped, and one equal to a kept one goes after it, as in a stable
+    sort."""
+    cases = failed = 0
+    kept: list[tuple[str, object]] = []  # (repr, failure), sorted by repr
+    for cases, bad in enumerate(map(check, _expand(chunk)), 1):
+        if bad:
+            failed += len(bad)
+            for failure in bad:
+                key = repr(failure)
+                if len(kept) < _WITNESSES or key < kept[-1][0]:
+                    bisect.insort(kept, (key, failure), key=itemgetter(0))
+                    del kept[_WITNESSES:]
+    return cases, failed, [failure for _, failure in kept]
+
+
+def _run_cases(chunks: Sequence, check: Callable, jobs: int) -> tuple[int, int, list]:
+    """check over the cases of every chunk, in up to `jobs` processes when
+    jobs > 1: the cases, the failures, and the first `_WITNESSES` failures
+    by repr.
+
+    Each chunk lists its cases in the process that takes it and keeps only
+    its counts and witnesses (`_run_chunk`).  The first failures of all
+    lie among the first of each chunk, so merging them gives the same
+    witnesses in any order the chunks run.  With jobs > 1 the process
+    forks workers and works as the last of them itself: min(jobs, usable
+    CPUs, chunks) processes in all, so the count never exceeds what can
+    run at once.  Chunks come largest degree first, and a case costs more
+    the larger its degree, so each process takes the next chunk as it
+    becomes free and the small chunks at the end even out the finish.
+    Where `os.fork` does not exist, the chunks run in this process.
     """
     workers = 1
     if jobs > 1 and hasattr(os, "fork"):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        workers = min(jobs, cpus, len(cases))
+        workers = min(jobs, cpus, len(chunks))
     if workers < 2:
-        return [fn(c) for c in cases]
-    return _fork_join(cases[::-1], fn, workers)[::-1]
+        results = [_run_chunk(chunk, check) for chunk in chunks]
+    else:
+        results = _fork_join(chunks, check, workers)
+    witness = heapq.nsmallest(_WITNESSES, itertools.chain.from_iterable(r[2] for r in results), key=repr)
+    return sum(r[0] for r in results), sum(r[1] for r in results), witness
 
 
-def _fork_join(cases: Sequence, fn: Callable, workers: int) -> list:
-    """Map fn over cases in this process and up to workers - 1 forked children.
+def _fork_join(chunks: Sequence, check: Callable, workers: int) -> list[tuple[int, int, list]]:
+    """`_run_chunk` over at most `_MAX_CHUNKS` chunks, in this process and
+    workers - 1 forked children, in chunk order.
 
     The chunks' indices are written to one pipe as 4-byte tokens before
     any fork; a pipe read takes a whole token, so each process reads the
     next chunk whenever it is free, and stops at the end of the pipe.
-    Cases and fn reach the children through fork, so nothing is pickled on
-    the way out.  Each child sends back its chunks' results, or the
-    exception it raised, pickled through its own pipe, and ends with
-    `os._exit`.  A child that ends without sending (killed, say, or with
-    a result that does not pickle) is an internal error (`RuntimeError`).
-    On every exit path the children are reaped; when this process raises,
-    it kills them first.
+    Chunks and check reach the children through fork, so nothing is
+    pickled on the way out.  Each child sends back its chunks' results,
+    or the exception it raised, pickled through its own pipe, and ends
+    with `os._exit`.  A child that ends without sending (killed, say, or
+    with a result that does not pickle) is an internal error
+    (`RuntimeError`).  On every exit path the children are reaped; when
+    this process raises, it kills them first.
     """
     import pickle
     import signal
 
-    size = max(1, len(cases) // (16 * workers), -(-len(cases) // _MAX_CHUNKS))
-    starts = range(0, len(cases), size)
-
-    def take_chunks() -> dict[int, list]:
+    def take_chunks() -> dict[int, tuple[int, int, list]]:
         done = {}
         while token := os.read(queue, 4):
             k = int.from_bytes(token, "little")
-            done[k] = [fn(c) for c in cases[starts[k] : starts[k] + size]]
+            done[k] = _run_chunk(chunks[k], check)
         return done
 
     queue, tokens = os.pipe()
     children: dict[int, int] = {}  # pid -> read end of its result pipe
     try:
         with open(tokens, "wb") as fh:
-            fh.write(b"".join(k.to_bytes(4, "little") for k in range(len(starts))))
-        for _ in range(min(workers, len(starts)) - 1):
+            fh.write(b"".join(k.to_bytes(4, "little") for k in range(len(chunks))))
+        for _ in range(workers - 1):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -215,18 +336,7 @@ def _fork_join(cases: Sequence, fn: Callable, workers: int) -> list:
         for pid, read_end in children.items():
             os.close(read_end)
             os.waitpid(pid, 0)
-    return [result for k in range(len(starts)) for result in done[k]]
-
-
-def _report(claim: str, params: dict, failures: list, cases: int) -> dict:
-    failures = sorted(failures, key=repr)
-    return {
-        "claim": claim,
-        "parameters": params,
-        "status": "pass" if not failures else "fail",
-        "cases": cases,
-        "witness": failures[:10],
-    }
+    return [done[k] for k in range(len(chunks))]
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +380,9 @@ def _invariant(fn: Callable, n: int, members: Sequence[tableaux.Spct], sids: tup
 # criterion 1: generator relations on every module
 
 
-def _relation_modules(n: int) -> list:
-    cases = [("spct", p) for p in _compatible_pairs(n)]
-    cases += [("ribbon", (a, v)) for a in compositions(n) for v in modules.RIBBON_VARIANTS]
+def _algebra_modules(n: int) -> list:
+    """The ribbon, regular and ideal cases of rel-2.1 in one degree."""
+    cases = [("ribbon", (a, v)) for a in compositions(n) for v in modules.RIBBON_VARIANTS]
     cases.append(("regular", n))
     return cases + [("pim", p) for p in _subsets(n)]
 
@@ -296,9 +406,9 @@ def _case_relations(case) -> list:
 
 
 def _case_compat(case) -> list:
-    # the pair comes from `_all_pairs`, so neither side re-validates it
+    # the pair comes from `_all_types`, so neither side re-validates it
     alpha, sigma = case
-    nonempty = tableaux._spct_exists(alpha, sigma)
+    nonempty = tableaux._has_spct(alpha, sigma)
     if nonempty != tableaux._compatible(alpha, sigma):
         return [{"alpha": alpha, "sigma": sigma, "nonempty": nonempty}]
     return []
@@ -334,11 +444,9 @@ def _is_component(members: Sequence[tableaux.Spct], sids: Sequence[int]) -> bool
 # criterion 4: unique source / cyclicity / longest-element special case
 
 
-def _simplicity_cases(max_n: int) -> list:
-    pairs = [
-        ("pair", (a, s, n <= _MODULE_MAX_N)) for n in range(1, max_n + 1) for a, s in _compatible_pairs(n)
-    ]
-    return pairs + [("w0", alpha) for alpha in _upto(max_n, compositions)]
+def _simplicity_types(alpha: Composition, types: Iterable[tuple[int, ...]]) -> Iterator:
+    module_level = sum(alpha) <= _MODULE_MAX_N
+    return (("pair", (a, s, module_level)) for a, s in _compatible_types(alpha, types))
 
 
 def _case_simplicity(case) -> list:
@@ -347,7 +455,7 @@ def _case_simplicity(case) -> list:
     if kind == "w0":
         alpha = payload
         w0 = perms.longest_element(len(alpha))
-        if tableaux._spct_exists(alpha, w0) != is_partition(alpha):
+        if tableaux._has_spct(alpha, w0) != is_partition(alpha):
             bad.append({"alpha": alpha, "error": "w0 nonempty != partition"})
         if is_partition(alpha) and not tableaux._sigma_simple(alpha, w0):
             bad.append({"alpha": alpha, "error": "partition not w0-simple"})
@@ -362,7 +470,7 @@ def _case_simplicity(case) -> list:
         if sources[0].rows != tableaux._canonical_rows(alpha, sigma):
             bad.append({"alpha": alpha, "sigma": sigma, "error": "unique source is not canonical"})
     if module_level:
-        cyclic = modules.is_spct_cyclic(alpha, sigma)
+        cyclic = modules._spct_cyclic(ts)
         if cyclic != simple:
             bad.append({"alpha": alpha, "sigma": sigma, "cyclic": cyclic, "simple": simple})
     return bad
@@ -371,7 +479,7 @@ def _case_simplicity(case) -> list:
 def _case_w0_classification(alpha) -> list:
     bad = []
     w0 = perms.longest_element(len(alpha))
-    nonempty = tableaux._spct_exists(alpha, w0)
+    nonempty = tableaux._has_spct(alpha, w0)
     if nonempty != is_partition(alpha):
         bad.append({"alpha": alpha, "nonempty": nonempty})
     if sum(alpha) <= _MODULE_MAX_N:
@@ -408,10 +516,6 @@ def _case_indecomposable(case) -> list:
 # criterion 6: the column-sort bijection and the type-change image law
 
 
-def _column_sort_pairs(n: int) -> list:
-    return [(lam, sigma) for lam in partitions(n) for sigma in perms.all_perms(len(lam))]
-
-
 @functools.lru_cache(maxsize=None)
 def _compositions_by_sorted_parts(n: int) -> dict[Composition, tuple[Composition, ...]]:
     """The compositions of n grouped by their sorted parts, each group in
@@ -422,6 +526,26 @@ def _compositions_by_sorted_parts(n: int) -> dict[Composition, tuple[Composition
     return {lam: tuple(group) for lam, group in groups.items()}
 
 
+#: The tableaux of the pairs read so far whose shapes have the one key's
+#: sorted parts.  prop-4.6 and thm-4.2 read a pair again only from a case
+#: with the same parts, and their cases come grouped by them, so this
+#: holds what is read again and no more.
+_SAME_PARTS: dict[Composition, dict[tuple[Composition, tuple[int, ...]], tuple]] = {}
+
+
+def _same_parts_spct(parts: Composition, alpha: Composition, sigma: tuple[int, ...]) -> tuple:
+    """`tableaux._enumerate_spct` of a pair whose shape has the sorted parts
+    `parts`, through `_SAME_PARTS`; other parts empty it first."""
+    memo = _SAME_PARTS.get(parts)
+    if memo is None:
+        _SAME_PARTS.clear()
+        memo = _SAME_PARTS[parts] = {}
+    ts = memo.get((alpha, sigma))
+    if ts is None:
+        ts = memo[alpha, sigma] = tableaux._enumerate_spct(alpha, sigma)
+    return ts
+
+
 def _case_column_sort(case) -> list:
     lam, sigma = case
     bad = []
@@ -429,7 +553,7 @@ def _case_column_sort(case) -> list:
     union = []
     for alpha in _compositions_by_sorted_parts(sum(lam))[lam]:
         union.extend(tableaux._enumerate_spct(alpha, sigma))
-    target = set(tableaux._enumerate_spct(lam, w0))
+    target = set(_same_parts_spct(lam, lam, w0))
     images = set()
     for t in union:
         rt = maps.rho(t)
@@ -450,15 +574,16 @@ def _case_image_law(case) -> list:
     alpha, sigma, i = case
     bad = []
     shorter = perms._times_s(sigma, i)
+    parts = tuple(sorted(alpha, reverse=True))
     image = set()
-    for t in tableaux._enumerate_spct(alpha, sigma):
+    for t in _same_parts_spct(parts, alpha, sigma):
         u = maps._psi(t, shorter)
         image.add(u)
         if tableaux.descent_set(u) != tableaux.descent_set(t):
             bad.append({"alpha": alpha, "sigma": sigma, "i": i, "error": "descents moved"})
     expected = set()
     for beta in _bubble_fiber_word(alpha, (i,)):
-        expected.update(tableaux._enumerate_spct(beta, shorter))
+        expected.update(_same_parts_spct(parts, beta, shorter))
     if image != expected:
         bad.append(
             {
@@ -477,7 +602,7 @@ def _case_image_law(case) -> list:
 
 
 def _case_recursion(case) -> list:
-    # the case comes from `_descent_triples`, so the type descends at i
+    # the case comes from `_descent_types`, so the type descends at i
     alpha, sigma, i = case
     if not qsym._recursion_holds(alpha, sigma, i):
         return [{"alpha": alpha, "sigma": sigma, "i": i}]
@@ -513,10 +638,6 @@ def _case_basis(n: int) -> list:
 
 # ---------------------------------------------------------------------------
 # criterion 9: sign conjugation, the projected transpose, and its kernel
-
-
-def _section5_cases(n: int) -> list:
-    return [("iota", a) for a in compositions(n)] + [("prc", p) for p in _compatible_pairs(n)]
 
 
 def _case_section5(case) -> list:
@@ -701,69 +822,77 @@ def _case_pim(case) -> list:
 CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] = {
     "rel-2.1": (
         "generator relations hold on every constructed module",
-        7, lambda m: _upto_algebra(m, _relation_modules), _case_relations,
+        7,
+        lambda m: _algebra_stream(m, _shapes(functools.partial(_tagged, "spct")), _listed(_algebra_modules)),
+        _case_relations,
     ),
     "prop-3.4": (
         "tableau set nonempty exactly for compatible shape/type",
-        8, lambda m: _upto(m, _all_pairs), _case_compat,
+        8, lambda m: _stream(m, _shapes(_all_types)), _case_compat,
     ),
     "lem-2.7": (
         "each class has one source, one sink, and is a component generated by its source",
-        8, lambda m: _upto(m, _compatible_pairs), _case_classes,
+        8, lambda m: _stream(m, _shapes(_compatible_types)), _case_classes,
     ),
     "thm-3.15": (
         "unique source and tableau-cyclicity both characterised by simplicity",
-        8, _simplicity_cases, _case_simplicity,
+        8,
+        lambda m: _stream(m, _shapes(_simplicity_types), _listed(lambda n: [("w0", a) for a in compositions(n)])),
+        _case_simplicity,
     ),
     "cor-3.18": (
         "longest-element modules detect partitions",
-        8, lambda m: _upto(m, compositions), _case_w0_classification,
+        8, lambda m: _stream(m, _listed(compositions)), _case_w0_classification,
     ),
     "thm-3.1": (
         "every class submodule has a local endomorphism ring",
-        8, lambda m: _upto(m, _compatible_pairs), _case_indecomposable,
+        8, lambda m: _stream(m, _shapes(_compatible_types)), _case_indecomposable,
     ),
     "thm-4.2": (
         "column sort is a descent-preserving bijection with greedy inverse",
-        6, lambda m: _upto(m, _column_sort_pairs), _case_column_sort,
+        6, lambda m: _stream(m, lambda n: [_Types(_all_types, lam) for lam in partitions(n)]), _case_column_sort,
     ),
     "prop-4.6": (
         "type-change image is the bubble-fiber disjoint union",
-        6, lambda m: _upto(m, _descent_triples), _case_image_law,
+        6, lambda m: _stream(m, _shapes(_descent_types)), _case_image_law,
     ),
     "thm-4.8": (
         "characteristic satisfies the one-step type recursion",
-        6, lambda m: _upto(m, _descent_triples), _case_recursion,
+        6, lambda m: _stream(m, _shapes(_descent_types)), _case_recursion,
     ),
     "cor-4.9": (
         "partition shapes with reversing type give Schur functions",
-        8, lambda m: _upto(m, partitions), _case_schur,
+        8, lambda m: _stream(m, _listed(partitions)), _case_schur,
     ),
     "cor-4.11": (
         "partition-shape characteristics form a lattice basis",
-        8, lambda m: list(range(1, m + 1)), _case_basis,
+        8, lambda m: _stream(m, _listed(lambda n: [n])), _case_basis,
     ),
     "thm-5.5": (
         "sign conjugation and the projected transpose with its kernel",
-        6, lambda m: _upto(m, _section5_cases), _case_section5,
+        6,
+        lambda m: _stream(
+            m, _listed(lambda n: [("iota", a) for a in compositions(n)]), _shapes(functools.partial(_tagged, "prc"))
+        ),
+        _case_section5,
     ),
     "cor-5.6": (
         "projectivity of canonical submodules classified exactly",
         7,
-        lambda m: [("pair", p) for p in _upto_algebra(m, _compatible_pairs)] + [("counterexample", None)],
+        lambda m: _algebra_stream(m, _shapes(functools.partial(_tagged, "pair")), last=[("counterexample", None)]),
         _case_projectivity,
     ),
     "factors-vs-descents": (
         "radical-filtration factors equal descent compositions",
-        7, lambda m: _upto(m, _compatible_pairs), _case_factors,
+        7, lambda m: _stream(m, _shapes(_compatible_types)), _case_factors,
     ),
     "app-A": (
         "letter bound and nonattacking window on class quotients",
-        6, lambda m: _upto(m, _compatible_pairs), _case_appendix,
+        6, lambda m: _stream(m, _shapes(_compatible_types)), _case_appendix,
     ),
     "pim-dims": (
         "ideal dimensions, tops, and the factorial total",
-        7, lambda m: _upto_algebra(m, _subsets), _case_pim,
+        7, lambda m: _algebra_stream(m, _listed(_subsets)), _case_pim,
     ),
 }
 
@@ -773,11 +902,12 @@ def run_claim(claim: str, max_n: int | None = None, jobs: int = 1) -> dict:
 
     Bad arguments raise `KeyError` or `ValueError` before any case is
     listed (a max_n or jobs that is not an int, or is a bool, included),
-    as does a max_n at which the claim has no case, and a max_n over a
-    size bound raises `BoundExceeded`, also from inside a case.  Any other
-    exception a case raises is an internal error and is raised again as
-    `RuntimeError`, so that a case's own `ValueError` is not taken for bad
-    arguments.
+    and a max_n over a size bound raises `BoundExceeded`, before any case
+    for the algebra bound and from inside a case otherwise.  A max_n at
+    which the claim has no case raises `ValueError` once its chunks have
+    listed none.  Any other exception a case raises is an internal error
+    and is raised again as `RuntimeError`, so that a case's own
+    `ValueError` is not taken for bad arguments.
     """
     if claim not in CLAIMS:
         raise KeyError(f"unknown claim id {claim!r}")
@@ -789,17 +919,21 @@ def run_claim(claim: str, max_n: int | None = None, jobs: int = 1) -> dict:
             raise ValueError(f"{name} must be an int, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    cases = cases_of(max_n)
-    if not cases:
-        raise ValueError(f"{claim} has no case at max_n = {max_n}")
     try:
-        results = _run_cases(cases, check, jobs)
+        cases, failed, witness = _run_cases(cases_of(max_n), check, jobs)
     except (BoundExceeded, RuntimeError):
         raise
     except Exception as exc:
         raise RuntimeError(f"{type(exc).__name__}: {exc}") from exc
-    failures = [f for fs in results for f in fs]
+    if not cases:
+        raise ValueError(f"{claim} has no case at max_n = {max_n}")
     params = {"max_n": max_n}
     if claim == "thm-3.15":
         params["module_max_n"] = _MODULE_MAX_N
-    return _report(claim, params, failures, len(cases))
+    return {
+        "claim": claim,
+        "parameters": params,
+        "status": "fail" if failed else "pass",
+        "cases": cases,
+        "witness": witness,
+    }

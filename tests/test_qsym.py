@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from case_oracle import descent_triples
 from dense_oracle import det, inverse
 from spcthecke import permutations as P
 from spcthecke import qsym, verify
@@ -75,7 +76,7 @@ def test_recursion_sums_the_fiber_at_the_shortened_type(monkeypatch):
     descent_counts = qsym._descent_counts
     monkeypatch.setattr(qsym, "_descent_counts", lambda a, s: read.append((a, s)) or descent_counts(a, s))
     for n in range(2, 6):
-        for alpha, sigma, i in verify._descent_triples(n):
+        for alpha, sigma, i in descent_triples(n):
             read.clear()
             assert recursion_check(alpha, sigma, i)
             fiber = bubble_fiber_word(alpha, (i,))
@@ -85,7 +86,7 @@ def test_recursion_sums_the_fiber_at_the_shortened_type(monkeypatch):
 def test_descent_counts_are_read_once_per_pair_and_copied_out():
     qsym._descent_counts.cache_clear()
     pairs = set()
-    for alpha, sigma, i in verify._descent_triples(5):
+    for alpha, sigma, i in descent_triples(5):
         assert qsym._recursion_holds(alpha, sigma, i)
         pairs |= {(alpha, sigma)} | {(b, P.times_s(sigma, i)) for b in bubble_fiber_word(alpha, (i,))}
     assert qsym._descent_counts.cache_info().misses == len(pairs)

@@ -93,7 +93,6 @@ def test_enumerate_spct_brute_force_oracle():
 
 def _clear_spct_caches():
     tableaux._SMALLER.clear()
-    tableaux._requested_spct.cache_clear()
 
 
 def test_requested_pairs_stay_out_of_the_recursion_memo():
@@ -274,12 +273,22 @@ def test_malformed_fillings_and_words_are_rejected():
 def test_enumerators_cache_on_normalised_arguments():
     assert enumerate_spct([2, 1], [2, 1]) == enumerate_spct((2, 1), (2, 1))
     assert enumerate_srt([2, 1]) == enumerate_srt((2, 1))
-    for enumerate_fn, args in ((enumerate_spct, ((3, 1, 2), (2, 3, 1))), (enumerate_srt, ((3, 1, 2),))):
-        result = enumerate_fn(*args)
-        misses = enumerate_fn.cache_info().misses
-        assert enumerate_fn(*args, 9) is result
-        assert enumerate_fn(*map(list, args), bound=8) is result
-        assert enumerate_fn.cache_info().misses == misses
+    result = enumerate_srt((3, 1, 2))
+    misses = enumerate_srt.cache_info().misses
+    assert enumerate_srt((3, 1, 2), 9) is result
+    assert enumerate_srt([3, 1, 2], bound=8) is result
+    assert enumerate_srt.cache_info().misses == misses
+    # enumerate_spct keeps only the pairs its recursion read, here by
+    # building (3, 1), and returns the memo's tuple however it is asked
+    _clear_spct_caches()
+    alpha, sigma = (2, 1), (2, 1)
+    result = enumerate_spct(alpha, sigma)
+    assert result and enumerate_spct(alpha, sigma) is not result
+    assert enumerate_spct((3, 1), sigma)
+    result = enumerate_spct(alpha, sigma)
+    assert result is tableaux._SMALLER[alpha, sigma][0]
+    assert enumerate_spct(alpha, sigma, 9) is result
+    assert enumerate_spct(list(alpha), list(sigma), bound=8) is result
 
 
 def test_enumerate_spct_type_is_enforced():

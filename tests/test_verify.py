@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import itertools
 import json
 import os
@@ -9,18 +10,43 @@ from pathlib import Path
 
 import pytest
 
+import case_oracle
 import class_oracle
+from case_oracle import compatible_pairs
 from spcthecke import cli, hecke, modules, tableaux, verify
 from spcthecke.compositions import BoundExceeded
 from spcthecke.verify import CLAIMS, _run_cases
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.json"
+# each claim's bound in tests/test_acceptance.py
+GATES = {
+    "rel-2.1": 6, "prop-3.4": 8, "lem-2.7": 7, "thm-3.15": 8, "cor-3.18": 8, "thm-3.1": 7,
+    "thm-4.2": 6, "prop-4.6": 6, "thm-4.8": 6, "cor-4.9": 8, "cor-4.11": 8, "thm-5.5": 6,
+    "cor-5.6": 7, "factors-vs-descents": 7, "app-A": 6, "pim-dims": 7,
+}
+
+
+def _chunked(cases, size):
+    """cases in chunks of one listed piece of up to size cases each."""
+    return [(verify._Cases(cases[k : k + size]),) for k in range(0, len(cases), size)]
+
+
+def _odd(case):
+    return [{"case": case}] if case % 2 else []
+
+
+def _odd_run(cases):
+    """What `_run_cases` gives for `_odd` over cases: every failure sorted."""
+    failures = [{"case": c} for c in cases if c % 2]
+    return len(cases), len(failures), sorted(failures, key=repr)[:10]
 
 
 def test_pool_keeps_case_order():
-    # three cases at jobs=2 are fewer than the chunks of even one worker
-    for cases, jobs in ((list(range(-300, 300)), 2), (list(range(-300, 300)), 3), ([4, -5, 6], 2)):
-        assert _run_cases(cases, abs, jobs) == _run_cases(cases, abs, 1) == [abs(c) for c in cases]
+    # the merged result is the serial one for any worker count, three
+    # one-case chunks for two workers included
+    for cases, jobs, size in ((list(range(-300, 300)), 2, 7), (list(range(-300, 300)), 3, 1), ([4, -5, 6], 2, 1)):
+        chunks = _chunked(cases, size)
+        assert _run_cases(chunks, _odd, jobs) == _run_cases(chunks, _odd, 1) == _odd_run(cases)
 
 
 def _no_child_left():
@@ -78,7 +104,7 @@ def test_jobs_run_no_more_processes_than_cpus(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    assert _run_cases(list(range(50)), abs, 10**6) == list(range(50))
+    assert _run_cases(_chunked(list(range(50)), 1), _odd, 10**6) == _odd_run(range(50))
     # this process works as the last worker
     assert len(forks) == min(cpus, 50) - 1
     _no_child_left()
@@ -91,7 +117,7 @@ def test_a_failed_fork_leaves_the_work_to_this_process(monkeypatch):
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert _run_cases(list(range(-50, 50)), abs, 2) == [abs(c) for c in range(-50, 50)]
+    assert _run_cases(_chunked(list(range(-50, 50)), 1), _odd, 2) == _odd_run(range(-50, 50))
 
 
 def test_a_dead_worker_is_an_internal_error(monkeypatch, capsys):
@@ -116,7 +142,7 @@ def test_a_workers_exception_keeps_its_type_and_message(monkeypatch):
 
     with _in_a_worker(exceed) as check, _deadline(20):
         with pytest.raises(BoundExceeded, match="^n = 9 exceeds bound 8$"):
-            _run_cases(list(range(40)), check, 2)
+            _run_cases(_chunked(list(range(40)), 1), check, 2)
     _no_child_left()
 
 
@@ -132,19 +158,82 @@ def test_a_failing_parent_stops_its_workers(monkeypatch):
 
     start = time.monotonic()
     with _deadline(20), pytest.raises(KeyboardInterrupt):
-        _run_cases(list(range(40)), check, 2)
+        _run_cases(_chunked(list(range(40)), 1), check, 2)
     assert time.monotonic() - start < 3
     _no_child_left()
 
 
+def _streamed(claim, max_n):
+    """The cases a claim's chunks list up to max_n, running none of them."""
+    return [case for chunk in CLAIMS[claim][2](max_n) for case in verify._expand(chunk)]
+
+
 def test_benchmark_case_counts():
     # the benchmark accepts a claim run only when it reports the case count
-    # recorded for that claim and bound; listing the cases runs none of them
+    # recorded for that claim and bound
     expected = json.loads(WORKLOADS.read_text())["expected_cases"]
     assert expected
     for key, count in expected.items():
         claim, n = key.split("/")
-        assert len(CLAIMS[claim][2](int(n))) == count, key
+        assert len(_streamed(claim, int(n))) == count, key
+
+
+@pytest.mark.parametrize("claim", sorted(GATES))
+def test_streamed_cases_are_the_listed_ones(claim):
+    for max_n in range(1, GATES[claim] + 1):
+        chunks = CLAIMS[claim][2](max_n)
+        assert len(chunks) <= verify._MAX_CHUNKS
+        assert Counter(_streamed(claim, max_n)) == Counter(case_oracle.CASES[claim](max_n)), max_n
+
+
+def test_chunks_go_out_largest_degree_first():
+    for claim in ("prop-3.4", "thm-3.1", "prop-4.6"):
+        degrees = [sum(case[0]) for case in _streamed(claim, 6)]
+        assert degrees == sorted(degrees, reverse=True) and degrees[0] == 6, claim
+    # a shape's types are sliced: (1^7) alone holds 5,040 of the 7,713
+    # compatible pairs of degree 7
+    ones = [chunk for chunk in CLAIMS["thm-3.1"][2](7) if any(p.shape == (1,) * 7 for p in chunk)]
+    assert len(ones) > 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_witnesses_are_the_first_failures_of_all(jobs, monkeypatch):
+    # two failures per case, so a chunk's witnesses come from more failures
+    # than cases
+    def fail(case):
+        return [{"case": case}, {"again": case}]
+
+    desc, default, cases_of, _ = CLAIMS["thm-3.1"]
+    monkeypatch.setitem(CLAIMS, "thm-3.1", (desc, default, cases_of, fail))
+    report = verify.run_claim("thm-3.1", 5, jobs=jobs)
+    failures = [f for case in case_oracle.CASES["thm-3.1"](5) for f in fail(case)]
+    assert report["status"] == "fail" and report["cases"] == len(failures) // 2
+    assert report["witness"] == sorted(failures, key=repr)[:10]
+
+
+def _alive_spct(n):
+    gc.collect()
+    return [o for o in gc.get_objects() if type(o) is tableaux.Spct and o.n == n]
+
+
+def test_no_top_degree_tableau_stays_cached():
+    tableaux._SMALLER.clear()
+    before = _alive_spct(7)
+    assert verify.run_claim("thm-3.1", 7)["status"] == "pass"
+    # the recursion's memo holds what degree 7 read, and no degree-7
+    # tableau the run built outlives it
+    assert tableaux._SMALLER and max(sum(alpha) for alpha, _ in tableaux._SMALLER) == 6
+    kept = {id(t) for t in before}
+    assert not [t for t in _alive_spct(7) if id(t) not in kept]
+
+
+def test_no_top_degree_existence_answer_stays_cached():
+    tableaux._spct_exists.cache_clear()
+    assert verify.run_claim("prop-3.4", 7)["status"] == "pass"
+    for alpha, sigma in case_oracle.all_pairs(7):
+        misses = tableaux._spct_exists.cache_info().misses
+        tableaux._spct_exists(alpha, sigma)
+        assert tableaux._spct_exists.cache_info().misses > misses, (alpha, sigma)
 
 
 def _reported(groups):
@@ -154,7 +243,7 @@ def _reported(groups):
 
 def test_one_pass_class_check_matches_the_component_search():
     for n in range(1, 7):
-        for alpha, sigma in verify._compatible_pairs(n):
+        for alpha, sigma in compatible_pairs(n):
             ts = tableaux._enumerate_spct(alpha, sigma)
             read = tableaux._read_classes(tableaux._grouped(ts))
             assert {frozenset(cls.members) for cls, _ in read} == set(class_oracle.action_components(ts))
@@ -164,7 +253,7 @@ def test_one_pass_class_check_matches_the_component_search():
 def test_split_or_merged_components_are_reported():
     splits = merges = 0
     for n in range(1, 7):
-        for alpha, sigma in verify._compatible_pairs(n):
+        for alpha, sigma in compatible_pairs(n):
             ts = tableaux._enumerate_spct(alpha, sigma)
             comps = [[t for t in ts if t in comp] for comp in class_oracle.action_components(ts)]
             assert not _reported(comps)
@@ -181,7 +270,7 @@ def test_split_or_merged_components_are_reported():
 def _read_submodules(n):
     """Each class of degree n with its step ids and its submodule, from
     the public builder."""
-    for alpha, sigma in verify._compatible_pairs(n):
+    for alpha, sigma in compatible_pairs(n):
         read = tableaux._read_classes(tableaux._grouped(tableaux._enumerate_spct(alpha, sigma)))
         subs = modules.class_submodules(alpha, sigma)
         assert [cls for cls, _ in read] == [cls for cls, _ in subs]
@@ -193,7 +282,7 @@ def _tableau_modules(n):
     """("whole", ...) for each tableau module of degree n and ("canonical",
     ...) for each canonical class submodule, with its tableaux and their
     step ids, from the public builders."""
-    for alpha, sigma in verify._compatible_pairs(n):
+    for alpha, sigma in compatible_pairs(n):
         whole = modules.spct_module(alpha, sigma)
         yield "whole", whole.basis, tuple(map(tableaux._step_id, whole.basis)), whole
         cls, sub = modules.canonical_submodule(alpha, sigma)
@@ -210,7 +299,7 @@ def test_each_class_is_reached_from_its_source_in_any_order():
     # members listed in reverse pass too
     walked = 0
     for n in range(1, 7):
-        for alpha, sigma in verify._compatible_pairs(n):
+        for alpha, sigma in compatible_pairs(n):
             for cls, sids in tableaux._read_classes(tableaux._grouped(tableaux._enumerate_spct(alpha, sigma))):
                 assert verify._is_component(cls.members, sids)
                 assert verify._is_component(cls.members[::-1], sids[::-1]), (alpha, sigma, str(cls.label))
@@ -220,7 +309,7 @@ def test_each_class_is_reached_from_its_source_in_any_order():
 
 def test_a_group_without_its_source_is_reported():
     for n in range(2, 7):
-        for alpha, sigma in verify._compatible_pairs(n):
+        for alpha, sigma in compatible_pairs(n):
             for cls, sids in tableaux._read_classes(tableaux._grouped(tableaux._enumerate_spct(alpha, sigma))):
                 rest = [(t, s) for t, s in zip(cls.members, sids) if t is not cls.source]
                 if rest:
@@ -262,7 +351,7 @@ def test_class_keys_see_the_swap_targets():
     # members with one step id trade places, so the step ids stay and the
     # columns change
     reordered = 0
-    for alpha, sigma in verify._compatible_pairs(7):
+    for alpha, sigma in compatible_pairs(7):
         for cls, sids in tableaux._read_classes(tableaux._grouped(tableaux._enumerate_spct(alpha, sigma))):
             pairs = [(j, k) for j, k in itertools.combinations(range(len(sids)), 2) if sids[j] == sids[k]]
             if not pairs:
