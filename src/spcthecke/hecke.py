@@ -7,27 +7,32 @@ longer, which is when the value i stands left of i+1 in p, and fixes p
 otherwise.
 
 The regular representation is an `HModule` written straight into its
-generator columns, kept once per degree.  Its cyclic left ideals generated
-by (barred longest element of a parabolic) * (plain longest element of the
-complementary parabolic) are the projective indecomposables.  An ideal is
-the closure of its generator vector, built by `modules`; the vector comes
-from left-applying the barred factors (gen_i - 1) to a basis vector in the
-regular module, with no product of algebra elements.  A module is
-projective exactly when it has the dimension of the projective cover of
-its top (`is_projective`); the top is computed on every call, and the
-ideals once per degree and subset.  Every entry point takes a
-non-negative `int` degree and refuses one above
-`modules.DEFAULT_ALGEBRA_BOUND`.
+generator columns, kept once per degree, beside each generator's index
+map.  Its cyclic left ideals generated by (plain longest element of the
+complementary parabolic) * (barred longest element of a parabolic) are
+the projective indecomposables (Norton 1979).  An ideal is built by one
+walk, with no elimination: its generator's vector is left-applied factor
+by factor, the barred ones first, to the identity's unit vector, and every
+generator is then applied to every vector found (`_walk`).  An image is
+0, a vector already found or a new one, so each generator column is 0 or
+one unit entry.  The vectors span the ideal, since they hold the
+generator and their span is closed by construction; they are a basis,
+since each has its own smallest coordinate, and each is labeled by the
+permutation there.  A module is projective exactly when it has the
+dimension of the projective cover of its top (`is_projective`); the top
+is computed on every call, and the ideals once per degree and subset.
+Every entry point takes a non-negative `int` degree and refuses one
+above `modules.DEFAULT_ALGEBRA_BOUND`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .compositions import BoundExceeded, set_of
 from .linalg import Vec, vec_axpy
-from .modules import DEFAULT_ALGEBRA_BOUND, HModule, _generated_submodule, top_factors
+from .modules import DEFAULT_ALGEBRA_BOUND, HModule, top_factors
 from . import permutations
 
 
@@ -42,8 +47,10 @@ def _check_degree(n) -> None:
     _check_algebra_bound(n)
 
 
+@lru_cache(maxsize=None)
 def _left_mult_images(n: int, i: int) -> tuple[int, ...]:
-    """index -> index map of left multiplication by gen_i on the basis.
+    """index -> index map of left multiplication by gen_i on the basis,
+    kept once per degree and generator.
 
     s_i p is longer than p exactly when the value i stands left of i+1 in p.
     """
@@ -86,13 +93,15 @@ def _check_subset(n: int, subset: frozenset) -> None:
 
 
 def pim_module(n: int, subset: Iterable[int]) -> HModule:
-    """The cyclic left ideal of the subset's generator (`_pim_seed`), as a module.
+    """The cyclic left ideal of the subset's generator, as a module.
 
-    The basis is the canonical echelon basis of the generator-closure of
-    the cyclic vector inside the regular representation; labels are the
-    pivot permutations (echelon pivots over the fixed basis order).
-    Results are cached on (n, frozenset(subset)); each call gets its own
-    copy of the columns, so a caller cannot change what the cache holds.
+    The basis is the generator's walk (`_walk`): the distinct nonzero
+    vectors pi_w g of the generator g, in the order the walk finds them,
+    so the first basis vector is g.  Each is labeled by the permutation at
+    its smallest coordinate, and every generator column is 0 or one unit
+    entry.  Results are cached on (n, frozenset(subset)); each call gets
+    its own copy of the columns, so a caller cannot change what the cache
+    holds.
     """
     _check_degree(n)
     subset = frozenset(subset)
@@ -100,26 +109,72 @@ def pim_module(n: int, subset: Iterable[int]) -> HModule:
     return _copy_out(_pim_module(n, subset))
 
 
-def _pim_seed(n: int, subset: frozenset[int]) -> Vec:
-    """The coordinates of the ideal's generator, built on vectors.
+def _left_apply(images: Sequence[int], v: Vec) -> Vec:
+    """A generator given by its index map (`_left_mult_images`) applied to v."""
+    out: Vec = {}
+    for c, x in v.items():
+        k = images[c]
+        s = out.get(k, 0) + x
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
 
-    The generator is (pi_{i_1} - 1) ... (pi_{i_k} - 1) pi_w, for a reduced
-    word i_1 ... i_k of the parabolic's longest element and w the
-    complement's longest element, so the barred factors are left-applied
-    to the unit vector of w, the last factor first.
+
+def _generator(n: int, subset: frozenset[int]) -> Vec:
+    """The coordinates of the ideal's generator pi_{w0(S^c)} opi_{w0(S)}.
+
+    The barred factor (pi_{i_1} - 1) ... (pi_{i_k} - 1), for a reduced
+    word i_1 ... i_k of the subset's longest element, is left-applied to
+    the identity's unit vector in the regular module, the last factor
+    first; then the plain factors of the complement's longest element are,
+    the same way.  The plain factor must stand on the left: with the
+    barred one there, the walk finds dependent vectors (`_walk`).
     """
     reg = _regular_module(n)
-    v: Vec = {reg.index(permutations.longest_element(n, frozenset(range(1, n)) - subset)): 1}
+    v: Vec = {reg.index(permutations.identity(n)): 1}
     for i in reversed(permutations.reduced_word(permutations.longest_element(n, subset))):
         u = reg.act(i, v)
         vec_axpy(u, -1, v)
         v = u
+    for i in reversed(permutations.reduced_word(permutations.longest_element(n, frozenset(range(1, n)) - subset))):
+        v = reg.act(i, v)
     return v
+
+
+def _walk(images: Sequence[Sequence[int]], seed: Vec) -> tuple[list[Vec], list[list[Vec]]]:
+    """The distinct nonzero vectors that the generators, given by their
+    index maps (`_left_mult_images`), reach from seed, in the order found,
+    with the generators' columns on them.
+
+    Distinct smallest coordinates are what make the vectors a basis, so an
+    image that shares its smallest coordinate with a different vector
+    raises `RuntimeError`.
+    """
+    vecs = [seed]
+    lead = {min(seed): 0}
+    cols: list[list[Vec]] = [[] for _ in images]
+    for v in vecs:  # grows as the walk finds vectors
+        for im, out in zip(images, cols):
+            w = _left_apply(im, v)
+            if not w:
+                out.append({})
+                continue
+            k = lead.setdefault(min(w), len(vecs))
+            if k == len(vecs):
+                vecs.append(w)
+            elif w != vecs[k]:
+                raise RuntimeError(f"two walk vectors share the smallest coordinate {min(w)}")
+            out.append({k: 1})
+    return vecs, cols
 
 
 @lru_cache(maxsize=None)
 def _pim_module(n: int, subset: frozenset[int]) -> HModule:
-    return _generated_submodule(_regular_module(n), [_pim_seed(n, subset)], f"P_{sorted(subset)}")
+    vecs, cols = _walk([_left_mult_images(n, i) for i in range(1, n)], _generator(n, subset))
+    basis = _regular_module(n).basis
+    return HModule._trusted(n, tuple(basis[min(v)] for v in vecs), cols, f"P_{sorted(subset)}")
 
 
 pim_module.cache_info = _pim_module.cache_info

@@ -163,7 +163,7 @@ class EchelonSpace:
 
     `add` keeps the stored rows in echelon form: each row's pivot is its
     smallest coordinate, holds the entry 1, and belongs to no other row.
-    The first read of `basis`, `coords` or `canonical_key` after an `add`
+    The first read of `basis` or `canonical_key` after an `add`
     runs one back-substitution that clears every pivot from the other rows,
     so reads see the fully reduced echelon basis.  That basis is canonical
     for the subspace: two spans are equal iff their bases are equal.
@@ -244,22 +244,6 @@ class EchelonSpace:
 
     def contains(self, v: Mapping[int, Scalar]) -> bool:
         return not self.residue(v)
-
-    def coords(self, v: Mapping[int, Scalar]) -> Vec | None:
-        """Coordinates of v in the stored echelon basis (keyed by row index), or None.
-
-        A reduced row is zero on every pivot but its own, so the row with
-        pivot p has coefficient v[p]; v lies in the span iff those terms sum
-        to v.
-        """
-        self._full_reduce()
-        w = dict(v)
-        out: Vec = {}
-        for p in sorted(k for k in v if k in self.pivots):
-            idx = self.pivots[p]
-            vec_axpy(w, -v[p], self.rows[idx])
-            out[idx] = v[p]
-        return None if w else out
 
     def input_coords(self, v: Mapping[int, Scalar]) -> Vec | None:
         """Express v as a combination of the raw added vectors (track=True).

@@ -31,9 +31,10 @@ in the generators holds when both words send every basis vector to the
 same image, and a map f with matrix F intertwines when
 ``F (pi_i e_b) == pi_i (F e_b)`` for every generator i and basis vector b.
 
-A submodule generated by vectors, such as a projective indecomposable of
-`hecke`, is the closure of the vectors under the generators on its reduced
-echelon basis, labeled by the pivots (`_generated_submodule`).
+The projective indecomposables of `hecke` need no closure here: each is
+the walk of one generator's vector through the regular module, whose
+vectors are a basis on which every column is 0 or one unit entry
+(`hecke._walk`).
 
 `composition_factors` and `top_factors` (and so `hecke.is_projective`)
 read only the degree, the dimension and the generator columns, never the
@@ -55,8 +56,8 @@ from .permutations import Permutation
 from . import tableaux
 from .tableaux import SpctClass, Spct, Srt
 
-#: largest n for regular-representation-derived objects (dense exact ceiling)
-DEFAULT_ALGEBRA_BOUND = 7
+#: largest n for the regular module and its ideals (`hecke`), which have n! basis vectors in all
+DEFAULT_ALGEBRA_BOUND = 8
 
 
 class HModule:
@@ -206,19 +207,19 @@ def canonical_submodule(alpha: Sequence[int], sigma: Sequence[int]) -> tuple[Spc
     return _class_submodules(alpha, sigma, _canonical_group(alpha, sigma))[0]
 
 
-def _canonical_group(alpha: Composition, sigma: Permutation) -> dict[tableaux.ClassLabel, list[Spct]]:
-    """The canonical source's group of a compatible pair's tableaux, keyed
-    by its label as in `tableaux._grouped`.  The label comes from the
-    canonical source's rows, with no tableau built."""
-    label = tableaux.ClassLabel(alpha, tableaux._column_words(tableaux._canonical_rows(alpha, sigma)))
-    members = tableaux._grouped(tableaux._enumerate_spct(alpha, sigma)).get(label)
-    if members is None:
+def _canonical_group(alpha: Composition, sigma: Permutation) -> list[list[Spct]]:
+    """The canonical source's group of a compatible pair's tableaux, as
+    the one group of a `tableaux._grouped` list: the tableaux with the
+    canonical source's class key (`tableaux._class_key`)."""
+    key = tableaux._class_key(tableaux.Spct._trusted(tableaux._canonical_rows(alpha, sigma), alpha, sum(alpha)))
+    members = [t for t in tableaux._enumerate_spct(alpha, sigma) if tableaux._class_key(t) == key]
+    if not members:
         raise RuntimeError(f"canonical class not found for ({alpha}, {sigma})")
-    return {label: members}
+    return [members]
 
 
 def _class_submodules(
-    alpha: Composition, sigma: Permutation, groups: dict[tableaux.ClassLabel, list[Spct]]
+    alpha: Composition, sigma: Permutation, groups: list[list[Spct]]
 ) -> list[tuple[SpctClass, HModule]]:
     """Each group of tableaux (`tableaux._grouped`) as a class with its submodule."""
     n = sum(alpha)
@@ -536,25 +537,6 @@ def _generator_closure(m: HModule, seeds: Iterable[Vec]) -> EchelonSpace:
             if w and space.add(w):
                 frontier.append(w)
     return space
-
-
-def _generated_submodule(m: HModule, seeds: Iterable[Vec], name: str) -> HModule:
-    """The submodule of m the seeds generate, on the reduced echelon basis
-    of their closure, labeled by m's labels at the pivots."""
-    space = _generator_closure(m, seeds)
-    rows = space.basis()
-    pivots = sorted(space.pivots)
-    position = {space.pivots[p]: k for k, p in enumerate(pivots)}
-    cols = []
-    for g in m.cols:
-        sub = []
-        for row in rows:
-            coords = space.coords(_apply_cols(g, row))
-            if coords is None:
-                raise RuntimeError("generated span not closed under the action")
-            sub.append({position[r]: x for r, x in coords.items()})
-        cols.append(sub)
-    return HModule._trusted(m.n, tuple(m.basis[p] for p in pivots), cols, name)
 
 
 class Layer(NamedTuple):

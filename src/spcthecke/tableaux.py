@@ -62,8 +62,12 @@ it once (`_check_pair`) and hands it to a core that trusts it:
 normalised, such as the claim cases, call the cores; the enumeration core
 still refuses an n above its bound.  Equivalence classes are formed from
 tableaux already listed, such as a module's basis, so a pair is listed
-once.  Each tableau is read once for its class label (its standardized
-columns) and once for how every generator meets it (`_steps`): one
+once.  A pair with one tableau is one class; otherwise each tableau is
+read once for its class key, the rows of 1..n taken column by column,
+which within one shape is one-to-one on class labels (`_class_key`).
+The label itself (the standardized columns) is built from a class's
+first member only when read.  Each tableau is also read once for how
+every generator meets it (`_steps`): one
 comparison of the cells of i and i+1 per i gives the image of pi_i,
 whether i is a descent, and whether the tableau is a source or a sink,
 so descent sets, classification, the module columns and the action graph
@@ -90,6 +94,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .compositions import (
@@ -827,10 +832,14 @@ def classify(t: Spct) -> str:
 
 
 class SpctClass(NamedTuple):
-    label: ClassLabel
     members: tuple[Spct, ...]
     source: Spct
     sink: Spct
+
+    @property
+    def label(self) -> ClassLabel:
+        """The class label, built from the first member on each read."""
+        return class_label(self.members[0])
 
 
 def equivalence_classes(ts: Sequence[Spct]) -> list[SpctClass]:
@@ -845,15 +854,31 @@ def equivalence_classes(ts: Sequence[Spct]) -> list[SpctClass]:
     return [cls for cls, _ in _read_classes(_grouped(ts))]
 
 
-def _grouped(ts: Iterable[Spct]) -> dict[ClassLabel, list[Spct]]:
-    """The tableaux by class label, each group in the order of ts."""
-    groups: dict[tuple, list[Spct]] = {}
+_COLUMN = itemgetter(1)
+
+
+def _class_key(t: Spct) -> tuple[int, ...]:
+    """The rows of 1..n taken column by column, smaller values first.
+
+    Within one shape the rows a column holds are fixed, so the rows of its
+    values in increasing order are its standardized word, inverted: the
+    key is one-to-one on class labels among the tableaux of one pair.
+    """
+    return tuple([r for r, _ in sorted(t._pos[1:], key=_COLUMN)])
+
+
+def _grouped(ts: Sequence[Spct]) -> list[list[Spct]]:
+    """One pair's tableaux by class (`_class_key`), each group in the
+    order of ts; a lone tableau is its own group, with no key read."""
+    if len(ts) == 1:
+        return [list(ts)]
+    groups: dict[tuple[int, ...], list[Spct]] = {}
     for t in ts:
-        groups.setdefault((t.shape, _column_words(t.rows)), []).append(t)
-    return {ClassLabel(*key): members for key, members in groups.items()}
+        groups.setdefault(_class_key(t), []).append(t)
+    return list(groups.values())
 
 
-def _read_classes(groups: dict[ClassLabel, list[Spct]]) -> list[tuple[SpctClass, tuple[int, ...]]]:
+def _read_classes(groups: Iterable[Sequence[Spct]]) -> list[tuple[SpctClass, tuple[int, ...]]]:
     """Each group as a class, with its members' step ids (`_step_id`) in
     member order.
 
@@ -862,16 +887,17 @@ def _read_classes(groups: dict[ClassLabel, list[Spct]]) -> list[tuple[SpctClass,
     their first member's rows.
     """
     out = []
-    for label, members in groups.items():
+    for members in groups:
         sids = tuple(map(_step_id, members))
         sources = [t for t, s in zip(members, sids) if _SOURCE[s]]
         sinks = [t for t, s in zip(members, sids) if _SINK[s]]
         if len(sources) != 1 or len(sinks) != 1:
+            label = class_label(members[0])
             raise RuntimeError(
                 f"class {label} of ({label.shape}, {members[0].sigma}) has {len(sources)} sources "
                 f"and {len(sinks)} sinks"
             )
-        out.append((SpctClass(label, tuple(members), sources[0], sinks[0]), sids))
+        out.append((SpctClass(tuple(members), sources[0], sinks[0]), sids))
     out.sort(key=lambda read: read[0].members[0].rows)
     return out
 

@@ -32,8 +32,10 @@ fills before the smaller degrees' cases read it; a case's own tableaux,
 handed on within the case; and, for prop-4.6 and thm-4.2, the pairs with
 one multiset of parts (`_same_parts_spct`).
 
-lem-2.7 reads each tableau once (`tableaux._read_classes`): each class
-has one source and one sink, and a directed walk from the source along
+lem-2.7 groups a pair's tableaux by class key, a lone tableau being its
+own class (`tableaux._grouped`), and reads each tableau once
+(`tableaux._read_classes`); no class label is built unless a witness
+names it.  Each class has one source and one sink, and a directed walk from the source along
 the swaps lands only on members and reaches them all.  So the classes are
 the components of the action graph, and each is generated by its source.
 thm-3.15 and cor-3.18 read tableau-cyclicity off the same swap graph.

@@ -14,14 +14,17 @@ its dimension is a count of permutations by descent set
 sign-flip automorphism (gen_i -> 1 - gen_i) are expanded the same way.
 
 `pim_ideal` is the reference for the ideals themselves: it left-applies
-each generator through an index map read off the lengths, closes the
-generator's vector under them with its own frontier, and solves each
-column in the reduced echelon basis, sharing only the `EchelonSpace`
-kernel with the package.
+each generator through an index map read off the lengths
+(`left_mult_images`) and closes the generator's vector under them with
+its own frontier, eliminating as it goes; it shares only the
+`EchelonSpace` kernel with the package, whose ideals are a walk with no
+elimination.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -146,12 +149,11 @@ def theta(h: HeckeElement) -> HeckeElement:
 
 
 def pim_generator(n: int, subset: Iterable[int]) -> HeckeElement:
-    """(barred longest of the parabolic) * (longest of the complement)."""
+    """(longest of the complement) * (barred longest of the parabolic)."""
     subset = frozenset(subset)
-    comp = frozenset(range(1, n)) - subset
-    e = opi_element(P.longest_element(n, subset))
-    for i in P.reduced_word(P.longest_element(n, comp)):
-        e = e.times_gen(i)
+    e = HeckeElement.pi(P.longest_element(n, frozenset(range(1, n)) - subset))
+    for i in P.reduced_word(P.longest_element(n, subset)):
+        e = e.times_gen(i) - e
     return e
 
 
@@ -168,7 +170,8 @@ def descent_class_size(n: int, subset: Iterable[int]) -> int:
     return sum(1 for p in P.all_perms(n) if P.descent_set(p) == subset)
 
 
-def left_mult_images(n: int, i: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def left_mult_images(n: int, i: int) -> tuple[int, ...]:
     """index -> index map of left multiplication by gen_i, from lengths."""
     order = P.perms_by_length_lex(n)
     index = {p: k for k, p in enumerate(order)}
@@ -176,7 +179,7 @@ def left_mult_images(n: int, i: int) -> list[int]:
     for p in order:
         q = P.s_times(i, p)
         out.append(index[q] if P.length(q) > P.length(p) else index[p])
-    return out
+    return tuple(out)
 
 
 def apply_left_gen(images: Sequence[int], v: Vec) -> Vec:
@@ -191,18 +194,15 @@ def apply_left_gen(images: Sequence[int], v: Vec) -> Vec:
     return out
 
 
-def pim_ideal(n: int, subset: Iterable[int]) -> tuple[tuple, list[list[Vec]], str]:
-    """(basis labels, generator columns, name) of the ideal of `pim_generator`.
+def pim_ideal(n: int, subset: Iterable[int]) -> EchelonSpace:
+    """The span of the left ideal of `pim_generator`.
 
     The generator's vector is closed under left multiplication by a
-    frontier of the vectors that enlarged the span; the basis is the
-    reduced echelon basis, labeled by the permutations at its pivots.
+    frontier of the vectors that enlarged the span.
     """
-    subset = frozenset(subset)
-    order = P.perms_by_length_lex(n)
     images = [left_mult_images(n, i) for i in range(1, n)]
     seed = element_vector(pim_generator(n, subset))
-    space = EchelonSpace(len(order))
+    space = EchelonSpace(math.factorial(n))
     space.add(seed)
     frontier = [seed]
     while frontier:
@@ -211,14 +211,4 @@ def pim_ideal(n: int, subset: Iterable[int]) -> tuple[tuple, list[list[Vec]], st
             w = apply_left_gen(im, v)
             if w and space.add(w):
                 frontier.append(w)
-    pivots = sorted(space.pivots)
-    remap = {space.pivots[p]: k for k, p in enumerate(pivots)}
-    cols = []
-    for im in images:
-        g = []
-        for row in space.basis():
-            coords = space.coords(apply_left_gen(im, row))
-            assert coords is not None, "ideal not closed under the action"
-            g.append({remap[r]: x for r, x in coords.items()})
-        cols.append(g)
-    return tuple(order[p] for p in pivots), cols, f"P_{sorted(subset)}"
+    return space

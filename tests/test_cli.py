@@ -118,9 +118,9 @@ def test_algebra_bound_is_checked_before_any_case(claim, monkeypatch, capsys):
 
     desc, default, cases_of, _ = verify.CLAIMS[claim]
     monkeypatch.setitem(verify.CLAIMS, claim, (desc, default, cases_of, no_case))
-    assert cli.main(["verify", claim, "--max-n", "8"]) == 2
+    assert cli.main(["verify", claim, "--max-n", "9"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "n = 8 exceeds algebra bound 7" in captured.err
+    assert captured.out == "" and "n = 9 exceeds algebra bound 8" in captured.err
 
 
 def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):

@@ -5,8 +5,10 @@ import pytest
 
 from hecke_oracle import (
     HeckeElement,
+    apply_left_gen,
     descent_class_size,
     element_vector,
+    left_mult_images,
     opi_element,
     pim_generator,
     pim_ideal,
@@ -16,6 +18,7 @@ from spcthecke import hecke
 from spcthecke import permutations as P
 from spcthecke.compositions import BoundExceeded, comp_of
 from spcthecke.hecke import pim_module, regular_module
+from spcthecke.linalg import EchelonSpace, vec_axpy
 from spcthecke.modules import check_relations, is_indecomposable, top_factors
 
 
@@ -97,7 +100,7 @@ def test_regular_module_dims_and_relations():
     m3 = regular_module(3)
     assert m3.dim == 6 and check_relations(m3).ok
     with pytest.raises(BoundExceeded):
-        regular_module(8)
+        regular_module(9)
 
 
 def test_pim_examples_degree_three():
@@ -123,14 +126,20 @@ def test_pim_generator_lives_in_its_ideal():
     assert m.dim == descent_class_size(4, {1, 3})
 
 
+def _subsets(max_n):
+    return [(n, frozenset(s)) for n in range(1, max_n + 1) for r in range(n) for s in itertools.combinations(range(1, n), r)]
+
+
+def _walk(n, seed):
+    return hecke._walk([hecke._left_mult_images(n, i) for i in range(1, n)], seed)
+
+
 def test_pim_seed_is_the_generator_element():
     # the ideal is seeded on vectors; the algebra-element product is the oracle
-    from spcthecke.hecke import _pim_seed
-
-    subsets = [(n, frozenset(s)) for n in range(1, 7) for r in range(n) for s in itertools.combinations(range(1, n), r)]
-    assert len(subsets) == 63
+    subsets = _subsets(7)
+    assert len(subsets) == 127
     for n, subset in subsets:
-        assert _pim_seed(n, subset) == element_vector(pim_generator(n, subset)), (n, subset)
+        assert hecke._generator(n, subset) == element_vector(pim_generator(n, subset)), (n, subset)
     with pytest.raises(ValueError):
         pim_module(3, {3})
 
@@ -152,15 +161,50 @@ def test_pim_module_hands_out_its_own_columns():
     assert again.cols is not m.cols and check_relations(again).ok
     assert all(g is not h and a is not b for g, h in zip(again.cols, m.cols) for a, b in zip(g, h))
     with pytest.raises(BoundExceeded):
-        pim_module(8, {1, 3})
+        pim_module(9, {1, 3})
+
+
+def _assert_walk_is_the_oracle_ideal(n, subset):
+    """The ideal's module is its generator's walk, and the walk is a basis
+    of the oracle's ideal on which each column is the oracle's image."""
+    vecs, cols = _walk(n, hecke._generator(n, subset))
+    order = P.perms_by_length_lex(n)
+    m = pim_module(n, subset)
+    assert (m.basis, list(m.cols), m.name) == (tuple(order[min(v)] for v in vecs), cols, f"P_{sorted(subset)}")
+    assert vecs[0] == element_vector(pim_generator(n, subset))
+    # independent, inside the ideal, and as many as its dimension
+    ideal = pim_ideal(n, subset)
+    independent = EchelonSpace(len(order))
+    assert all(independent.add(v) for v in vecs)
+    assert len(vecs) == len(ideal) and all(ideal.contains(v) for v in vecs)
+    for i, g in enumerate(cols, start=1):
+        im = left_mult_images(n, i)
+        for v, col in zip(vecs, g):
+            got = {}
+            for k, c in col.items():
+                vec_axpy(got, c, vecs[k])
+            assert got == apply_left_gen(im, v), (n, subset, i)
 
 
 def test_ideals_equal_the_frontier_oracle():
-    cases = [(n, s) for n in range(1, 7) for r in range(n) for s in itertools.combinations(range(1, n), r)]
-    cases += [(7, ()), (7, (1, 2, 3, 4, 5, 6)), (7, (1, 3, 5))]
-    for n, subset in cases:
-        m = pim_module(n, subset)
-        assert (m.basis, list(m.cols), m.name) == pim_ideal(n, subset), (n, subset)
+    for n, subset in _subsets(7):
+        _assert_walk_is_the_oracle_ideal(n, subset)
+
+
+def test_the_walk_refuses_vectors_that_share_a_smallest_coordinate():
+    # with the barred factor on the left, the generator's left multiples
+    # are dependent for 52 of the 63 subsets with n <= 6
+    refused = 0
+    for n, subset in _subsets(6):
+        seed = opi_element(P.longest_element(n, subset)) * HeckeElement.pi(
+            P.longest_element(n, frozenset(range(1, n)) - subset)
+        )
+        try:
+            _walk(n, element_vector(seed))
+        except RuntimeError as exc:
+            assert "share the smallest coordinate" in str(exc)
+            refused += 1
+    assert refused == 52
 
 
 def test_regular_module_hands_out_its_own_columns():
@@ -177,8 +221,7 @@ def test_regular_module_hands_out_its_own_columns():
             col[0] = 7
         g.pop()
     hecke._pim_module.cache_clear()  # the next ideal is built from the cached regular module
-    again = pim_module(n, {1, 3})
-    assert (again.basis, list(again.cols), again.name) == pim_ideal(n, {1, 3})
+    _assert_walk_is_the_oracle_ideal(n, frozenset({1, 3}))
     assert regular_module(n).cols == want and check_relations(regular_module(n)).ok
 
 
@@ -209,7 +252,7 @@ def test_ideal_decomposition(n):
     assert sum(m.dim for m in mods.values()) == math.factorial(n)
     for subset, m in mods.items():
         assert check_relations(m).ok
-        # unit pivots throughout, so the action stays integer
+        # unit columns throughout, so the action stays integer
         assert all(type(x) is int for i in range(1, n) for x in m.gen(i).data.values())
         assert m.dim == descent_class_size(n, subset)
         assert dict(top_factors(m)) == {comp_of(subset, n): 1}

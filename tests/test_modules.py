@@ -250,10 +250,10 @@ def test_submodule_guard():
     cls_a, cls_b = (cl for cl, _ in class_submodules(*pair))
     assert cls_a.source != cls_a.sink and cls_b.source != cls_b.sink
     with pytest.raises(ValueError, match="not generator-stable"):
-        modules._class_submodules(*pair, {cls_a.label: [cls_a.source, cls_b.sink]})
+        modules._class_submodules(*pair, [[cls_a.source, cls_b.sink]])
     # the whole pair as one class fails its source/sink count first
     with pytest.raises(RuntimeError, match="2 sources and 2 sinks"):
-        modules._class_submodules(*pair, {cls_a.label: list(enumerate_spct(*pair))})
+        modules._class_submodules(*pair, [list(enumerate_spct(*pair))])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "spcthecke"
 
 KEEP = {
     "tableaux.spct_exists": "nonemptiness of a pair's tableaux; the claims call its core for pairs already validated",
-    "tableaux.class_label": "the class of a tableau; the package groups by the same key without building labels",
     "tableaux.pacd_pairs": "the obstruction pairs of a pair with their witness lists",
     "tableaux.is_sigma_simple": "sigma-simplicity; the claims call its core for pairs already validated",
     "tableaux.canonical_source_tableau": "the canonical source; the package reads its rows through the core",

@@ -477,6 +477,26 @@ def test_equivalence_classes_examples():
     assert len(equivalence_classes(ts)) == len(class_oracle.action_components(ts))
 
 
+def test_class_keys_group_as_the_labels_do():
+    # `_class_key` against the standardized column words: the same groups,
+    # in the same order, for every compatible pair with n <= 7
+    lone = 0
+    for n in range(1, 8):
+        for alpha, sigma in all_pairs(n):
+            ts = tableaux._enumerate_spct(alpha, sigma)
+            by_label = {}
+            for t in ts:
+                by_label.setdefault(tableaux._column_words(t.rows), []).append(t)
+            assert tableaux._grouped(ts) == list(by_label.values()), (alpha, sigma)
+            lone += len(ts) == 1
+    assert lone
+    # a lone tableau is still read as a class: one source and one sink
+    (t,) = enumerate_spct((1, 1, 1), (2, 3, 1))
+    assert tableaux._read_classes(tableaux._grouped([t]))[0][0] == (((t,), t, t))
+    with pytest.raises(RuntimeError, match="1 sources and 0 sinks"):
+        tableaux._read_classes(tableaux._grouped([Spct([[3, 2], [1]])]))
+
+
 def test_classify_examples():
     assert classify(Spct([[3, 2], [1]])) == "source"
     assert classify(Spct([[3, 1], [2]])) == "sink"
