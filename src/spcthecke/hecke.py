@@ -48,26 +48,29 @@ def _check_degree(n) -> None:
 
 
 @lru_cache(maxsize=None)
-def _left_mult_images(n: int, i: int) -> tuple[int, ...]:
-    """index -> index map of left multiplication by gen_i on the basis,
-    kept once per degree and generator.
+def _left_mult_images(n: int) -> tuple[tuple[int, ...], ...]:
+    """For gen_1, ..., gen_{n-1}, the index -> index map of left
+    multiplication on the basis, kept once per degree.
 
     s_i p is longer than p exactly when the value i stands left of i+1 in p.
     """
     order = permutations.perms_by_length_lex(n)
     index = {p: k for k, p in enumerate(order)}
-    images = []
-    for p in order:
-        longer = p.index(i) < p.index(i + 1)
-        images.append(index[permutations.s_times(i, p)] if longer else index[p])
-    return tuple(images)
+    maps = []
+    for i in range(1, n):
+        images = []
+        for p in order:
+            longer = p.index(i) < p.index(i + 1)
+            images.append(index[permutations.s_times(i, p)] if longer else index[p])
+        maps.append(tuple(images))
+    return tuple(maps)
 
 
 @lru_cache(maxsize=None)
 def _regular_module(n: int) -> HModule:
     order = permutations.perms_by_length_lex(n)
     units = [{k: 1} for k in range(len(order))]  # shared by the generators: one dict per unit column
-    cols = [[units[k] for k in _left_mult_images(n, i)] for i in range(1, n)]
+    cols = [[units[k] for k in images] for images in _left_mult_images(n)]
     return HModule._trusted(n, order, cols, f"H_{n}(0)")
 
 
@@ -172,7 +175,7 @@ def _walk(images: Sequence[Sequence[int]], seed: Vec) -> tuple[list[Vec], list[l
 
 @lru_cache(maxsize=None)
 def _pim_module(n: int, subset: frozenset[int]) -> HModule:
-    vecs, cols = _walk([_left_mult_images(n, i) for i in range(1, n)], _generator(n, subset))
+    vecs, cols = _walk(_left_mult_images(n), _generator(n, subset))
     basis = _regular_module(n).basis
     return HModule._trusted(n, tuple(basis[min(v)] for v in vecs), cols, f"P_{sorted(subset)}")
 

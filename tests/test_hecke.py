@@ -92,7 +92,7 @@ def test_left_mult_images_against_lengths():
             for p in order:
                 q = P.s_times(i, p)
                 expected.append(index[q] if P.length(q) > P.length(p) else index[p])
-            assert _left_mult_images(n, i) == tuple(expected), (n, i)
+            assert _left_mult_images(n)[i - 1] == tuple(expected), (n, i)
 
 
 def test_regular_module_dims_and_relations():
@@ -131,7 +131,7 @@ def _subsets(max_n):
 
 
 def _walk(n, seed):
-    return hecke._walk([hecke._left_mult_images(n, i) for i in range(1, n)], seed)
+    return hecke._walk(hecke._left_mult_images(n), seed)
 
 
 def test_pim_seed_is_the_generator_element():
