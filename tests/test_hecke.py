@@ -127,7 +127,9 @@ def test_pim_generator_lives_in_its_ideal():
 
 
 def _subsets(max_n):
-    return [(n, frozenset(s)) for n in range(1, max_n + 1) for r in range(n) for s in itertools.combinations(range(1, n), r)]
+    return [
+        (n, frozenset(s)) for n in range(1, max_n + 1) for r in range(n) for s in itertools.combinations(range(1, n), r)
+    ]
 
 
 def _walk(n, seed):
