@@ -23,6 +23,10 @@ endomorphisms cost dim M unknowns, not (dim M)^2.  The projectivity test
 lives in `hecke`, beside the projective indecomposables it compares
 against.
 
+The ribbon modules read a shape's tableaux once for their three
+variants (`_ribbon_reading`, which keeps the last shape read), and each
+call writes its own columns from that reading.
+
 Column action: `HModule.act` applies a generator's columns to a
 coordinate vector; every algorithm here works on vectors that way and
 forms no matrix product.  `HModule.gen` builds a fresh matrix from the
@@ -30,6 +34,8 @@ columns, for serialisation and for tests.  A relation between two words
 in the generators holds when both words send every basis vector to the
 same image, and a map f with matrix F intertwines when
 ``F (pi_i e_b) == pi_i (F e_b)`` for every generator i and basis vector b.
+Most columns here are 0 or one entry, so the relation checker reads the
+image of a one-entry vector straight off its column.
 
 The projective indecomposables of `hecke` need no closure here: each is
 the walk of one generator's vector through the regular module, whose
@@ -39,14 +45,16 @@ vectors are a basis on which every column is 0 or one unit entry
 `composition_factors` and `top_factors` (and so `hecke.is_projective`)
 read only the degree, the dimension and the generator columns, never the
 basis labels or the name, and compute afresh on every call.  The claims
-that meet one tableau module many times keep their own memo, keyed on
-the tableaux before any module is built (`verify._invariant`).
+that meet one tableau module many times, rel-2.1's relation check
+among them, keep their own memo, keyed on the tableaux before any module
+is built (`verify._invariant`).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .compositions import Composition, check_composition, comp_of
@@ -271,33 +279,53 @@ def ribbon_module(alpha: Sequence[int], variant: str = "opi") -> HModule:
     The opi variant is the projective indecomposable in its combinatorial
     incarnation; theta is its twist by the sign-flipping automorphism, and
     star the sign-free version of theta.
+
+    The shape's tableaux are read once for all three variants
+    (`_ribbon_reading`), and each call writes its own columns and index
+    from that reading.
     """
     if variant not in RIBBON_VARIANTS:
         raise ValueError(f"unknown ribbon variant {variant!r}")
     alpha = check_composition(alpha)
-    ts = tableaux.enumerate_srt(alpha)
-    n = sum(alpha)
-    index = {t: j for j, t in enumerate(ts)}
+    ts, reading = _ribbon_reading(alpha)
     cols = []
-    for i in range(1, n):
+    for targets in reading:
         g = []
-        for j, t in enumerate(ts):
-            r, r1 = t.row_of(i), t.row_of(i + 1)
-            if r > r1:
+        for j, k in enumerate(targets):
+            if k is None:  # r > r'
                 col = {} if variant == "opi" else {j: 1}
-            elif r == r1:
+            elif k == j:  # r == r'
                 col = {j: 1} if variant == "opi" else {}
+            elif variant == "opi":
+                col = {j: 1, k: 1}
             else:
-                k = index[t.swap_values(i)]
-                if variant == "opi":
-                    col = {j: 1, k: 1}
-                elif variant == "theta":
-                    col = {k: -1}
-                else:
-                    col = {k: 1}
+                col = {k: -1} if variant == "theta" else {k: 1}
             g.append(col)
         cols.append(g)
-    return HModule._trusted(n, ts, cols, f"P_{alpha}[{variant}]", index)
+    return HModule._trusted(sum(alpha), ts, cols, f"P_{alpha}[{variant}]")
+
+
+@lru_cache(maxsize=1)
+def _ribbon_reading(alpha: Composition) -> tuple[tuple[Srt, ...], tuple[tuple[int | None, ...], ...]]:
+    """A shape's ribbon tableaux, and per generator i the case each is in:
+    None when i + 1 lies in a lower row than i, the tableau's own position
+    when they share a row, and the position of the tableau with i and
+    i + 1 swapped when i + 1 lies higher.
+
+    One entry is kept, so the variants of one shape, built one after
+    another, read its tableaux once; it holds only tuples, which no
+    caller can change.
+    """
+    ts = tableaux.enumerate_srt(alpha)
+    index = {t: j for j, t in enumerate(ts)}
+    reading = []
+    for i in range(1, sum(alpha)):
+        targets = []
+        for j, t in enumerate(ts):
+            r, r1 = t.row_of(i), t.row_of(i + 1)
+            targets.append(None if r > r1 else j if r == r1 else index[t.swap_values(i)])
+        reading.append(tuple(targets))
+    return ts, tuple(reading)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +341,14 @@ class RelationReport(NamedTuple):
 
 
 def check_relations(m: HModule) -> RelationReport:
-    """Exact idempotency, braid, and far-commutation checks, column by column."""
+    """Exact idempotency, braid, and far-commutation checks, column by column.
+
+    A word's images are built one letter at a time, right to left.  The
+    image of a one-entry vector ``{c: x}`` is read straight off column c:
+    the column itself when x is 1, scaled by x otherwise; every other
+    vector goes through `_apply_cols`.  Columns handed on this way are
+    only compared, never changed.
+    """
     violations = []
     cols = m.cols
 
@@ -322,7 +357,15 @@ def check_relations(m: HModule) -> RelationReport:
         *rest, last = letters
         out = cols[last - 1]
         for i in reversed(rest):
-            out = [_apply_cols(cols[i - 1], v) for v in out]
+            g = cols[i - 1]
+            images = []
+            for v in out:
+                if len(v) == 1:
+                    [(c, x)] = v.items()
+                    images.append(g[c] if x == 1 else {k: x * y for k, y in g[c].items()})
+                else:
+                    images.append(_apply_cols(g, v))
+            out = images
         return out
 
     for i in range(1, m.n):

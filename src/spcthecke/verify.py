@@ -40,10 +40,11 @@ the swaps lands only on members and reaches them all.  So the classes are
 the components of the action graph, and each is generated by its source.
 thm-3.15 and cor-3.18 read tableau-cyclicity off the same swap graph.
 
-Three claims read one invariant of a module on tableaux: thm-3.1
+Four claims read one invariant of a module on tableaux: thm-3.1
 `modules.is_indecomposable` of each class submodule, factors-vs-descents
-`modules.composition_factors` of each whole tableau module, and cor-5.6
-`hecke.is_projective` of each canonical class submodule.  Each keys its
+`modules.composition_factors` of each whole tableau module, cor-5.6
+`hecke.is_projective` of each canonical class submodule, and rel-2.1
+`modules.check_relations` of each whole tableau module.  Each keys its
 tableaux on n, their step ids and their swap targets (`_tableau_key`),
 read before any module is built.  The key fixes the module's columns
 exactly, so equal keys have one value, and a module is built and the
@@ -392,8 +393,11 @@ def _algebra_modules(n: int) -> list:
 def _case_relations(case) -> list:
     kind, payload = case
     if kind == "spct":
-        mod = modules.spct_module(*payload)
-    elif kind == "ribbon":
+        alpha, sigma = payload
+        taus = tableaux._enumerate_spct(alpha, sigma)
+        report = _invariant(modules.check_relations, sum(alpha), taus, tuple(map(tableaux._step_id, taus)))
+        return [] if report.ok else [{"module": f"S^{sigma}_{alpha}"}]
+    if kind == "ribbon":
         mod = modules.ribbon_module(*payload)
     elif kind == "regular":
         mod = hecke.regular_module(payload)
@@ -824,7 +828,7 @@ def _case_pim(case) -> list:
 CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] = {
     "rel-2.1": (
         "generator relations hold on every constructed module",
-        7,
+        8,
         lambda m: _algebra_stream(m, _shapes(functools.partial(_tagged, "spct")), _listed(_algebra_modules)),
         _case_relations,
     ),

@@ -25,7 +25,7 @@ def _check(criterion: str, claims: list[tuple[str, dict]]):
 
 
 def test_criterion_01_relations_exact():
-    _check("criterion-1 generator relations (n<=6)", [("rel-2.1", {"max_n": 6})])
+    _check("criterion-1 generator relations (n<=7)", [("rel-2.1", {"max_n": 7})])
 
 
 def test_criterion_02_compatibility():

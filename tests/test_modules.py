@@ -38,6 +38,7 @@ from spcthecke.tableaux import (
     classify,
     comp_of_tableau,
     enumerate_spct,
+    enumerate_srt,
     equivalence_classes,
     is_compatible,
     source_ribbon_tableau,
@@ -111,6 +112,56 @@ def test_ribbon_module_variants():
     assert class_oracle.cyclic_span(star, {star.index(t0): 1}) == star.dim
 
 
+def ribbon_columns(alpha, variant):
+    """One variant's ribbon columns, read off every tableau's rows and
+    swap for that variant alone; an oracle for the one reading
+    `ribbon_module` shares among the variants."""
+    ts = enumerate_srt(alpha)
+    index = {t: j for j, t in enumerate(ts)}
+    cols = []
+    for i in range(1, sum(alpha)):
+        g = []
+        for j, t in enumerate(ts):
+            r, r1 = t.row_of(i), t.row_of(i + 1)
+            if r > r1:
+                col = {} if variant == "opi" else {j: 1}
+            elif r == r1:
+                col = {j: 1} if variant == "opi" else {}
+            else:
+                k = index[t.swap_values(i)]
+                col = {"opi": {j: 1, k: 1}, "theta": {k: -1}, "star": {k: 1}}[variant]
+            g.append(col)
+        cols.append(g)
+    return cols
+
+
+def test_ribbon_module_matches_the_per_variant_reading():
+    shapes = [a for n in range(1, 7) for a in compositions(n)]
+    # shape by shape, so the variants share a reading, and variant by
+    # variant, so no two calls in a row do
+    orders = [(a, v) for a in shapes for v in modules.RIBBON_VARIANTS]
+    orders += [(a, v) for v in modules.RIBBON_VARIANTS for a in shapes]
+    for alpha, variant in orders:
+        m = ribbon_module(alpha, variant)
+        assert list(m.cols) == ribbon_columns(alpha, variant), (alpha, variant)
+        assert m.basis == enumerate_srt(alpha) and m.name == f"P_{alpha}[{variant}]"
+        assert all(m.index(t) == j for j, t in enumerate(m.basis))
+
+
+def test_ribbon_modules_hand_out_their_own_columns():
+    alpha = (2, 1, 2)
+    first = ribbon_module(alpha, "opi")
+    for g in first.cols:
+        for col in g:
+            col[0] = 7
+        g.append({})
+    first._index.clear()
+    for variant in modules.RIBBON_VARIANTS:
+        m = ribbon_module(alpha, variant)
+        assert list(m.cols) == ribbon_columns(alpha, variant)
+        assert [m.index(t) for t in m.basis] == list(range(m.dim))
+
+
 def test_check_relations_negative_control():
     m = spct_module((2, 1), (2, 1))
     corrupted = HModule(m.n, m.basis, (m.cols[0], [{0: 1, 1: 1}, {1: 1}]))
@@ -118,6 +169,24 @@ def test_check_relations_negative_control():
     assert not report.ok
     assert any(v["relation"] == "idempotent" for v in report.violations)
     assert report.violations == action_oracle.check_relations(corrupted)
+
+
+def test_check_relations_scaled_one_entry_columns():
+    # theta's one-entry columns carry -1; scaling one of them by 2 breaks
+    # some relation for some of them, which only the coefficient shows
+    m = ribbon_module((2, 2), "theta")
+    broken = []
+    for i, g in enumerate(m.cols):
+        for c, col in enumerate(g):
+            if list(col.values()) != [-1]:
+                continue
+            cols = [list(h) for h in m.cols]
+            cols[i][c] = {k: 2 * x for k, x in col.items()}
+            corrupted = HModule(m.n, m.basis, cols)
+            report = check_relations(corrupted)
+            assert report.violations == action_oracle.check_relations(corrupted), (i, c)
+            broken.append(not report.ok)
+    assert any(broken) and not all(broken)
 
 
 # two idempotents on Q^2 that neither braid nor commute: e0 -> e0, e1 -> 0,

@@ -21,6 +21,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "spcthecke"
 
 KEEP = {
+    "modules.spct_module": "the tableau module S^sigma_alpha itself; the claims build it on tableaux they have already read",
     "tableaux.spct_exists": "nonemptiness of a pair's tableaux; the claims call its core for pairs already validated",
     "tableaux.pacd_pairs": "the obstruction pairs of a pair with their witness lists",
     "tableaux.is_sigma_simple": "sigma-simplicity; the claims call its core for pairs already validated",

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import action_oracle
 import case_oracle
 import class_oracle
 from case_oracle import compatible_pairs
@@ -20,7 +21,7 @@ from spcthecke.verify import CLAIMS, _run_cases
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.json"
 # each claim's bound in tests/test_acceptance.py
 GATES = {
-    "rel-2.1": 6, "prop-3.4": 8, "lem-2.7": 7, "thm-3.15": 8, "cor-3.18": 8, "thm-3.1": 7,
+    "rel-2.1": 7, "prop-3.4": 8, "lem-2.7": 7, "thm-3.15": 8, "cor-3.18": 8, "thm-3.1": 7,
     "thm-4.2": 6, "prop-4.6": 6, "thm-4.8": 6, "cor-4.9": 8, "cor-4.11": 8, "thm-5.5": 6,
     "cor-5.6": 7, "factors-vs-descents": 7, "app-A": 6, "pim-dims": 7,
 }
@@ -407,3 +408,39 @@ def test_a_class_that_leaks_raises_and_stores_nothing():
             with pytest.raises(ValueError, match="not generator-stable"):
                 verify._invariant(fn, 5, members, sids)
     assert verify._INVARIANTS == stored
+
+
+def test_relation_verdicts_are_the_modules_own():
+    # rel-2.1's tableau cases on the memo: each verdict equals the check of
+    # the public tableau module and the matrix-product oracle's, built once
+    # and served once
+    verify._INVARIANTS.clear()
+    checked = 0
+    for n in range(1, 7):
+        for alpha, sigma in compatible_pairs(n):
+            m = modules.spct_module(alpha, sigma)
+            want = modules.check_relations(m)
+            assert want.violations == action_oracle.check_relations(m) == [], m
+            sids = tuple(map(tableaux._step_id, m.basis))
+            for _ in range(2):
+                assert verify._invariant(modules.check_relations, n, m.basis, sids) == want, m
+            assert verify._case_relations(("spct", (alpha, sigma))) == []
+            checked += 1
+    assert checked == 1402
+    assert len(verify._INVARIANTS) == 162
+
+
+def test_a_failing_tableau_module_is_reported(monkeypatch):
+    # a relation check that fails every tableau module and passes every
+    # other: each tableau case fails under its module's name
+    def fail_tableaux(m):
+        bad = isinstance(m.basis[0], tableaux.Spct)
+        return modules.RelationReport(not bad, [{"relation": "idempotent", "i": 1}] if bad else [])
+
+    monkeypatch.setattr(modules, "check_relations", fail_tableaux)
+    report = verify.run_claim("rel-2.1", 4)
+    failures = [
+        {"module": "S^{1}_{0}".format(*pair)} for kind, pair in case_oracle.CASES["rel-2.1"](4) if kind == "spct"
+    ]
+    assert report["status"] == "fail" and len(failures) == 55
+    assert report["witness"] == sorted(failures, key=repr)[:10]
