@@ -8,8 +8,10 @@ keyed by coordinate index.
 
 `EchelonSpace` is the one elimination kernel.  Rows are kept in echelon form
 while vectors are added, and fully reduced by one back-substitution when the
-basis is first read after an add.  The reduced echelon basis is canonical,
-which makes span comparisons exact dictionary comparisons.  Pivots are
+basis is first read after an add.  The package eliminates only where a
+module algorithm needs it: hom spaces, the radical filtration, the
+eigensplit and the two rank certificates (`modules.is_indecomposable`
+and cor-5.6's counterexample).  Pivots are
 normalised to 1 by negating a row whose pivot entry is -1, so the 0/±1
 matrices of this package eliminate in `int` arithmetic; `Fraction` appears
 only at a pivot entry other than ±1.
@@ -163,7 +165,7 @@ class EchelonSpace:
 
     `add` keeps the stored rows in echelon form: each row's pivot is its
     smallest coordinate, holds the entry 1, and belongs to no other row.
-    The first read of `basis` or `canonical_key` after an `add`
+    The first read of `basis` after an `add`
     runs one back-substitution that clears every pivot from the other rows,
     so reads see the fully reduced echelon basis.  That basis is canonical
     for the subspace: two spans are equal iff their bases are equal.
@@ -286,19 +288,6 @@ class EchelonSpace:
         """Reduced echelon basis rows sorted by pivot (canonical for the span)."""
         self._full_reduce()
         return [self.rows[self.pivots[p]] for p in sorted(self.pivots)]
-
-    def canonical_key(self):
-        """A hashable canonical form; equal iff the spans are equal."""
-        return tuple(tuple(sorted(row.items())) for row in self.basis())
-
-
-def span_equal(vectors_a: Iterable[Mapping[int, Scalar]], vectors_b: Iterable[Mapping[int, Scalar]], dim: int) -> bool:
-    ea, eb = EchelonSpace(dim), EchelonSpace(dim)
-    for v in vectors_a:
-        ea.add(v)
-    for v in vectors_b:
-        eb.add(v)
-    return ea.canonical_key() == eb.canonical_key()
 
 
 def rank_of(vectors: Iterable[Mapping[int, Scalar]], dim: int) -> int:

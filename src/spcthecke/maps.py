@@ -15,6 +15,7 @@
   onto the canonical class submodule built from that class alone
   (`modules.canonical_submodule`).  Each transpose is looked up among
   the class's members, which are valid, so it is not checked itself.
+  Its matrix is a partial injection, so its image and kernel are sets.
 * `iota_map` is the diagonal sign isomorphism from the sign-twisted ribbon
   module onto its sign-free version; a tableau's sign is the parity of its
   `star_distances` distance from the source.
@@ -35,8 +36,8 @@ from collections import deque
 from typing import NamedTuple, Sequence
 
 from .compositions import check_composition, complement_of, is_partition
-from .linalg import RatMat, nullspace, rank_of, span_equal
-from .modules import LinearMap, canonical_submodule, ribbon_module
+from .linalg import RatMat
+from .modules import LinearMap, _ribbon_reading, canonical_submodule, ribbon_module
 from . import permutations
 from .permutations import Permutation
 from . import tableaux
@@ -119,15 +120,22 @@ def tau_of_ribbon(T: Srt, sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     Always returns the raw filling; it need not satisfy the tableau
     conditions.
     """
+    return _tau(T, _check_type(sigma, T.num_columns()))
+
+
+def _check_type(sigma: Sequence[int], ncols: int) -> Permutation:
+    """sigma as a permutation of the ribbon's column count."""
     sigma = permutations.check_perm(sigma)
-    ncols = T.num_columns()
     if len(sigma) != ncols:
         raise ValueError(
             f"type degree {len(sigma)} != number of ribbon columns {ncols}"
         )
-    return tuple(
-        tuple(sorted(T.column(sigma[i]), reverse=True)) for i in range(ncols)
-    )
+    return sigma
+
+
+def _tau(T: Srt, sigma: Permutation) -> tuple[tuple[int, ...], ...]:
+    """`tau_of_ribbon` for a type already checked against T's columns."""
+    return tuple(tuple(sorted(T.column(c), reverse=True)) for c in sigma)
 
 
 def ribbon_to_spct(T: Srt, sigma: Sequence[int]) -> Spct | None:
@@ -157,12 +165,9 @@ def omega_set(alpha: Sequence[int], sigma: Sequence[int]) -> list[Srt]:
     i before j and some entry of column i beats the one just above it in
     column j.
     """
-    sigma = permutations.check_perm(sigma)
-    out = []
-    for T in tableaux.enumerate_srt(alpha):
-        if _omega_member(T, sigma):
-            out.append(T)
-    return out
+    alpha = check_composition(alpha)
+    sigma = _check_type(sigma, len(complement_of(alpha)))
+    return [T for T in tableaux.enumerate_srt(alpha) if _omega_member(T, sigma)]
 
 
 def _omega_member(T: Srt, sigma: Permutation) -> bool:
@@ -212,8 +217,12 @@ def prc_phi_map(alpha: Sequence[int], sigma: Sequence[int]) -> PrcPhiResult:
     canonical-class submodule of the transposed tableau module.
 
     The matrix sends a ribbon tableau to its transpose when that lands in
-    the canonical class and to zero otherwise.  Verification covers the
-    intertwiner property, surjectivity, and kernel == span of `omega_set`.
+    the canonical class and to zero otherwise: a partial injection
+    `image`, read as sets.  It is surjective when every target position
+    is an image.  Its kernel is span `omega_set` when the killed
+    positions are Omega's and no two tableaux share an image: two with
+    one image would put e_T - e_T' in the kernel, outside span Omega.
+    The intertwiner property is checked on the matrix.
     """
     alpha = check_composition(alpha)
     sigma = permutations.check_perm(sigma)
@@ -225,22 +234,21 @@ def prc_phi_map(alpha: Sequence[int], sigma: Sequence[int]) -> PrcPhiResult:
         )
     src = ribbon_module(alpha, "star")
     _, tgt = canonical_submodule(beta, sigma)
-    data = {}
+    image = {}
     for j, T in enumerate(src.basis):
         # only a member counts, and members are valid: no check of its own
-        rows = tau_of_ribbon(T, sigma)
+        rows = _tau(T, sigma)
         t = Spct._trusted(rows, tuple(map(len, rows)), T.n)
         if t in tgt:
-            data[tgt.index(t), j] = 1
-    mat = RatMat(tgt.dim, src.dim, data)
+            image[j] = tgt.index(t)
+    mat = RatMat(tgt.dim, src.dim, {(i, j): 1 for j, i in image.items()})
     linmap = LinearMap(src, tgt, mat, name=f"prc_phi[{alpha},{sigma}]")
     linmap.check_intertwiner()
-    surjective = rank_of(mat.rows(), src.dim) == tgt.dim
-    kernel = nullspace(mat.rows(), src.dim)
+    images = set(image.values())
     omega = omega_set(alpha, sigma)
-    omega_vecs = [{src.index(T): 1} for T in omega]
-    matches = span_equal(kernel, omega_vecs, src.dim)
-    return PrcPhiResult(linmap, surjective, matches, len(omega), tgt.dim)
+    killed = {j for j in range(src.dim) if j not in image}
+    matches = len(images) == len(image) and killed == {src.index(T) for T in omega}
+    return PrcPhiResult(linmap, len(images) == tgt.dim, matches, len(omega), tgt.dim)
 
 
 def prc_phi_for_target(beta: Sequence[int], sigma: Sequence[int]) -> PrcPhiResult:
@@ -261,26 +269,25 @@ def prc_phi_for_target(beta: Sequence[int], sigma: Sequence[int]) -> PrcPhiResul
 
 
 def star_distances(alpha: Sequence[int]) -> dict[Srt, int]:
-    """BFS distance from the column-major source in the sign-free action graph."""
+    """BFS distance from the column-major source in the sign-free action
+    graph, whose edges are the swap targets of `modules._ribbon_reading`."""
     alpha = check_composition(alpha)
-    ts = tableaux.enumerate_srt(alpha)
-    t0 = tableaux.source_ribbon_tableau(alpha)
-    dist = {t0: 0}
-    queue = deque([t0])
+    ts, reading = _ribbon_reading(alpha)
+    j0 = ts.index(tableaux.source_ribbon_tableau(alpha))
+    dist = {j0: 0}
+    queue = deque([j0])
     while queue:
-        t = queue.popleft()
-        for i in range(1, t.n):
-            if t.row_of(i) < t.row_of(i + 1):
-                u = t.swap_values(i)
-                if u not in dist:
-                    dist[u] = dist[t] + 1
-                    queue.append(u)
-    missing = [t for t in ts if t not in dist]
-    if missing:
+        j = queue.popleft()
+        for targets in reading:
+            k = targets[j]
+            if k is not None and k not in dist:
+                dist[k] = dist[j] + 1
+                queue.append(k)
+    if len(dist) < len(ts):
         raise RuntimeError(
-            f"{len(missing)} ribbon tableaux unreachable from the source of {alpha}"
+            f"{len(ts) - len(dist)} ribbon tableaux unreachable from the source of {alpha}"
         )
-    return dist
+    return {ts[j]: d for j, d in dist.items()}
 
 
 def iota_map(alpha: Sequence[int]) -> LinearMap:

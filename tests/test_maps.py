@@ -1,8 +1,12 @@
+from collections import deque
+
 import pytest
 
+from dense_oracle import rref
 from spcthecke import permutations as P
 from spcthecke.compositions import compositions, complement_of, partitions, sorted_parts
 from spcthecke import maps
+from spcthecke.modules import canonical_submodule, ribbon_module
 from spcthecke.maps import (
     iota_map,
     omega_set,
@@ -171,6 +175,90 @@ def test_omega_examples():
     assert omega_set((4,), (1, 2, 3, 4)) == []
 
 
+def test_omega_set_checks_the_type_degree():
+    # the type must have one entry per ribbon column, as for the transpose
+    for alpha, sigma in [((2, 1), (1, 2, 3)), ((1, 1), (1, 2)), ((2, 1), (1,))]:
+        m = len(complement_of(alpha))
+        with pytest.raises(ValueError, match=f"type degree {len(sigma)} != number of ribbon columns {m}"):
+            omega_set(alpha, sigma)
+
+
+def _compatible_pairs(max_n):
+    """Every (alpha, sigma) whose transposed target pair is compatible."""
+    for n in range(1, max_n + 1):
+        for alpha in compositions(n):
+            for sigma in P.all_perms(len(complement_of(alpha))):
+                if is_compatible(P.compose_right_action(complement_of(alpha), sigma), sigma):
+                    yield alpha, sigma
+
+
+def _oracle_matrix(alpha, sigma):
+    """The projected transpose through the validating transpose, densely."""
+    ts = enumerate_srt(alpha)
+    _, tgt = canonical_submodule(P.compose_right_action(complement_of(alpha), sigma), sigma)
+    rows = [[0] * len(ts) for _ in range(tgt.dim)]
+    for j, T in enumerate(ts):
+        t = ribbon_to_spct(T, sigma)
+        if t is not None and t in tgt:
+            rows[tgt.index(t)][j] = 1
+    return rows
+
+
+def _oracle_report(res, alpha, sigma):
+    """The certificate by dense Gauss-Jordan (shares no code with `linalg`):
+    the rank against the target's dimension, and the kernel's span
+    against that of the tableaux `_omega_member` accepts."""
+    src, tgt, mat = res.linmap.source, res.linmap.target, res.linmap.matrix
+    dense = mat.to_dense()
+    red = rref(dense, src.dim)
+    pivots = [next(k for k, x in enumerate(row) if x) for row in red]
+    kernel = []
+    for free in range(src.dim):
+        if free not in pivots:
+            v = [0] * src.dim
+            v[free] = 1
+            for p, row in zip(pivots, red):
+                v[p] = -row[free]
+            kernel.append(v)
+    omega = [j for j, T in enumerate(src.basis) if maps._omega_member(T, sigma)]
+    units = [[int(k == j) for k in range(src.dim)] for j in omega]
+    return {
+        "intertwines": all(mat * src.gen(i) == tgt.gen(i) * mat for i in range(1, src.n)),
+        "surjective": len(red) == tgt.dim,
+        "kernel_matches_omega": rref(kernel, src.dim) == rref(units, src.dim),
+        "omega_size": len(omega),
+        "target_dim": tgt.dim,
+    }
+
+
+def test_prc_phi_map_against_elimination_oracle():
+    # every compatible pair with n <= 6: the matrix, and the certificate by elimination
+    count = 0
+    for alpha, sigma in _compatible_pairs(6):
+        res = prc_phi_map(alpha, sigma)
+        assert res.linmap.matrix.to_dense() == _oracle_matrix(alpha, sigma), (alpha, sigma)
+        assert res.to_json() == _oracle_report(res, alpha, sigma), (alpha, sigma)
+        assert res.ok, (alpha, sigma)
+        count += 1
+    assert count == 1402
+
+
+def test_prc_phi_kernel_needs_an_injective_map(monkeypatch):
+    # a transpose sending two tableaux to one member puts their difference
+    # in the kernel, outside span Omega, though no killed position moves
+    alpha, sigma = (1, 2, 1), (2, 1)
+    honest = maps._tau
+    res = prc_phi_map(alpha, sigma)
+    mapped = sorted({j for (_, j) in res.linmap.matrix.data})
+    assert len(mapped) >= 2
+    first, second = (res.linmap.source.basis[j] for j in mapped[:2])
+    monkeypatch.setattr(maps, "_tau", lambda T, s: honest(first if T == second else T, s))
+    res = prc_phi_map(alpha, sigma)
+    oracle = _oracle_report(res, alpha, sigma)
+    assert res.to_json() == oracle
+    assert not oracle["kernel_matches_omega"] and not oracle["surjective"]
+
+
 def test_prc_phi_examples():
     res = prc_phi_map((1, 1), (1,))
     assert res.ok and res.target_dim == 1 and not res.linmap.matrix.is_zero()
@@ -212,6 +300,28 @@ def test_iota_conjugates_variants():
     for i in range(1, 3):
         assert lm.matrix * theta_mod.gen(i) == star_mod.gen(i) * lm.matrix
         assert inv * star_mod.gen(i) * inv == theta_mod.gen(i)
+
+
+def _star_distances_by_swaps(alpha):
+    """BFS over the tableaux themselves: swap i and i + 1 when i + 1 lies higher."""
+    t0 = source_ribbon_tableau(alpha)
+    dist = {t0: 0}
+    queue = deque([t0])
+    while queue:
+        t = queue.popleft()
+        for i in range(1, t.n):
+            if t.row_of(i) < t.row_of(i + 1):
+                u = t.swap_values(i)
+                if u not in dist:
+                    dist[u] = dist[t] + 1
+                    queue.append(u)
+    return dist
+
+
+def test_star_distances_match_the_swap_walk():
+    for n in range(1, 8):
+        for alpha in compositions(n):
+            assert star_distances(alpha) == _star_distances_by_swaps(alpha), alpha
 
 
 def test_star_distances_cover_all():
