@@ -218,7 +218,6 @@ def _probes(rng, oracle, ncols):
 
 def _check_reads(e, oracle, rng, ncols):
     assert e.basis() == oracle.basis()
-    assert [sorted(r.items()) for r in e.basis()] == [sorted(r.items()) for r in oracle.basis()]
     assert e.pivots == oracle.row_of
     for v in _probes(rng, oracle, ncols):
         assert e.residue(v) == oracle.residue(v), v

@@ -6,7 +6,7 @@ from dense_oracle import rref
 from spcthecke import permutations as P
 from spcthecke.compositions import compositions, complement_of, partitions, sorted_parts
 from spcthecke import maps
-from spcthecke.modules import canonical_submodule, ribbon_module
+from spcthecke.modules import canonical_submodule
 from spcthecke.maps import (
     iota_map,
     omega_set,
