@@ -5,8 +5,9 @@ with its witness is printed as JSON), 2 for usage errors (including a
 `verify --max-n` or `--jobs` below 1, and a `--out` or `--dot` path that
 cannot be written, which is opened before any work is done) and exceeded
 size bounds, and 3 for an internal error: a `RuntimeError` raised when a
-computation finds its own invariant broken (say, a radical layer that is
-not semisimple), or any other exception a claim's case raises, is
+computation finds its own invariant broken (say, ``generator 1 is not
+idempotent`` from a module's composition factors), or any other
+exception a claim's case raises, is
 printed as one ``error: internal: ...`` line, with no traceback.  When
 the reader of stdout goes away first (say, ``spcthecke verify thm-3.1 |
 head -1``), the command stops quietly and exits 141, the code a shell

@@ -9,9 +9,9 @@ keyed by coordinate index.
 `EchelonSpace` is the one elimination kernel.  Rows are kept in echelon form
 while vectors are added, and fully reduced by one back-substitution when the
 basis is first read after an add.  The package eliminates only where a
-module algorithm needs it: hom spaces, the radical filtration, the
-eigensplit and the two rank certificates (`modules.is_indecomposable`
-and cor-5.6's counterexample).  Pivots are
+module algorithm needs it: hom spaces, the radical and top layer of a
+module (`modules.top_factors`) and the two rank certificates
+(`modules.is_indecomposable` and cor-5.6's counterexample).  Pivots are
 normalised to 1 by negating a row whose pivot entry is -1, so the 0/±1
 matrices of this package eliminate in `int` arithmetic; `Fraction` appears
 only at a pivot entry other than ±1.

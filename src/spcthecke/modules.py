@@ -15,7 +15,9 @@ leaves the class raises.  Tableau-cyclicity, the DOT graph and a class's
 reachable pairs walk the same swaps (`tableaux._swap_graph`), building no module.
 Everything downstream is linear algebra over Q: the relation checker,
 intertwiner (hom) spaces, endomorphism rings with the trace-form radical,
-and radical filtrations with their semisimple-layer eigensplit.
+and the top layer M / rad M.  Every simple module is one dimensional, so
+composition factors, of M or of its top, are read off the traces of the
+products of generators by inversion over subsets, with no elimination.
 Hom spaces are solved from a presentation of the source module by
 generators and relations, so a map is fixed by its values on the
 generators; a class submodule is cyclic, generated by its source, so its
@@ -55,7 +57,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .compositions import Composition, check_composition, comp_of
 from .linalg import EchelonSpace, RatMat, Vec, nullspace, rank_of, vec_axpy
@@ -548,7 +550,7 @@ def is_indecomposable(m: HModule) -> tuple[bool, IndecomposabilityCertificate]:
 
 
 # ---------------------------------------------------------------------------
-# radical filtration and composition factors
+# the top layer and composition factors
 
 
 def _commutator_columns(m: HModule) -> list[list[Vec]]:
@@ -582,133 +584,103 @@ def _generator_closure(m: HModule, seeds: Iterable[Vec]) -> EchelonSpace:
     return space
 
 
-class Layer(NamedTuple):
-    """One semisimple layer of the radical filtration."""
-
-    dim: int
-    cols: list[list[Vec]]  # per generator, its action on layer coordinates by columns
-
-
-def radical_filtration(m: HModule) -> Iterator[Layer]:
-    """Layers of M > rad M > rad^2 M > ..., top first, with their induced actions.
+def _top_layer(m: HModule) -> tuple[int, list[list[Vec]]]:
+    """M / rad M: its dimension, and per generator its action on layer
+    coordinates by columns.
 
     The radical of the algebra is its commutator ideal (the quotient is
     commutative and generated by idempotents, hence semisimple, and the
-    ground field has characteristic zero), so rad . W is the generator
-    closure of the commutator images of W.  The commutators' columns are
-    built once, for every step.
-
-    Layers are yielded lazily, so taking only the top computes one radical.
-    Each layer's generator action is expressed on residues of spanning
-    vectors modulo the next filtration step; the generators preserve each
-    step, so reducing an image modulo the step and solving against the
-    residue basis is exact.
+    ground field has characteristic zero), so rad M is the generator
+    closure of the commutators' columns.  The layer's action is expressed
+    on residues of basis vectors modulo rad M; the generators preserve
+    rad M, so reducing an image modulo it and solving against the residue
+    basis is exact.
     """
-    cols = m.cols
-    comms = _commutator_columns(m)
-    current: list[Vec] = [{j: 1} for j in range(m.dim)]
-    current_dim = m.dim
-    while current_dim > 0:
-        images = (_apply_cols(comm, v) for comm in comms for v in current)
-        rad = _generator_closure(m, (w for w in images if w))
-        nxt = rad.basis()
-        if len(nxt) >= current_dim:
-            raise RuntimeError("radical filtration did not shrink")
-        span = EchelonSpace(m.dim, track=True)
-        reps: list[Vec] = []
-        for v in current:
-            res = rad.residue(v)
-            if res and not span.contains(res):
-                span.add(res)  # accepted adds only, so input index == rep index
-                reps.append(res)
-        layer_cols = []
-        for g in cols:
-            gcols = []
-            for rep in reps:
-                coords = span.input_coords(rad.residue(_apply_cols(g, rep)))
-                if coords is None:
-                    raise RuntimeError("layer action escaped the layer")
-                gcols.append(coords)
-            layer_cols.append(gcols)
-        yield Layer(len(reps), layer_cols)
-        current = nxt
-        current_dim = len(nxt)
+    rad = _generator_closure(m, (w for comm in _commutator_columns(m) for w in comm if w))
+    if m.dim and len(rad) >= m.dim:
+        raise RuntimeError("the radical of a nonzero module is the whole module")
+    span = EchelonSpace(m.dim, track=True)
+    reps: list[Vec] = []
+    for j in range(m.dim):
+        res = rad.residue({j: 1})
+        if res and not span.contains(res):
+            span.add(res)  # accepted adds only, so input index == rep index
+            reps.append(res)
+    layer_cols = []
+    for g in m.cols:
+        gcols = []
+        for rep in reps:
+            coords = span.input_coords(rad.residue(_apply_cols(g, rep)))
+            if coords is None:
+                raise RuntimeError("layer action escaped the layer")
+            gcols.append(coords)
+        layer_cols.append(gcols)
+    return len(reps), layer_cols
 
 
-def _eigensplit(layer: Layer) -> Counter[tuple[int, ...]]:
-    """Joint {0,1}-eigenpattern multiplicities of commuting idempotents.
+def _trace_factors(n: int, dim: int, cols: Sequence[Sequence[Vec]]) -> Counter[Composition]:
+    """Simple multiplicities of the degree-n module on Q^dim whose
+    generators have these columns, read off traces.
 
-    Each generator in turn splits every block of vectors into its kernel
-    and its fixed space there.  When the generator kills or fixes each
-    vector of a block, the vectors themselves split it; otherwise each
-    part is solved for.  The parts must make up the whole layer, or the
-    action is not diagonalisable and the layer is not semisimple.
+    Every simple module is one dimensional: F_E, on which pi_i acts as 1
+    for i in E and 0 otherwise (Norton 1979).  A trace is additive along a
+    composition series, and x_J, the product of the pi_j with j in J, acts
+    on F_E as 1 when J lies in E and as 0 otherwise.  So tr(x_J) is the
+    sum of the m_E over the E that contain J, and inversion
+    over supersets gives m_E = sum over J containing E of
+    (-1)^{|J - E|} tr(x_J).  F_E is indexed by the composition with
+    partial sums [1, n - 1] - E, and the factors come out in the order
+    of E's indicator word (pi_1 first), kills before fixes.
+
+    The traces take one depth-first walk over the subsets J per basis
+    vector b.  Generators are added in increasing order, so each node
+    applies one generator to its parent's vector; a zero vector ends its
+    branch, and each node adds its vector's b-th entry to tr(x_J).
+
+    A generator that is not idempotent, or an m_E that is not a natural
+    number, raises `RuntimeError`.  On the top layer (`_top_layer`) the
+    generators always commute, because rad M holds every commutator image
+    by construction, so idempotency is the one property left to check
+    there: commuting idempotents split the layer into its simple summands.
     """
-    blocks: dict[tuple[int, ...], list[Vec]] = {(): [{j: 1} for j in range(layer.dim)]}
-    for a in layer.cols:
-        split: dict[tuple[int, ...], list[Vec]] = {}
-        for pattern, vecs in blocks.items():
-            images = [_apply_cols(a, v) for v in vecs]
-            if all(not w or w == v for v, w in zip(vecs, images)):
-                parts: list[list[Vec]] = [[], []]
-                for v, w in zip(vecs, images):
-                    parts[bool(w)].append(v)
-            else:
-                parts = [_eigenspace(vecs, images, 0), _eigenspace(vecs, images, 1)]
-            for eig, part in enumerate(parts):
-                if part:
-                    split[pattern + (eig,)] = part
-        blocks = split
-        if sum(len(vecs) for vecs in blocks.values()) != layer.dim:
-            raise RuntimeError("layer is not semisimple: eigensplit lost dimensions")
-    return Counter({pattern: len(vecs) for pattern, vecs in blocks.items()})
-
-
-def _eigenspace(vecs: list[Vec], images: list[Vec], eig: int) -> list[Vec]:
-    """A basis of the w in the span of vecs with a w = eig w, given the images a v."""
-    # solve for combinations c with (a - eig) . (V c) = 0
-    rows: dict[int, Vec] = {}
-    for cidx, (v, img) in enumerate(zip(vecs, images)):
-        col = img
-        if eig:
-            col = dict(img)
-            vec_axpy(col, -1, v)
-        for r, x in col.items():
-            rows.setdefault(r, {})[cidx] = x
-    out = []
-    for c in nullspace(list(rows.values()), len(vecs)):
-        w: Vec = {}
-        for cidx, x in c.items():
-            vec_axpy(w, x, vecs[cidx])
-        out.append(w)
-    return out
-
-
-def _layer_factors(layer: Layer, n: int) -> Counter[Composition]:
-    """Simple multiplicities of one semisimple layer.
-
-    A joint eigenpattern with zeros exactly on a subset I contributes the
-    simple indexed by the composition with partial sums I.
-    """
+    for i, g in enumerate(cols, 1):
+        if any(_apply_cols(g, col) != col for col in g):
+            raise RuntimeError(f"generator {i} is not idempotent")
+    k = max(n - 1, 0)  # pi_i is bit k - i of a subset's mask
+    traces: list = [0] * (1 << k)
+    for b in range(dim):
+        stack = [(0, 0, {b: 1})]  # mask of J, first generator left to add, x_J e_b
+        while stack:
+            mask, first, v = stack.pop()
+            traces[mask] += v.get(b, 0)
+            for i in range(first, k):
+                w = _apply_cols(cols[i], v)
+                if w:
+                    stack.append((mask | 1 << (k - 1 - i), i + 1, w))
+    for bit in range(k):
+        step = 1 << bit
+        for mask in range(1 << k):
+            if not mask & step:
+                traces[mask] -= traces[mask | step]
     out: Counter[Composition] = Counter()
-    for pattern, mult in _eigensplit(layer).items():
-        subset = {i + 1 for i, e in enumerate(pattern) if e == 0}
-        out[comp_of(subset, n)] += mult
+    for mask, mult in enumerate(traces):
+        if not mult:
+            continue
+        beta = comp_of([i for i in range(1, n) if not mask >> (k - i) & 1], n)
+        if mult < 0 or mult.denominator != 1:
+            raise RuntimeError(f"factor {beta} has multiplicity {mult}, not a natural number")
+        out[beta] = int(mult)
     return out
 
 
 def composition_factors(m: HModule) -> Counter[Composition]:
-    """Multiset of simple factors via the radical filtration."""
-    out: Counter[Composition] = Counter()
-    for layer in radical_filtration(m):
-        out += _layer_factors(layer, m.n)
-    return out
+    """Multiset of simple factors, read off traces (`_trace_factors`)."""
+    return _trace_factors(m.n, m.dim, m.cols)
 
 
 def top_factors(m: HModule) -> Counter[Composition]:
-    """Simple multiplicities of M / rad M; only the top layer is computed."""
-    top = next(radical_filtration(m), None)
-    return Counter() if top is None else _layer_factors(top, m.n)
+    """Simple multiplicities of M / rad M (`_top_layer`), read off traces."""
+    return _trace_factors(m.n, *_top_layer(m))
 
 
 # ---------------------------------------------------------------------------

@@ -889,8 +889,8 @@ CLAIMS: dict[str, tuple[str, int, Callable[[int], list], Callable[..., list]]] =
         _case_projectivity,
     ),
     "factors-vs-descents": (
-        "radical-filtration factors equal descent compositions",
-        7, lambda m: _stream(m, _shapes(_compatible_types)), _case_factors,
+        "composition factors equal descent compositions",
+        8, lambda m: _stream(m, _shapes(_compatible_types)), _case_factors,
     ),
     "app-A": (
         "letter bound and nonattacking window on class quotients",

@@ -127,15 +127,15 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
     from spcthecke import modules
 
     def broken(*args):
-        raise RuntimeError("layer is not semisimple: eigensplit lost dimensions")
+        raise RuntimeError("generator 1 is not idempotent")
 
-    monkeypatch.setattr(modules, "_eigensplit", broken)
+    monkeypatch.setattr(modules, "_trace_factors", broken)
     # factors computed by an earlier test would be served from the claims' memo
     verify._INVARIANTS.clear()
     assert cli.main(["verify", "factors-vs-descents", "--max-n", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: internal: layer is not semisimple: eigensplit lost dimensions\n"
+    assert captured.err == "error: internal: generator 1 is not idempotent\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

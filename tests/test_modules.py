@@ -22,7 +22,6 @@ from spcthecke.modules import (
     hom_space,
     is_indecomposable,
     is_spct_cyclic,
-    radical_filtration,
     reachable_pairs,
     ribbon_module,
     spct_module,
@@ -218,21 +217,22 @@ def test_module_algorithms_against_action_oracle():
         mods += [pim_module(n, set_of(a)) for a in compositions(n)]
     for m in mods:
         assert check_relations(m).violations == action_oracle.check_relations(m) == [], m
-        layers = action_oracle.radical_layers(m)
-        assert [layer.dim for layer in radical_filtration(m)] == [d for d, _ in layers], m
+        if m.dim:
+            assert modules._top_layer(m)[0] == action_oracle.radical_layers(m)[0][0], m
         assert composition_factors(m) == action_oracle.composition_factors(m), m
         assert top_factors(m) == action_oracle.top_factors(m), m
 
 
-def test_eigensplit_rejects_a_layer_that_is_not_semisimple():
-    from spcthecke.modules import Layer, _eigensplit
-
+def test_factors_reject_a_generator_that_is_not_idempotent():
     # e_0, e_1 -> e_1 splits into e_0 - e_1 and e_1; the identity fixes both
-    assert _eigensplit(Layer(2, [[{1: 1}, {1: 1}], [{0: 1}, {1: 1}]])) == Counter({(0, 1): 1, (1, 1): 1})
+    m = HModule(3, "ab", [[{1: 1}, {1: 1}], [{0: 1}, {1: 1}]])
+    assert composition_factors(m) == top_factors(m) == Counter({(1, 2): 1, (3,): 1})
     # nilpotent: e_1 -> e_0 -> 0; and an eigenvalue 2
     for cols in ([{}, {0: 1}], [{0: 2}, {1: 1}]):
-        with pytest.raises(RuntimeError, match="not semisimple"):
-            _eigensplit(Layer(2, [cols]))
+        m = HModule(2, "ab", [cols])
+        for fn in (composition_factors, top_factors):
+            with pytest.raises(RuntimeError, match="not idempotent"):
+                fn(m)
 
 
 def test_apply_cols_matches_the_matrix_oracle():

@@ -34,7 +34,6 @@ def test_every_record_survives_pickling():
         modules.is_indecomposable(sub)[1],
         hecke.is_projective(sub)[1],
         modules.check_relations(sub),
-        next(modules.radical_filtration(sub)),
         modules.appendix_invariants(cls, member),
         qsym.bn_basis(3)[1],
     ]
