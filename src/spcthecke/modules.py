@@ -17,7 +17,8 @@ Everything downstream is linear algebra over Q: the relation checker,
 intertwiner (hom) spaces, endomorphism rings with the trace-form radical,
 and the top layer M / rad M.  Every simple module is one dimensional, so
 composition factors, of M or of its top, are read off the traces of the
-products of generators by inversion over subsets, with no elimination.
+products of generators by inversion over subsets; of the two, only the
+top layer eliminates.
 Hom spaces are solved from a presentation of the source module by
 generators and relations, so a map is fixed by its values on the
 generators; a class submodule is cyclic, generated by its source, so its
@@ -647,7 +648,7 @@ def _trace_factors(n: int, dim: int, cols: Sequence[Sequence[Vec]]) -> Counter[C
         if any(_apply_cols(g, col) != col for col in g):
             raise RuntimeError(f"generator {i} is not idempotent")
     k = max(n - 1, 0)  # pi_i is bit k - i of a subset's mask
-    traces: list = [0] * (1 << k)
+    traces = [0] * (1 << k)
     for b in range(dim):
         stack = [(0, 0, {b: 1})]  # mask of J, first generator left to add, x_J e_b
         while stack:

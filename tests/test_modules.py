@@ -217,8 +217,7 @@ def test_module_algorithms_against_action_oracle():
         mods += [pim_module(n, set_of(a)) for a in compositions(n)]
     for m in mods:
         assert check_relations(m).violations == action_oracle.check_relations(m) == [], m
-        if m.dim:
-            assert modules._top_layer(m)[0] == action_oracle.radical_layers(m)[0][0], m
+        assert modules._top_layer(m)[0] == action_oracle.radical_layers(m)[0][0], m
         assert composition_factors(m) == action_oracle.composition_factors(m), m
         assert top_factors(m) == action_oracle.top_factors(m), m
 
@@ -233,6 +232,14 @@ def test_factors_reject_a_generator_that_is_not_idempotent():
         for fn in (composition_factors, top_factors):
             with pytest.raises(RuntimeError, match="not idempotent"):
                 fn(m)
+
+
+def test_composition_factors_reject_a_multiplicity_that_is_not_natural():
+    # two idempotents that do not commute: pi_1 = diag(1, 0) and pi_2 with
+    # tr(pi_2 pi_1) = 2 give m_{1} = tr(pi_1) - tr(pi_2 pi_1) = -1
+    m = HModule(3, "ab", [[{0: 1}, {}], [{0: 2, 1: -2}, {0: 1, 1: -1}]])
+    with pytest.raises(RuntimeError, match="multiplicity -1, not a natural number"):
+        composition_factors(m)
 
 
 def test_apply_cols_matches_the_matrix_oracle():
